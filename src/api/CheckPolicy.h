@@ -59,8 +59,26 @@ constexpr std::string_view checkPolicyName(CheckPolicy Policy) {
   return "?";
 }
 
-/// Parses a policy name as spelled by checkPolicyName (plus the paper's
-/// variant spellings "bounds"/"type"/"none").
+/// The paper's short variant spelling ("full", "bounds", "type",
+/// "count", "off"), as the service snapshot renders it.
+constexpr std::string_view checkPolicyShortName(CheckPolicy Policy) {
+  switch (Policy) {
+  case CheckPolicy::Full:
+    return "full";
+  case CheckPolicy::BoundsOnly:
+    return "bounds";
+  case CheckPolicy::TypeOnly:
+    return "type";
+  case CheckPolicy::CountOnly:
+    return "count";
+  case CheckPolicy::Off:
+    return "off";
+  }
+  return "?";
+}
+
+/// Parses a policy name as spelled by checkPolicyName or
+/// checkPolicyShortName (plus "none" for Off).
 inline std::optional<CheckPolicy> parseCheckPolicy(std::string_view Name) {
   if (Name == "full")
     return CheckPolicy::Full;

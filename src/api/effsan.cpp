@@ -41,36 +41,6 @@ Bounds unwrap(effsan_bounds B) { return Bounds{B.lo, B.hi}; }
 
 effsan_bounds wrap(Bounds B) { return effsan_bounds{B.Lo, B.Hi}; }
 
-/// ReporterOptions::Callback trampoline translating the C++ event into
-/// the C structs. Fires the v1 then the v2 sink; a 1.2 caller that
-/// never installs a v2 callback observes exactly the 1.2 behavior.
-void callbackTrampoline(const ErrorInfo &Info, const char *Message,
-                        void *UserData) {
-  auto *S = static_cast<effsan_session *>(UserData);
-  if (S->Callback) {
-    effsan_error Error;
-    Error.kind = effsan_detail::errorKindValue(Info.Kind);
-    Error.pointer = Info.Pointer;
-    Error.offset = Info.Offset;
-    // Rendered reports are never empty, so an empty message can only
-    // mean defer_error_rendering elided it — surface that as NULL.
-    Error.message = (Message && Message[0]) ? Message : nullptr;
-    S->Callback(&Error, S->CallbackUserData);
-  }
-  if (S->CallbackV2) {
-    effsan_error_v2 Error;
-    effsan_detail::fillErrorV2(Info, Message, Error);
-    S->CallbackV2(&Error, S->CallbackV2UserData);
-  }
-}
-
-/// Re-attaches the shared trampoline when either C sink is present.
-/// \pre the trampoline is detached (see the setter protocol below).
-void attachCallbacks(effsan_session *S) {
-  if (S->Callback || S->CallbackV2)
-    S->S->setErrorCallback(callbackTrampoline, S);
-}
-
 } // namespace
 
 extern "C" {
@@ -97,25 +67,13 @@ void effsan_options_init(effsan_options *options) {
 }
 
 effsan_session *effsan_session_create(const effsan_options *options) {
-  effsan_options Defaults;
-  effsan_options_init(&Defaults);
   // Tail-extension tolerance: read only the prefix the caller declared.
-  if (options) {
-    size_t N = options->struct_size;
-    if (N == 0 || N > sizeof(Defaults))
-      N = sizeof(Defaults);
-    std::memcpy(&Defaults, options, N);
-  }
+  effsan_options Defaults =
+      effsan_detail::readPrefix(options, effsan_options_init);
 
   SessionOptions SessionOpts;
   SessionOpts.Policy = effsan_detail::policyFromValue(Defaults.policy);
-  SessionOpts.Reporter.Mode =
-      Defaults.log_errors ? ReportMode::Log : ReportMode::Count;
-  SessionOpts.Reporter.Stream =
-      Defaults.log_stream ? Defaults.log_stream : stderr;
-  SessionOpts.Reporter.MaxReportsPerBucket =
-      Defaults.max_reports_per_location;
-  SessionOpts.Reporter.MaxTotalReports = Defaults.max_total_reports;
+  SessionOpts.Reporter = effsan_detail::reporterOptions(Defaults);
   SessionOpts.Reporter.AbortAfter = Defaults.abort_after;
   SessionOpts.Reporter.DeferMessageRendering =
       Defaults.defer_error_rendering != 0;
@@ -143,19 +101,7 @@ void effsan_session_reset(effsan_session *session) {
 }
 
 uint32_t effsan_session_policy(const effsan_session *session) {
-  switch (session->S->policy()) {
-  case CheckPolicy::Full:
-    return EFFSAN_POLICY_FULL;
-  case CheckPolicy::BoundsOnly:
-    return EFFSAN_POLICY_BOUNDS_ONLY;
-  case CheckPolicy::TypeOnly:
-    return EFFSAN_POLICY_TYPE_ONLY;
-  case CheckPolicy::CountOnly:
-    return EFFSAN_POLICY_COUNT_ONLY;
-  case CheckPolicy::Off:
-    return EFFSAN_POLICY_OFF;
-  }
-  return EFFSAN_POLICY_FULL;
+  return effsan_detail::policyValue(session->S->policy());
 }
 
 void effsan_session_set_policy(effsan_session *session, uint32_t policy) {
@@ -372,16 +318,8 @@ void effsan_get_counters(const effsan_session *session,
                          effsan_counters *out) {
   if (!out)
     return;
-  auto *S = const_cast<effsan_session *>(session);
-  CheckCounters::Snapshot Snap = S->S->counters().snapshot();
-  out->type_checks = Snap.TypeChecks;
-  out->legacy_type_checks = Snap.LegacyTypeChecks;
-  out->bounds_checks = Snap.BoundsChecks;
-  out->bounds_narrows = Snap.BoundsNarrows;
-  out->bounds_gets = Snap.BoundsGets;
-  out->issues_found = S->S->reporter().numIssues();
-  out->error_events = S->S->reporter().numEvents();
-  out->reports_suppressed = S->S->reporter().numSuppressed();
+  Sanitizer &S = *session->S;
+  effsan_detail::fillCounters(S.counters().snapshot(), S.reporter(), *out);
 }
 
 uint64_t effsan_type_check_cache_hits(const effsan_session *session) {
@@ -407,32 +345,31 @@ void effsan_get_heap_stats(const effsan_session *session,
 
 void effsan_get_object_stats(const effsan_session *session,
                              effsan_object_stats *out) {
-  auto *S = const_cast<effsan_session *>(session);
-  Runtime &RT = S->S->runtime();
-  effsan_detail::fillObjectStats(RT, out);
+  Runtime &RT = session->S->runtime();
+  auto Full = effsan_detail::zeroed<effsan_object_stats>();
+  const ObjectCounters &C = RT.objectCounters();
+  Full.stack_allocs = C.StackAllocs.load(std::memory_order_relaxed);
+  Full.stack_frames = C.StackFrames.load(std::memory_order_relaxed);
+  Full.stack_retired = C.StackRetired.load(std::memory_order_relaxed);
+  // The pool's byte tally counts whole blocks; the ABI stat is payload
+  // bytes, so strip the per-global META header the runtime prepends.
+  size_t NumGlobals = RT.globals().size();
+  Full.global_objects = NumGlobals;
+  Full.global_bytes =
+      RT.globals().totalBytes() - NumGlobals * sizeof(MetaHeader);
+  effsan_detail::writePrefix(Full, out);
 }
 
 void effsan_set_error_callback(effsan_session *session,
                                effsan_error_callback callback,
                                void *user_data) {
-  // Detach the trampoline (under the reporter lock, so no invocation
-  // is mid-flight), update the C-side pair, then re-attach — an
-  // erring thread can never observe a half-updated callback/user-data
-  // combination.
-  session->S->setErrorCallback(nullptr, nullptr);
-  session->Callback = callback;
-  session->CallbackUserData = user_data;
-  attachCallbacks(session);
+  session->Sinks.set(session->S->reporter(), callback, user_data);
 }
 
 void effsan_set_error_callback_v2(effsan_session *session,
                                   effsan_error_callback_v2 callback,
                                   void *user_data) {
-  // Same detach-update-reattach protocol as the v1 setter.
-  session->S->setErrorCallback(nullptr, nullptr);
-  session->CallbackV2 = callback;
-  session->CallbackV2UserData = user_data;
-  attachCallbacks(session);
+  session->Sinks.set(session->S->reporter(), callback, user_data);
 }
 
 //===----------------------------------------------------------------------===//

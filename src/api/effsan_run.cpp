@@ -27,36 +27,6 @@ using namespace effective::instrument;
 
 namespace {
 
-/// Copies the caller's declared prefix of a default-initialized
-/// effsan_run_options (the tail-extension contract).
-effsan_run_options normalizedRunOptions(const effsan_run_options *options) {
-  effsan_run_options Defaults;
-  effsan_run_options_init(&Defaults);
-  if (options) {
-    size_t N = options->struct_size;
-    if (N == 0 || N > sizeof(Defaults))
-      N = sizeof(Defaults);
-    std::memcpy(&Defaults, options, N);
-  }
-  return Defaults;
-}
-
-/// Fills the caller-sized result prefix (same contract as
-/// effsan_heap_stats; see effsan_internal.h's fillHeapStats).
-void fillRunResult(const effsan_run_result &Full, effsan_run_result *Out) {
-  if (!Out || Out->struct_size < sizeof(uint32_t))
-    return;
-  size_t N = Out->struct_size;
-  if (N > sizeof(Full)) {
-    std::memset(reinterpret_cast<char *>(Out) + sizeof(Full), 0,
-                N - sizeof(Full));
-    N = sizeof(Full);
-  }
-  uint32_t Declared = Out->struct_size;
-  std::memcpy(Out, &Full, N);
-  Out->struct_size = Declared;
-}
-
 void setFault(effsan_run_result &R, const std::string &Message) {
   std::strncpy(R.fault, Message.c_str(), sizeof(R.fault) - 1);
   R.fault[sizeof(R.fault) - 1] = '\0';
@@ -76,17 +46,16 @@ void effsan_run_options_init(effsan_run_options *options) {
 int effsan_run_minic(effsan_session *session, const char *source,
                      const effsan_run_options *options,
                      effsan_run_result *out) {
-  effsan_run_result Full;
-  std::memset(&Full, 0, sizeof(Full));
-  Full.struct_size = sizeof(Full);
+  auto Full = effsan_detail::zeroed<effsan_run_result>();
 
   if (!session || !source) {
     setFault(Full, "null session or source");
-    fillRunResult(Full, out);
+    effsan_detail::writePrefix(Full, out);
     return 0;
   }
 
-  effsan_run_options Run = normalizedRunOptions(options);
+  effsan_run_options Run =
+      effsan_detail::readPrefix(options, effsan_run_options_init);
   Sanitizer &S = *session->S;
 
   // The instrumentation variant follows the session's policy, so the
@@ -106,7 +75,7 @@ int effsan_run_minic(effsan_session *session, const char *source,
                 std::to_string(D.Loc.Column) + ": " + D.Message;
     }
     setFault(Full, Message);
-    fillRunResult(Full, out);
+    effsan_detail::writePrefix(Full, out);
     return 0;
   }
 
@@ -134,7 +103,7 @@ int effsan_run_minic(effsan_session *session, const char *source,
   if (Run.output && !R.Output.empty())
     Run.output(R.Output.data(), R.Output.size(), Run.output_user_data);
 
-  fillRunResult(Full, out);
+  effsan_detail::writePrefix(Full, out);
   return 1;
 }
 

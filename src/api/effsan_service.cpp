@@ -35,10 +35,9 @@ struct effsan_service {
   std::vector<std::unique_ptr<effsan_session>> Sessions;
   std::mutex LeaseLock;
   std::vector<std::vector<service::Supervisor::Lease>> Held;
-  effsan_error_callback Callback = nullptr;
-  void *CallbackUserData = nullptr;
-  effsan_error_callback_v2 CallbackV2 = nullptr;
-  void *CallbackV2UserData = nullptr;
+  /// C callbacks on the central reporter (normally fired by the drain
+  /// thread; ring-full fallbacks fire them on the erring worker).
+  effsan_detail::ErrorSinks Sinks;
 
   explicit effsan_service(const service::ServiceOptions &Options)
       : Sup(Options), Held(Sup.numShards()) {
@@ -50,42 +49,10 @@ struct effsan_service {
 
 namespace {
 
-/// Central-reporter trampoline, as the pool's (normally fired by the
-/// service's drain thread; ring-full fallbacks fire it on the erring
-/// worker).
-void serviceCallbackTrampoline(const ErrorInfo &Info, const char *Message,
-                               void *UserData) {
-  auto *S = static_cast<effsan_service *>(UserData);
-  if (S->Callback) {
-    effsan_error Error;
-    Error.kind = effsan_detail::errorKindValue(Info.Kind);
-    Error.pointer = Info.Pointer;
-    Error.offset = Info.Offset;
-    Error.message = (Message && Message[0]) ? Message : nullptr;
-    S->Callback(&Error, S->CallbackUserData);
-  }
-  if (S->CallbackV2) {
-    effsan_error_v2 Error;
-    effsan_detail::fillErrorV2(Info, Message, Error);
-    S->CallbackV2(&Error, S->CallbackV2UserData);
-  }
-}
-
-void attachServiceCallbacks(effsan_service *S) {
-  if (S->Callback || S->CallbackV2)
-    S->Sup.reporter().setCallback(serviceCallbackTrampoline, S);
-}
-
 service::TenantQuota quotaFromC(const effsan_tenant_quota *quota) {
+  effsan_tenant_quota Full =
+      effsan_detail::readPrefix(quota, effsan_tenant_quota_init);
   service::TenantQuota Q;
-  if (!quota)
-    return Q;
-  effsan_tenant_quota Full;
-  std::memset(&Full, 0, sizeof(Full));
-  size_t N = quota->struct_size;
-  if (N == 0 || N > sizeof(Full))
-    N = sizeof(Full);
-  std::memcpy(&Full, quota, N);
   Q.MaxAllocBytes = Full.max_alloc_bytes;
   Q.MaxErrorEvents = Full.max_error_events;
   Q.MaxChecks = Full.max_checks;
@@ -124,25 +91,14 @@ void effsan_service_options_init(effsan_service_options *options) {
 
 effsan_service *
 effsan_service_create(const effsan_service_options *options) {
-  effsan_service_options Defaults;
-  effsan_service_options_init(&Defaults);
   // Tail-extension tolerance: read only the prefix the caller declared.
-  if (options) {
-    size_t N = options->struct_size;
-    if (N == 0 || N > sizeof(Defaults))
-      N = sizeof(Defaults);
-    std::memcpy(&Defaults, options, N);
-  }
+  effsan_service_options Defaults =
+      effsan_detail::readPrefix(options, effsan_service_options_init);
 
   service::ServiceOptions Opts;
   Opts.Shards = Defaults.shards;
   Opts.Policy = effsan_detail::policyFromValue(Defaults.policy);
-  Opts.Reporter.Mode =
-      Defaults.log_errors ? ReportMode::Log : ReportMode::Count;
-  Opts.Reporter.Stream =
-      Defaults.log_stream ? Defaults.log_stream : stderr;
-  Opts.Reporter.MaxReportsPerBucket = Defaults.max_reports_per_location;
-  Opts.Reporter.MaxTotalReports = Defaults.max_total_reports;
+  Opts.Reporter = effsan_detail::reporterOptions(Defaults);
   Opts.ErrorRingCapacity =
       static_cast<size_t>(Defaults.error_ring_capacity);
   Opts.SiteCacheEntries = static_cast<size_t>(Defaults.site_cache_entries);
@@ -267,14 +223,10 @@ int effsan_service_quota_get(effsan_service *service, effsan_tenant tenant,
 int effsan_service_tenant_stats(effsan_service *service,
                                 effsan_tenant tenant,
                                 effsan_tenant_stats *out) {
-  if (!out || out->struct_size < sizeof(uint32_t))
-    return 0;
   service::TenantSnapshot Snap;
   if (!service->Sup.tenantSnapshot(tenant, Snap))
     return 0;
-  effsan_tenant_stats Full;
-  std::memset(&Full, 0, sizeof(Full));
-  Full.struct_size = out->struct_size;
+  auto Full = effsan_detail::zeroed<effsan_tenant_stats>();
   Full.status = static_cast<uint32_t>(Snap.Status);
   Full.shard = Snap.Shard;
   Full.policy = effsan_detail::policyValue(service->Sup.tenantPolicy(tenant));
@@ -285,52 +237,18 @@ int effsan_service_tenant_stats(effsan_service *service,
   Full.checkouts_granted = Snap.LeasesGranted;
   Full.checkouts_refused = Snap.LeasesRefused;
   Full.checkouts_outstanding = Snap.LeasesOutstanding;
-  size_t N = out->struct_size;
-  if (N > sizeof(Full)) {
-    std::memset(reinterpret_cast<char *>(out) + sizeof(Full), 0,
-                N - sizeof(Full));
-    N = sizeof(Full);
-  }
-  std::memcpy(out, &Full, N);
-  return 1;
+  return effsan_detail::writePrefix(Full, out) ? 1 : 0;
 }
 
 void effsan_service_get_stats(effsan_service *service,
                               effsan_service_stats *out) {
-  if (!out || out->struct_size < sizeof(uint32_t))
-    return;
   service::ServiceStats S = service->Sup.stats();
-  effsan_service_stats Full;
-  std::memset(&Full, 0, sizeof(Full));
-  Full.struct_size = out->struct_size;
-  Full.tenants_open = S.TenantsOpen;
-  Full.tenants_opened_total = S.TenantsOpenedTotal;
-  Full.tenants_evicted = S.TenantsEvicted;
-  Full.tenants_closed = S.TenantsClosed;
-  Full.checkouts_granted = S.LeasesGranted;
-  Full.checkouts_refused = S.LeasesRefused;
-  Full.drain_ticks = S.DrainTicks;
-  Full.drained_events = S.DrainedEvents;
-  Full.ring_overflows = S.RingOverflows;
-  Full.policy_degrades = S.PolicyDegrades;
-  Full.policy_restores = S.PolicyRestores;
-  Full.issues_found = S.IssuesFound;
-  Full.snapshots_emitted = S.SnapshotsEmitted;
-  Full.snapshots_skipped = S.SnapshotsSkipped;
-  Full.ring_fallbacks = S.RingFallbacks;
-  Full.ring_drops = S.RingDrops;
-  Full.drain_restarts = S.DrainRestarts;
-  Full.watchdog_checks = S.WatchdogChecks;
-  Full.health = static_cast<uint32_t>(S.Health);
-  size_t N = out->struct_size;
-  if (N > sizeof(Full)) {
-    // A caller built against a future, larger struct: zero the tail so
-    // every byte of the declared prefix is defined.
-    std::memset(reinterpret_cast<char *>(out) + sizeof(Full), 0,
-                N - sizeof(Full));
-    N = sizeof(Full);
-  }
-  std::memcpy(out, &Full, N);
+  auto Full = effsan_detail::zeroed<effsan_service_stats>();
+#define EFFSAN_X(Field, Type, Json, Abi, ...)                                  \
+  Full.Abi = static_cast<decltype(Full.Abi)>(S.Field);
+  EFFSAN_SERVICE_STATS(EFFSAN_X)
+#undef EFFSAN_X
+  effsan_detail::writePrefix(Full, out);
 }
 
 uint64_t effsan_service_tick(effsan_service *service) {
@@ -369,21 +287,13 @@ void effsan_service_metrics_render(effsan_service *service,
 void effsan_service_set_error_callback(effsan_service *service,
                                        effsan_error_callback callback,
                                        void *user_data) {
-  // Detach-update-reattach, as the pool setters: no trampoline can
-  // read the pair while it is being rewritten.
-  service->Sup.reporter().setCallback(nullptr, nullptr);
-  service->Callback = callback;
-  service->CallbackUserData = user_data;
-  attachServiceCallbacks(service);
+  service->Sinks.set(service->Sup.reporter(), callback, user_data);
 }
 
 void effsan_service_set_error_callback_v2(effsan_service *service,
                                           effsan_error_callback_v2 callback,
                                           void *user_data) {
-  service->Sup.reporter().setCallback(nullptr, nullptr);
-  service->CallbackV2 = callback;
-  service->CallbackV2UserData = user_data;
-  attachServiceCallbacks(service);
+  service->Sinks.set(service->Sup.reporter(), callback, user_data);
 }
 
 } // extern "C"

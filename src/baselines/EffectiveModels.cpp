@@ -14,6 +14,7 @@
 
 #include "baselines/ModelFactories.h"
 
+#include "api/CheckPolicy.h"
 #include "core/Runtime.h"
 #include "support/Compiler.h"
 
@@ -36,26 +37,23 @@ public:
       std::free(P);
   }
 
-  Allocation allocate(size_t Size, const TypeInfo *Type) override {
+  Allocation allocate(size_t Size, const TypeInfo *) override {
     void *P = std::malloc(Size);
     Owned.insert(P);
     return Allocation{P, 0};
   }
 
-  void deallocate(void *Ptr) override {} // Keep memory valid for probes.
-  void access(const AccessInfo &Info) override {}
-  void cast(const CastInfo &Info) override {}
+  void deallocate(void *) override {} // Keep memory valid for probes.
+  void access(const AccessInfo &) override {}
+  void cast(const CastInfo &) override {}
 
 private:
   std::unordered_set<void *> Owned;
 };
 
-/// Which parts of the Figure 3 schema a variant keeps.
-enum class Variant { Full, BoundsOnly, TypeOnly };
-
 class EffectiveSanModel final : public SanitizerModel {
 public:
-  EffectiveSanModel(const char *Name, Variant V, TypeContext &Ctx)
+  EffectiveSanModel(const char *Name, CheckPolicy V, TypeContext &Ctx)
       : Name(Name), V(V), RT(Ctx, countingOptions()) {}
 
   const char *name() const override { return Name; }
@@ -72,7 +70,7 @@ public:
   }
 
   void access(const AccessInfo &Info) override {
-    if (V == Variant::TypeOnly)
+    if (V == CheckPolicy::TypeOnly)
       return; // EffectiveSan-type instruments casts only.
     uint64_t Before = RT.reporter().numEvents();
     // Rules (a)-(d): the input pointer (the sub-object base for
@@ -80,7 +78,7 @@ public:
     // and yields bounds...
     const void *Input =
         Info.SubObjectPtr ? Info.SubObjectPtr : Info.AllocPtr;
-    Bounds B = V == Variant::Full
+    Bounds B = V == CheckPolicy::Full
                    ? RT.typeCheck(Input, Info.StaticType)
                    : RT.boundsGet(Input);
     // ...rule (e): field selection narrows...
@@ -92,7 +90,7 @@ public:
   }
 
   void cast(const CastInfo &Info) override {
-    if (V == Variant::BoundsOnly)
+    if (V == CheckPolicy::BoundsOnly)
       return; // Casts carry no extra check without type comparison.
     uint64_t Before = RT.reporter().numEvents();
     RT.typeCheck(Info.Ptr, Info.ToType); // Rule (d).
@@ -143,7 +141,9 @@ private:
   }
 
   const char *Name;
-  Variant V;
+  /// Which parts of the Figure 3 schema the variant keeps (Full,
+  /// BoundsOnly or TypeOnly).
+  CheckPolicy V;
   Runtime RT;
   uint64_t NextToken = 0;
   std::unordered_map<void *, size_t> StackMarks;
@@ -159,13 +159,13 @@ effective::baselines::createEffectiveModel(ModelKind Kind,
     return std::make_unique<NoneModel>();
   case ModelKind::EffectiveSan:
     return std::make_unique<EffectiveSanModel>("EffectiveSan",
-                                               Variant::Full, Ctx);
+                                               CheckPolicy::Full, Ctx);
   case ModelKind::EffectiveSanBounds:
     return std::make_unique<EffectiveSanModel>("EffectiveSan-bounds",
-                                               Variant::BoundsOnly, Ctx);
+                                               CheckPolicy::BoundsOnly, Ctx);
   case ModelKind::EffectiveSanType:
     return std::make_unique<EffectiveSanModel>("EffectiveSan-type",
-                                               Variant::TypeOnly, Ctx);
+                                               CheckPolicy::TypeOnly, Ctx);
   default:
     EFFSAN_UNREACHABLE("not an EffectiveSan model kind");
   }

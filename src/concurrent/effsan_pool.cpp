@@ -24,14 +24,15 @@ using namespace effective;
 
 /// The opaque pool handle: the SessionPool plus one stable
 /// effsan_session wrapper per shard (checkout hands these out) and the
-/// central C callback.
+/// C callbacks on the central reporter. They normally fire on the
+/// drain thread (see the threading contract on
+/// effsan_pool_set_error_callback); site attribution survives the ring
+/// because the SiteInfo a shard resolved at report time points into
+/// the pool-wide registry, which outlives every queued event.
 struct effsan_pool {
   concurrent::SessionPool Pool;
   std::vector<std::unique_ptr<effsan_session>> Sessions;
-  effsan_error_callback Callback = nullptr;
-  void *CallbackUserData = nullptr;
-  effsan_error_callback_v2 CallbackV2 = nullptr;
-  void *CallbackV2UserData = nullptr;
+  effsan_detail::ErrorSinks Sinks;
 
   effsan_pool(const concurrent::PoolOptions &Options, uint32_t Engine)
       : Pool(Options) {
@@ -40,41 +41,6 @@ struct effsan_pool {
           std::make_unique<effsan_session>(Pool.shard(I), Engine));
   }
 };
-
-namespace {
-
-/// Central-reporter trampoline for pools (normally fired by the drain
-/// thread; see the threading contract on effsan_pool_set_error_callback).
-/// Site attribution survives the ring: the SiteInfo pointer the shard
-/// resolved at report time points into the pool-wide registry, which
-/// outlives every queued event.
-void poolCallbackTrampoline(const ErrorInfo &Info, const char *Message,
-                            void *UserData) {
-  auto *P = static_cast<effsan_pool *>(UserData);
-  if (P->Callback) {
-    effsan_error Error;
-    Error.kind = effsan_detail::errorKindValue(Info.Kind);
-    Error.pointer = Info.Pointer;
-    Error.offset = Info.Offset;
-    // Empty only when defer_error_rendering elided it — pass NULL.
-    Error.message = (Message && Message[0]) ? Message : nullptr;
-    P->Callback(&Error, P->CallbackUserData);
-  }
-  if (P->CallbackV2) {
-    effsan_error_v2 Error;
-    effsan_detail::fillErrorV2(Info, Message, Error);
-    P->CallbackV2(&Error, P->CallbackV2UserData);
-  }
-}
-
-/// Re-attaches the central trampoline when either C sink is present.
-/// \pre the trampoline is detached (see the setter protocol below).
-void attachPoolCallbacks(effsan_pool *P) {
-  if (P->Callback || P->CallbackV2)
-    P->Pool.reporter().setCallback(poolCallbackTrampoline, P);
-}
-
-} // namespace
 
 extern "C" {
 
@@ -96,26 +62,14 @@ void effsan_pool_options_init(effsan_pool_options *options) {
 }
 
 effsan_pool *effsan_pool_create(const effsan_pool_options *options) {
-  effsan_pool_options Defaults;
-  effsan_pool_options_init(&Defaults);
   // Tail-extension tolerance: read only the prefix the caller declared.
-  if (options) {
-    size_t N = options->struct_size;
-    if (N == 0 || N > sizeof(Defaults))
-      N = sizeof(Defaults);
-    std::memcpy(&Defaults, options, N);
-  }
+  effsan_pool_options Defaults =
+      effsan_detail::readPrefix(options, effsan_pool_options_init);
 
   concurrent::PoolOptions PoolOpts;
   PoolOpts.Shards = Defaults.shards;
   PoolOpts.Policy = effsan_detail::policyFromValue(Defaults.policy);
-  PoolOpts.Reporter.Mode =
-      Defaults.log_errors ? ReportMode::Log : ReportMode::Count;
-  PoolOpts.Reporter.Stream =
-      Defaults.log_stream ? Defaults.log_stream : stderr;
-  PoolOpts.Reporter.MaxReportsPerBucket =
-      Defaults.max_reports_per_location;
-  PoolOpts.Reporter.MaxTotalReports = Defaults.max_total_reports;
+  PoolOpts.Reporter = effsan_detail::reporterOptions(Defaults);
   PoolOpts.Reporter.DeferMessageRendering =
       Defaults.defer_error_rendering != 0;
   PoolOpts.ErrorRingCapacity =
@@ -156,37 +110,20 @@ void effsan_pool_get_counters(effsan_pool *pool, effsan_counters *out) {
   if (!out)
     return;
   pool->Pool.drain();
-  CheckCounters::Snapshot Snap = pool->Pool.counters();
-  out->type_checks = Snap.TypeChecks;
-  out->legacy_type_checks = Snap.LegacyTypeChecks;
-  out->bounds_checks = Snap.BoundsChecks;
-  out->bounds_narrows = Snap.BoundsNarrows;
-  out->bounds_gets = Snap.BoundsGets;
-  ErrorReporter &Central = pool->Pool.reporter();
-  out->issues_found = Central.numIssues();
-  out->error_events = Central.numEvents();
-  out->reports_suppressed = Central.numSuppressed();
+  effsan_detail::fillCounters(pool->Pool.counters(), pool->Pool.reporter(),
+                              *out);
 }
 
 void effsan_pool_set_error_callback(effsan_pool *pool,
                                     effsan_error_callback callback,
                                     void *user_data) {
-  // Same detach-update-reattach dance as the session variant, against
-  // the pool's central reporter: detach first so no trampoline can
-  // read the pair while it is being rewritten.
-  pool->Pool.reporter().setCallback(nullptr, nullptr);
-  pool->Callback = callback;
-  pool->CallbackUserData = user_data;
-  attachPoolCallbacks(pool);
+  pool->Sinks.set(pool->Pool.reporter(), callback, user_data);
 }
 
 void effsan_pool_set_error_callback_v2(effsan_pool *pool,
                                        effsan_error_callback_v2 callback,
                                        void *user_data) {
-  pool->Pool.reporter().setCallback(nullptr, nullptr);
-  pool->CallbackV2 = callback;
-  pool->CallbackV2UserData = user_data;
-  attachPoolCallbacks(pool);
+  pool->Sinks.set(pool->Pool.reporter(), callback, user_data);
 }
 
 uint64_t effsan_pool_site_error_events(effsan_pool *pool, uint32_t site) {

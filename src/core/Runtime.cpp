@@ -470,7 +470,7 @@ Bounds Runtime::boundsGet(const void *Ptr, SiteId Site) {
   return Bounds::forObject(Meta + 1, Meta->Size);
 }
 
-void Runtime::boundsCheckFail(const void *Ptr, size_t Size, Bounds B,
+void Runtime::boundsCheckFail(const void *Ptr, size_t, Bounds B,
                               SiteId Site) {
   // Attribute the failure to the object the *bounds* came from, not to
   // whatever allocation the stray pointer happens to land in: B.Lo is

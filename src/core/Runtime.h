@@ -40,28 +40,46 @@
 #include "obs/SiteProfiler.h"
 #include "obs/Trace.h"
 #include "support/Compiler.h"
+#include "support/FieldTable.h"
 
 #include <atomic>
 #include <memory>
 
 namespace effective {
 
+/// The CheckCounters field table, one row per counter in member order:
+///   X(Field, AbiField, InAbi, MetricPos, MetricName, MetricLabels, Help)
+/// AbiField is the effsan_counters member when InAbi is 1; that struct
+/// cannot grow, so the cache counters (InAbi 0) are exported by the
+/// effsan_type_check_cache_* accessors instead. MetricPos orders the
+/// Prometheus series the service renders (effsan_checks_total lists
+/// its kinds type, bounds, bounds_narrow, bounds_get, legacy_type).
+#define EFFSAN_CHECK_COUNTERS(X)                                               \
+  X(TypeChecks, type_checks, 1, 0, "effsan_checks_total", "kind=\"type\"",     \
+    "Dynamic checks executed")                                                 \
+  X(LegacyTypeChecks, legacy_type_checks, 1, 4, "effsan_checks_total",         \
+    "kind=\"legacy_type\"", "Dynamic checks executed")                         \
+  X(BoundsChecks, bounds_checks, 1, 1, "effsan_checks_total",                  \
+    "kind=\"bounds\"", "Dynamic checks executed")                              \
+  X(BoundsNarrows, bounds_narrows, 1, 2, "effsan_checks_total",                \
+    "kind=\"bounds_narrow\"", "Dynamic checks executed")                       \
+  X(BoundsGets, bounds_gets, 1, 3, "effsan_checks_total",                      \
+    "kind=\"bounds_get\"", "Dynamic checks executed")                          \
+  /* type_checks resolved by the site-indexed inline cache (fast path)         \
+   * vs. the slow path (which includes checks on untyped/freed blocks          \
+   * and type errors — anything past the META fetch that missed the            \
+   * cache). Legacy (non-low-fat) checks hit neither bucket, so                \
+   * Hits + Misses + LegacyTypeChecks == TypeChecks. */                        \
+  X(TypeCheckCacheHits, type_check_cache_hits, 0, 5,                           \
+    "effsan_check_cache_hits_total", "", "Type-check inline-cache hits")       \
+  X(TypeCheckCacheMisses, type_check_cache_misses, 0, 6,                       \
+    "effsan_check_cache_misses_total", "", "Type-check inline-cache misses")
+
 /// Dynamic check counters (the paper's Figure 7 "#Type" and "#Bounds"
 /// columns, plus the Section 6.1 legacy-pointer ratio). Relaxed atomics;
 /// negligible overhead on the benchmark machines this targets.
 struct CheckCounters {
-  std::atomic<uint64_t> TypeChecks{0};
-  std::atomic<uint64_t> LegacyTypeChecks{0};
-  std::atomic<uint64_t> BoundsChecks{0};
-  std::atomic<uint64_t> BoundsNarrows{0};
-  std::atomic<uint64_t> BoundsGets{0};
-  /// type_checks resolved by the site-indexed inline cache (fast path)
-  /// vs. the slow path (which includes checks on untyped/freed blocks
-  /// and type errors — anything past the META fetch that missed the
-  /// cache). Legacy (non-low-fat) checks hit neither bucket, so
-  /// Hits + Misses + LegacyTypeChecks == TypeChecks.
-  std::atomic<uint64_t> TypeCheckCacheHits{0};
-  std::atomic<uint64_t> TypeCheckCacheMisses{0};
+  EFFSAN_CHECK_COUNTERS(EFFSAN_FIELD_ATOMIC)
 
   /// Statistical increment: a relaxed non-RMW load+store instead of an
   /// atomic RMW. bounds_check sits on every memory access, and a lock-
@@ -77,25 +95,14 @@ struct CheckCounters {
 
   /// Plain-value snapshot.
   struct Snapshot {
-    uint64_t TypeChecks = 0;
-    uint64_t LegacyTypeChecks = 0;
-    uint64_t BoundsChecks = 0;
-    uint64_t BoundsNarrows = 0;
-    uint64_t BoundsGets = 0;
-    uint64_t TypeCheckCacheHits = 0;
-    uint64_t TypeCheckCacheMisses = 0;
+    EFFSAN_CHECK_COUNTERS(EFFSAN_FIELD_U64)
 
     /// Field-wise accumulation — how the session pool and the
     /// multi-threaded harness merge per-shard counters.
-    Snapshot &operator+=(const Snapshot &O) {
-      TypeChecks += O.TypeChecks;
-      LegacyTypeChecks += O.LegacyTypeChecks;
-      BoundsChecks += O.BoundsChecks;
-      BoundsNarrows += O.BoundsNarrows;
-      BoundsGets += O.BoundsGets;
-      TypeCheckCacheHits += O.TypeCheckCacheHits;
-      TypeCheckCacheMisses += O.TypeCheckCacheMisses;
-      return *this;
+    Snapshot &operator+=(const Snapshot &In) {
+      Snapshot &Out = *this;
+      EFFSAN_CHECK_COUNTERS(EFFSAN_FIELD_ADD)
+      return Out;
     }
 
     friend Snapshot operator+(Snapshot A, const Snapshot &B) {
@@ -105,23 +112,15 @@ struct CheckCounters {
   };
 
   Snapshot snapshot() const {
-    return Snapshot{TypeChecks.load(std::memory_order_relaxed),
-                    LegacyTypeChecks.load(std::memory_order_relaxed),
-                    BoundsChecks.load(std::memory_order_relaxed),
-                    BoundsNarrows.load(std::memory_order_relaxed),
-                    BoundsGets.load(std::memory_order_relaxed),
-                    TypeCheckCacheHits.load(std::memory_order_relaxed),
-                    TypeCheckCacheMisses.load(std::memory_order_relaxed)};
+    const CheckCounters &In = *this;
+    Snapshot Out;
+    EFFSAN_CHECK_COUNTERS(EFFSAN_FIELD_LOAD)
+    return Out;
   }
 
   void reset() {
-    TypeChecks.store(0, std::memory_order_relaxed);
-    LegacyTypeChecks.store(0, std::memory_order_relaxed);
-    BoundsChecks.store(0, std::memory_order_relaxed);
-    BoundsNarrows.store(0, std::memory_order_relaxed);
-    BoundsGets.store(0, std::memory_order_relaxed);
-    TypeCheckCacheHits.store(0, std::memory_order_relaxed);
-    TypeCheckCacheMisses.store(0, std::memory_order_relaxed);
+    CheckCounters &Out = *this;
+    EFFSAN_CHECK_COUNTERS(EFFSAN_FIELD_CLEAR)
   }
 };
 

@@ -832,17 +832,8 @@ void LowFatHeap::resetShard(unsigned Shard) {
       Sub.Bump.store(Sub.Begin, std::memory_order_release);
     }
   }
-  ShardCounters &C = Counters[Shard];
-  C.BlockBytesInUse.store(0, std::memory_order_relaxed);
-  C.PeakBlockBytesInUse.store(0, std::memory_order_relaxed);
-  C.NumAllocs.store(0, std::memory_order_relaxed);
-  C.NumFrees.store(0, std::memory_order_relaxed);
-  C.NumLegacyAllocs.store(0, std::memory_order_relaxed);
-  C.QuarantinedBytes.store(0, std::memory_order_relaxed);
-  C.MagazineHits.store(0, std::memory_order_relaxed);
-  C.MagazineRefills.store(0, std::memory_order_relaxed);
-  C.Steals.store(0, std::memory_order_relaxed);
-  C.ExhaustFallbacks.store(0, std::memory_order_relaxed);
+  ShardCounters &Out = Counters[Shard];
+  EFFSAN_HEAP_STATS(EFFSAN_FIELD_CLEAR)
   EFFSAN_OBS_EVENT(ShardRecycle,
                    Shard, ShardEpochs[Shard].load(std::memory_order_relaxed));
 }
@@ -862,39 +853,19 @@ HeapStats LowFatHeap::shardStats(unsigned Shard) const {
             ShardEpochs[Shard].load(std::memory_order_relaxed))
       const_cast<LowFatHeap *>(this)->publishTallies(*TC);
   }
-  const ShardCounters &C = Counters[Shard];
-  HeapStats S;
-  S.BlockBytesInUse = C.BlockBytesInUse.load(std::memory_order_relaxed);
-  S.PeakBlockBytesInUse =
-      C.PeakBlockBytesInUse.load(std::memory_order_relaxed);
-  S.NumAllocs = C.NumAllocs.load(std::memory_order_relaxed);
-  S.NumFrees = C.NumFrees.load(std::memory_order_relaxed);
-  S.NumLegacyAllocs = C.NumLegacyAllocs.load(std::memory_order_relaxed);
-  S.QuarantinedBytes = C.QuarantinedBytes.load(std::memory_order_relaxed);
-  S.MagazineHits = C.MagazineHits.load(std::memory_order_relaxed);
-  S.MagazineRefills = C.MagazineRefills.load(std::memory_order_relaxed);
-  S.Steals = C.Steals.load(std::memory_order_relaxed);
-  S.ExhaustFallbacks =
-      C.ExhaustFallbacks.load(std::memory_order_relaxed);
-  return S;
+  const ShardCounters &In = Counters[Shard];
+  HeapStats Out;
+  EFFSAN_HEAP_STATS(EFFSAN_FIELD_LOAD)
+  return Out;
 }
 
 HeapStats LowFatHeap::stats() const {
-  HeapStats Sum;
+  HeapStats Out;
   for (unsigned S = 0; S < Shards; ++S) {
-    HeapStats Part = shardStats(S);
-    Sum.BlockBytesInUse += Part.BlockBytesInUse;
-    Sum.PeakBlockBytesInUse += Part.PeakBlockBytesInUse;
-    Sum.NumAllocs += Part.NumAllocs;
-    Sum.NumFrees += Part.NumFrees;
-    Sum.NumLegacyAllocs += Part.NumLegacyAllocs;
-    Sum.QuarantinedBytes += Part.QuarantinedBytes;
-    Sum.MagazineHits += Part.MagazineHits;
-    Sum.MagazineRefills += Part.MagazineRefills;
-    Sum.Steals += Part.Steals;
-    Sum.ExhaustFallbacks += Part.ExhaustFallbacks;
+    HeapStats In = shardStats(S);
+    EFFSAN_HEAP_STATS(EFFSAN_FIELD_ADD)
   }
-  return Sum;
+  return Out;
 }
 
 uint64_t LowFatHeap::classCarvedBytes(unsigned ClassIndex) const {

@@ -79,6 +79,7 @@
 #define EFFECTIVE_LOWFAT_LOWFATHEAP_H
 
 #include "lowfat/SizeClass.h"
+#include "support/FieldTable.h"
 
 #include <atomic>
 #include <cstddef>
@@ -130,6 +131,48 @@ inline constexpr unsigned MaxHeapShards = 256;
 /// huge ABI value must degrade, not allocate gigabytes of TLS).
 inline constexpr unsigned MaxMagazineSize = 512;
 
+/// The HeapStats field table, one row per statistic in member order:
+///   X(Field, AbiField, MetricKind, MetricName, Help)
+/// AbiField is the effsan_heap_stats member; MetricKind (Counter,
+/// Gauge or None) with MetricName and Help is the series the service
+/// renders for the row.
+#define EFFSAN_HEAP_STATS(X)                                                   \
+  /* Block bytes currently live. */                                            \
+  X(BlockBytesInUse, block_bytes_in_use, Gauge,                                \
+    "effsan_heap_block_bytes_in_use", "Live block bytes across shards")        \
+  /* High-water mark of BlockBytesInUse. */                                    \
+  X(PeakBlockBytesInUse, peak_block_bytes_in_use, None, "", "")                \
+  X(NumAllocs, num_allocs, Counter, "effsan_heap_allocs_total",                \
+    "Heap allocations")                                                        \
+  X(NumFrees, num_frees, Counter, "effsan_heap_frees_total", "Heap frees")     \
+  /* Allocations that fell back to the system allocator. */                    \
+  X(NumLegacyAllocs, num_legacy_allocs, None, "", "")                          \
+  /* Bytes currently parked in the quarantine (including per-thread            \
+   * batches not yet flushed to the shard FIFO). */                            \
+  X(QuarantinedBytes, quarantined_bytes, Gauge,                                \
+    "effsan_heap_quarantined_bytes", "Bytes parked in free quarantine")        \
+  /* Allocations served by a non-empty TLS magazine (the no-atomics            \
+   * steady state). Hits and refills are tallied per thread and                \
+   * published to the shared counters in batches (and in full whenever         \
+   * a cache retires, rebinds or is flushed), so the totals are exact          \
+   * after flushThreadCache()/thread exit; between publishes a reader          \
+   * may lag by at most one in-flight batch per thread. */                     \
+  X(MagazineHits, magazine_hits, Counter, "effsan_heap_magazine_hits_total",   \
+    "Allocations served from a TLS magazine")                                  \
+  /* Magazine refills from the owning sub-arena (each moves up to              \
+   * MagazineSize blocks with O(1) atomic operations). */                      \
+  X(MagazineRefills, magazine_refills, Counter,                                \
+    "effsan_heap_magazine_refills_total", "TLS magazine refills")              \
+  /* Blocks served from a sibling shard's slice after this shard's             \
+   * slice ran dry (EnableWorkStealing), attributed to the requesting          \
+   * shard. */                                                                 \
+  X(Steals, steals, Counter, "effsan_heap_steals_total",                       \
+    "Cross-shard refill steals")                                               \
+  /* Legacy (system-allocator) fallbacks taken because a slice was             \
+   * exhausted and stealing was off or found nothing — the subset of           \
+   * NumLegacyAllocs that is not simply an oversized request. */               \
+  X(ExhaustFallbacks, exhaust_fallbacks, None, "", "")
+
 /// Point-in-time allocator statistics. The heap tracks block (size-class
 /// rounded) bytes — the real memory footprint; requested-byte accounting
 /// lives in the typed runtime, which knows each object's META header.
@@ -137,35 +180,7 @@ inline constexpr unsigned MaxMagazineSize = 512;
 /// is the sum of per-shard peaks (an upper bound on the true combined
 /// peak, exact for a single shard).
 struct HeapStats {
-  /// Block bytes currently live.
-  uint64_t BlockBytesInUse = 0;
-  /// High-water mark of BlockBytesInUse.
-  uint64_t PeakBlockBytesInUse = 0;
-  uint64_t NumAllocs = 0;
-  uint64_t NumFrees = 0;
-  /// Allocations that fell back to the system allocator.
-  uint64_t NumLegacyAllocs = 0;
-  /// Bytes currently parked in the quarantine (including per-thread
-  /// batches not yet flushed to the shard FIFO).
-  uint64_t QuarantinedBytes = 0;
-  /// Allocations served by a non-empty TLS magazine (the no-atomics
-  /// steady state). Hits and refills are tallied per thread and
-  /// published to the shared counters in batches (and in full whenever
-  /// a cache retires, rebinds or is flushed), so the totals are exact
-  /// after flushThreadCache()/thread exit; between publishes a reader
-  /// may lag by at most one in-flight batch per thread.
-  uint64_t MagazineHits = 0;
-  /// Magazine refills from the owning sub-arena (each moves up to
-  /// MagazineSize blocks with O(1) atomic operations).
-  uint64_t MagazineRefills = 0;
-  /// Blocks served from a sibling shard's slice after this shard's
-  /// slice ran dry (EnableWorkStealing), attributed to the requesting
-  /// shard.
-  uint64_t Steals = 0;
-  /// Legacy (system-allocator) fallbacks taken because a slice was
-  /// exhausted and stealing was off or found nothing — the subset of
-  /// NumLegacyAllocs that is not simply an oversized request.
-  uint64_t ExhaustFallbacks = 0;
+  EFFSAN_HEAP_STATS(EFFSAN_FIELD_U64)
 };
 
 /// The low-fat heap. Thread-safe: alloc/free run lock-free over
@@ -316,16 +331,7 @@ private:
 
   /// Per-shard statistics, cache-line separated; all relaxed atomics.
   struct alignas(64) ShardCounters {
-    std::atomic<uint64_t> BlockBytesInUse{0};
-    std::atomic<uint64_t> PeakBlockBytesInUse{0};
-    std::atomic<uint64_t> NumAllocs{0};
-    std::atomic<uint64_t> NumFrees{0};
-    std::atomic<uint64_t> NumLegacyAllocs{0};
-    std::atomic<uint64_t> QuarantinedBytes{0};
-    std::atomic<uint64_t> MagazineHits{0};
-    std::atomic<uint64_t> MagazineRefills{0};
-    std::atomic<uint64_t> Steals{0};
-    std::atomic<uint64_t> ExhaustFallbacks{0};
+    EFFSAN_HEAP_STATS(EFFSAN_FIELD_ATOMIC)
   };
 
   /// Per-shard FIFO quarantine of (block, class) pairs. The lock is

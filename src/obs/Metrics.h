@@ -60,6 +60,20 @@ private:
   std::atomic<int64_t> Value{0};
 };
 
+/// A cached handle to the counter or gauge series that mirrors one
+/// externally maintained value; both null when the value exports none.
+struct MetricSlot {
+  Counter *C = nullptr;
+  Gauge *G = nullptr;
+
+  void set(uint64_t N) const {
+    if (C)
+      C->set(N);
+    else if (G)
+      G->set(static_cast<int64_t>(N));
+  }
+};
+
 /// Log2-bucketed histogram: sample N lands in bucket bit_width(N),
 /// i.e. bucket i counts samples in [2^(i-1), 2^i - 1] (bucket 0 = the
 /// value 0). observe() uses the CheckCounters::bump idiom — relaxed

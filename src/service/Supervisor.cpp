@@ -555,20 +555,10 @@ uint64_t Supervisor::activitySignature() {
   };
   ServiceStats S = stats();
   uint64_t H = 0xcbf29ce484222325ull;
-  H = Mix(H, S.TenantsOpen);
-  H = Mix(H, S.TenantsOpenedTotal);
-  H = Mix(H, S.TenantsEvicted);
-  H = Mix(H, S.TenantsClosed);
-  H = Mix(H, S.LeasesGranted);
-  H = Mix(H, S.LeasesRefused);
-  H = Mix(H, S.DrainedEvents);
-  H = Mix(H, S.RingOverflows);
-  H = Mix(H, S.PolicyDegrades);
-  H = Mix(H, S.PolicyRestores);
-  H = Mix(H, S.IssuesFound);
-  H = Mix(H, S.RingFallbacks);
-  H = Mix(H, S.RingDrops);
-  H = Mix(H, S.DrainRestarts);
+#define EFFSAN_X(Field, Type, Json, Abi, InSignature, ...)                     \
+  EFFSAN_IF(InSignature, H = Mix(H, S.Field);)
+  EFFSAN_SERVICE_STATS(EFFSAN_X)
+#undef EFFSAN_X
   for (unsigned Shard = 0; Shard < NumShards; ++Shard)
     H = Mix(H, checkSumOf(Shard));
   lowfat::HeapStats HS = Pool.heap().stats();
@@ -582,90 +572,68 @@ uint64_t Supervisor::activitySignature() {
 // Metrics
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+/// A field-table row's Prometheus series.
+enum class MetricKind : uint8_t { None, Counter, Gauge };
+struct SeriesDef {
+  MetricKind Kind;
+  const char *Name;
+  const char *Labels;
+  const char *Help;
+  unsigned Pos; ///< Render order among the table's series.
+};
+
+#define EFFSAN_X(Field, Type, Json, Abi, Sig, Kind, Name, Help)                \
+  {MetricKind::Kind, Name, "", Help, 0},
+constexpr SeriesDef ServiceSeries[] = {EFFSAN_SERVICE_STATS(EFFSAN_X)};
+#undef EFFSAN_X
+#define EFFSAN_X(Field, Abi, InAbi, Pos, Name, Labels, Help)                   \
+  {MetricKind::Counter, Name, Labels, Help, Pos},
+constexpr SeriesDef CheckSeries[] = {EFFSAN_CHECK_COUNTERS(EFFSAN_X)};
+#undef EFFSAN_X
+#define EFFSAN_X(Field, Abi, Kind, Name, Help)                                 \
+  {MetricKind::Kind, Name, "", Help, 0},
+constexpr SeriesDef HeapSeries[] = {EFFSAN_HEAP_STATS(EFFSAN_X)};
+#undef EFFSAN_X
+
+/// Registers \p Defs' rows of kind \p Kind in Pos order (ties keep
+/// table order) into the matching slots.
+template <size_t N>
+void registerSeries(obs::MetricsRegistry &Registry,
+                    const SeriesDef (&Defs)[N], MetricKind Kind,
+                    std::array<obs::MetricSlot, N> &Slots) {
+  for (unsigned Pos = 0; Pos < N; ++Pos)
+    for (size_t I = 0; I < N; ++I) {
+      const SeriesDef &D = Defs[I];
+      if (D.Kind != Kind || D.Pos != Pos)
+        continue;
+      if (Kind == MetricKind::Counter)
+        Slots[I].C = &Registry.counter(D.Name, D.Help, D.Labels);
+      else
+        Slots[I].G = &Registry.gauge(D.Name, D.Help, D.Labels);
+    }
+}
+
+template <size_t N>
+void mirror(std::array<obs::MetricSlot, N> &Slots,
+            const std::array<uint64_t, N> &Values) {
+  for (size_t I = 0; I < N; ++I)
+    Slots[I].set(Values[I]);
+}
+
+} // namespace
+
 void Supervisor::initMetrics() {
-  Metrics.TenantsOpenedTotal = &Registry.counter(
-      "effsan_service_tenants_opened_total", "Tenant slots ever opened");
-  Metrics.TenantsEvictedTotal = &Registry.counter(
-      "effsan_service_tenants_evicted_total",
-      "Tenant evictions, including explicit closes");
-  Metrics.TenantsClosedTotal = &Registry.counter(
-      "effsan_service_tenants_closed_total", "Tenant slots fully recycled");
-  Metrics.LeasesGrantedTotal = &Registry.counter(
-      "effsan_service_leases_granted_total", "Shard leases granted");
-  Metrics.LeasesRefusedTotal = &Registry.counter(
-      "effsan_service_leases_refused_total",
-      "Shard leases refused at the quota gate");
-  Metrics.DrainTicksTotal = &Registry.counter(
-      "effsan_service_drain_ticks_total", "Drain-loop ticks completed");
-  Metrics.DrainedEventsTotal = &Registry.counter(
-      "effsan_service_drained_events_total",
-      "Error events drained from the pool ring");
-  Metrics.RingOverflowsTotal = &Registry.counter(
-      "effsan_service_ring_overflows_total",
-      "Error-ring pushes refused because the ring was full");
-  Metrics.PolicyDegradesTotal = &Registry.counter(
-      "effsan_service_policy_degrades_total", "Governor degrade steps");
-  Metrics.PolicyRestoresTotal = &Registry.counter(
-      "effsan_service_policy_restores_total", "Governor restore steps");
-  Metrics.IssuesFoundTotal = &Registry.counter(
-      "effsan_service_issues_found_total",
-      "Distinct issues in the central reporter");
-  Metrics.SnapshotsEmittedTotal = &Registry.counter(
-      "effsan_service_snapshots_emitted_total", "Snapshot hook invocations");
-  Metrics.SnapshotsSkippedTotal = &Registry.counter(
-      "effsan_service_snapshots_skipped_total",
-      "Snapshot cadences skipped by the dirty flag");
-  Metrics.RingFallbacksTotal = &Registry.counter(
-      "effsan_service_ring_fallbacks_total",
-      "Overflowed error events delivered via the locked fallback");
-  Metrics.RingDropsTotal = &Registry.counter(
-      "effsan_service_ring_drops_total",
-      "Overflowed error events dropped (opt-in accounted loss)");
-  Metrics.DrainRestartsTotal = &Registry.counter(
-      "effsan_service_drain_restarts_total",
-      "Dead drain threads restarted by the watchdog");
-  Metrics.WatchdogChecksTotal = &Registry.counter(
-      "effsan_service_watchdog_checks_total",
-      "Watchdog liveness checks performed");
-  Metrics.TypeChecksTotal = &Registry.counter(
-      "effsan_checks_total", "Dynamic checks executed", "kind=\"type\"");
-  Metrics.BoundsChecksTotal = &Registry.counter(
-      "effsan_checks_total", "Dynamic checks executed", "kind=\"bounds\"");
-  Metrics.BoundsNarrowsTotal =
-      &Registry.counter("effsan_checks_total", "Dynamic checks executed",
-                        "kind=\"bounds_narrow\"");
-  Metrics.BoundsGetsTotal = &Registry.counter(
-      "effsan_checks_total", "Dynamic checks executed", "kind=\"bounds_get\"");
-  Metrics.LegacyTypeChecksTotal =
-      &Registry.counter("effsan_checks_total", "Dynamic checks executed",
-                        "kind=\"legacy_type\"");
-  Metrics.CacheHitsTotal = &Registry.counter(
-      "effsan_check_cache_hits_total", "Type-check inline-cache hits");
-  Metrics.CacheMissesTotal = &Registry.counter(
-      "effsan_check_cache_misses_total", "Type-check inline-cache misses");
-  Metrics.HeapAllocsTotal =
-      &Registry.counter("effsan_heap_allocs_total", "Heap allocations");
-  Metrics.HeapFreesTotal =
-      &Registry.counter("effsan_heap_frees_total", "Heap frees");
-  Metrics.MagazineHitsTotal = &Registry.counter(
-      "effsan_heap_magazine_hits_total", "Allocations served from a TLS "
-                                         "magazine");
-  Metrics.MagazineRefillsTotal = &Registry.counter(
-      "effsan_heap_magazine_refills_total", "TLS magazine refills");
-  Metrics.StealsTotal = &Registry.counter("effsan_heap_steals_total",
-                                          "Cross-shard refill steals");
-  Metrics.TenantsOpen =
-      &Registry.gauge("effsan_service_tenants_open", "Occupied tenant slots");
-  Metrics.HealthState = &Registry.gauge(
-      "effsan_service_health",
-      "Service health state (0 healthy, 1 degraded, 2 critical)");
+  registerSeries(Registry, ServiceSeries, MetricKind::Counter,
+                 Metrics.Service);
+  registerSeries(Registry, CheckSeries, MetricKind::Counter, Metrics.Checks);
+  registerSeries(Registry, HeapSeries, MetricKind::Counter, Metrics.Heap);
+  registerSeries(Registry, ServiceSeries, MetricKind::Gauge, Metrics.Service);
   Metrics.RingOccupancyPct = &Registry.gauge(
       "effsan_service_ring_occupancy_percent",
       "Error-ring occupancy at the last tick start (percent)");
-  Metrics.BlockBytesInUse = &Registry.gauge(
-      "effsan_heap_block_bytes_in_use", "Live block bytes across shards");
-  Metrics.QuarantinedBytes = &Registry.gauge(
-      "effsan_heap_quarantined_bytes", "Bytes parked in free quarantine");
+  registerSeries(Registry, HeapSeries, MetricKind::Gauge, Metrics.Heap);
   Metrics.DrainTickTicks = &Registry.histogram(
       "effsan_service_drain_tick_duration_ticks",
       "Drain tick wall duration (TSC ticks)");
@@ -676,46 +644,20 @@ void Supervisor::initMetrics() {
 }
 
 void Supervisor::updateMetrics(const ServiceStats &S, double RingOccupancy) {
-  Metrics.TenantsOpenedTotal->set(S.TenantsOpenedTotal);
-  Metrics.TenantsEvictedTotal->set(S.TenantsEvicted);
-  Metrics.TenantsClosedTotal->set(S.TenantsClosed);
-  Metrics.LeasesGrantedTotal->set(S.LeasesGranted);
-  Metrics.LeasesRefusedTotal->set(S.LeasesRefused);
-  Metrics.DrainTicksTotal->set(S.DrainTicks);
-  Metrics.DrainedEventsTotal->set(S.DrainedEvents);
-  Metrics.RingOverflowsTotal->set(S.RingOverflows);
-  Metrics.PolicyDegradesTotal->set(S.PolicyDegrades);
-  Metrics.PolicyRestoresTotal->set(S.PolicyRestores);
-  Metrics.IssuesFoundTotal->set(S.IssuesFound);
-  Metrics.SnapshotsEmittedTotal->set(S.SnapshotsEmitted);
-  Metrics.SnapshotsSkippedTotal->set(S.SnapshotsSkipped);
-  Metrics.RingFallbacksTotal->set(S.RingFallbacks);
-  Metrics.RingDropsTotal->set(S.RingDrops);
-  Metrics.DrainRestartsTotal->set(S.DrainRestarts);
-  Metrics.WatchdogChecksTotal->set(S.WatchdogChecks);
-  Metrics.TenantsOpen->set(static_cast<int64_t>(S.TenantsOpen));
-  Metrics.HealthState->set(static_cast<int64_t>(S.Health));
+#define EFFSAN_X(Field, ...) static_cast<uint64_t>(S.Field),
+  mirror(Metrics.Service, {EFFSAN_SERVICE_STATS(EFFSAN_X)});
+#undef EFFSAN_X
   Metrics.RingOccupancyPct->set(
       static_cast<int64_t>(RingOccupancy * 100.0));
-
   CheckCounters::Snapshot C = Pool.counters();
-  Metrics.TypeChecksTotal->set(C.TypeChecks);
-  Metrics.LegacyTypeChecksTotal->set(C.LegacyTypeChecks);
-  Metrics.BoundsChecksTotal->set(C.BoundsChecks);
-  Metrics.BoundsNarrowsTotal->set(C.BoundsNarrows);
-  Metrics.BoundsGetsTotal->set(C.BoundsGets);
-  Metrics.CacheHitsTotal->set(C.TypeCheckCacheHits);
-  Metrics.CacheMissesTotal->set(C.TypeCheckCacheMisses);
-
   lowfat::LowFatHeap &Heap = Pool.heap().heap();
   lowfat::HeapStats HS = Heap.stats();
-  Metrics.HeapAllocsTotal->set(HS.NumAllocs);
-  Metrics.HeapFreesTotal->set(HS.NumFrees);
-  Metrics.MagazineHitsTotal->set(HS.MagazineHits);
-  Metrics.MagazineRefillsTotal->set(HS.MagazineRefills);
-  Metrics.StealsTotal->set(HS.Steals);
-  Metrics.BlockBytesInUse->set(static_cast<int64_t>(HS.BlockBytesInUse));
-  Metrics.QuarantinedBytes->set(static_cast<int64_t>(HS.QuarantinedBytes));
+#define EFFSAN_X(Field, ...) C.Field,
+  mirror(Metrics.Checks, {EFFSAN_CHECK_COUNTERS(EFFSAN_X)});
+#undef EFFSAN_X
+#define EFFSAN_X(Field, ...) HS.Field,
+  mirror(Metrics.Heap, {EFFSAN_HEAP_STATS(EFFSAN_X)});
+#undef EFFSAN_X
 
   // Per-class occupancy: gauges materialize the first time a class
   // sees traffic, so an idle service renders no empty class series.
@@ -743,22 +685,6 @@ std::string Supervisor::metricsText() {
   Registry.render(Out);
   obs::MetricsRegistry::global().render(Out);
   return Out;
-}
-
-static const char *policyName(CheckPolicy P) {
-  switch (P) {
-  case CheckPolicy::Full:
-    return "full";
-  case CheckPolicy::BoundsOnly:
-    return "bounds";
-  case CheckPolicy::TypeOnly:
-    return "type";
-  case CheckPolicy::CountOnly:
-    return "count";
-  case CheckPolicy::Off:
-    return "off";
-  }
-  return "?";
 }
 
 static const char *statusName(TenantStatus S) {
@@ -826,6 +752,14 @@ static void appendField(std::string &Out, const char *Key, uint64_t V,
   Out += Buf;
 }
 
+static void appendField(std::string &Out, const char *Key, ServiceHealth H) {
+  Out += ",\"";
+  Out += Key;
+  Out += "\":\"";
+  Out += healthName(H);
+  Out += '"';
+}
+
 std::string Supervisor::snapshotJson() {
   ServiceStats S = stats();
   std::string Out;
@@ -837,30 +771,12 @@ std::string Supervisor::snapshotJson() {
     Out += Buf;
   }
   Out += ",\"policy\":\"";
-  Out += policyName(BasePolicy);
+  Out += checkPolicyShortName(BasePolicy);
   Out += '"';
   appendField(Out, "drain_interval_usec", drainInterval());
-  appendField(Out, "tenants_open", S.TenantsOpen);
-  appendField(Out, "tenants_opened_total", S.TenantsOpenedTotal);
-  appendField(Out, "tenants_evicted", S.TenantsEvicted);
-  appendField(Out, "tenants_closed", S.TenantsClosed);
-  appendField(Out, "leases_granted", S.LeasesGranted);
-  appendField(Out, "leases_refused", S.LeasesRefused);
-  appendField(Out, "drain_ticks", S.DrainTicks);
-  appendField(Out, "drained_events", S.DrainedEvents);
-  appendField(Out, "ring_overflows", S.RingOverflows);
-  appendField(Out, "policy_degrades", S.PolicyDegrades);
-  appendField(Out, "policy_restores", S.PolicyRestores);
-  appendField(Out, "issues_found", S.IssuesFound);
-  appendField(Out, "snapshots_emitted", S.SnapshotsEmitted);
-  appendField(Out, "snapshots_skipped", S.SnapshotsSkipped);
-  appendField(Out, "ring_fallbacks", S.RingFallbacks);
-  appendField(Out, "ring_drops", S.RingDrops);
-  appendField(Out, "drain_restarts", S.DrainRestarts);
-  appendField(Out, "watchdog_checks", S.WatchdogChecks);
-  Out += ",\"health\":\"";
-  Out += healthName(S.Health);
-  Out += '"';
+#define EFFSAN_X(Field, Type, Json, ...) appendField(Out, #Json, S.Field);
+  EFFSAN_SERVICE_STATS(EFFSAN_X)
+#undef EFFSAN_X
   Out += "},\"tenants\":[";
   bool First = true;
   for (TenantId Id : Tenants.occupiedTenants()) {
@@ -876,7 +792,7 @@ std::string Supervisor::snapshotJson() {
     Out += ",\"status\":\"";
     Out += statusName(Snap.Status);
     Out += "\",\"policy\":\"";
-    Out += policyName(Pool.shard(Snap.Shard).policy());
+    Out += checkPolicyShortName(Pool.shard(Snap.Shard).policy());
     Out += "\",\"evict_reason\":\"";
     Out += reasonName(Snap.Reason);
     Out += '"';

@@ -54,7 +54,9 @@
 #include "obs/Metrics.h"
 #include "service/LoadGovernor.h"
 #include "service/TenantRegistry.h"
+#include "support/FieldTable.h"
 
+#include <array>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -130,34 +132,84 @@ enum class ServiceHealth : uint8_t {
 /// Stable lower_snake name ("healthy", "degraded", "critical").
 const char *healthName(ServiceHealth H);
 
+/// The ServiceStats field table, one row per field in member order:
+///   X(Field, Type, JsonKey, AbiField, InSignature, MetricKind,
+///     MetricName, Help)
+/// JsonKey is the snapshot key (docs/SERVICE.md#telemetry-schema) and
+/// AbiField the effsan_service_stats member. InSignature marks the
+/// fields activitySignature() hashes: it leaves out the counters the
+/// drainer advances on its own (ticks, snapshots, watchdog samples)
+/// and the derived health, so an idle service skips snapshots.
+/// MetricKind (Counter or Gauge), MetricName and Help give the row's
+/// Prometheus series.
+#define EFFSAN_SERVICE_STATS(X)                                                \
+  /* Occupied slots (open or evicted). */                                      \
+  X(TenantsOpen, uint64_t, tenants_open, tenants_open, 1, Gauge,               \
+    "effsan_service_tenants_open", "Occupied tenant slots")                    \
+  X(TenantsOpenedTotal, uint64_t, tenants_opened_total, tenants_opened_total,  \
+    1, Counter, "effsan_service_tenants_opened_total",                         \
+    "Tenant slots ever opened")                                                \
+  /* Evictions (incl. explicit closes). */                                     \
+  X(TenantsEvicted, uint64_t, tenants_evicted, tenants_evicted, 1, Counter,    \
+    "effsan_service_tenants_evicted_total",                                    \
+    "Tenant evictions, including explicit closes")                             \
+  /* Slots fully recycled. */                                                  \
+  X(TenantsClosed, uint64_t, tenants_closed, tenants_closed, 1, Counter,       \
+    "effsan_service_tenants_closed_total", "Tenant slots fully recycled")      \
+  X(LeasesGranted, uint64_t, leases_granted, checkouts_granted, 1, Counter,    \
+    "effsan_service_leases_granted_total", "Shard leases granted")             \
+  X(LeasesRefused, uint64_t, leases_refused, checkouts_refused, 1, Counter,    \
+    "effsan_service_leases_refused_total",                                     \
+    "Shard leases refused at the quota gate")                                  \
+  X(DrainTicks, uint64_t, drain_ticks, drain_ticks, 0, Counter,                \
+    "effsan_service_drain_ticks_total", "Drain-loop ticks completed")          \
+  X(DrainedEvents, uint64_t, drained_events, drained_events, 1, Counter,       \
+    "effsan_service_drained_events_total",                                     \
+    "Error events drained from the pool ring")                                 \
+  X(RingOverflows, uint64_t, ring_overflows, ring_overflows, 1, Counter,       \
+    "effsan_service_ring_overflows_total",                                     \
+    "Error-ring pushes refused because the ring was full")                     \
+  X(PolicyDegrades, uint64_t, policy_degrades, policy_degrades, 1, Counter,    \
+    "effsan_service_policy_degrades_total", "Governor degrade steps")          \
+  X(PolicyRestores, uint64_t, policy_restores, policy_restores, 1, Counter,    \
+    "effsan_service_policy_restores_total", "Governor restore steps")          \
+  /* Central reporter's distinct issues. */                                    \
+  X(IssuesFound, uint64_t, issues_found, issues_found, 1, Counter,             \
+    "effsan_service_issues_found_total",                                       \
+    "Distinct issues in the central reporter")                                 \
+  X(SnapshotsEmitted, uint64_t, snapshots_emitted, snapshots_emitted, 0,       \
+    Counter, "effsan_service_snapshots_emitted_total",                         \
+    "Snapshot hook invocations")                                               \
+  /* Snapshot cadences where the dirty flag found nothing changed              \
+   * since the last emission, so the render + hook were skipped. */            \
+  X(SnapshotsSkipped, uint64_t, snapshots_skipped, snapshots_skipped, 0,       \
+    Counter, "effsan_service_snapshots_skipped_total",                         \
+    "Snapshot cadences skipped by the dirty flag")                             \
+  /* Full-ring events delivered through the locked fallback (no loss). */      \
+  X(RingFallbacks, uint64_t, ring_fallbacks, ring_fallbacks, 1, Counter,       \
+    "effsan_service_ring_fallbacks_total",                                     \
+    "Overflowed error events delivered via the locked fallback")               \
+  /* Full-ring events dropped after the retry budget (accounted loss). */      \
+  X(RingDrops, uint64_t, ring_drops, ring_drops, 1, Counter,                   \
+    "effsan_service_ring_drops_total",                                         \
+    "Overflowed error events dropped (opt-in accounted loss)")                 \
+  /* Drain-thread restarts performed by the watchdog. */                       \
+  X(DrainRestarts, uint64_t, drain_restarts, drain_restarts, 1, Counter,       \
+    "effsan_service_drain_restarts_total",                                     \
+    "Dead drain threads restarted by the watchdog")                            \
+  /* Watchdog liveness samples taken. */                                       \
+  X(WatchdogChecks, uint64_t, watchdog_checks, watchdog_checks, 0, Counter,    \
+    "effsan_service_watchdog_checks_total",                                    \
+    "Watchdog liveness checks performed")                                      \
+  /* Current service health. */                                                \
+  X(Health, ServiceHealth, health, health, 0, Gauge, "effsan_service_health",  \
+    "Service health state (0 healthy, 1 degraded, 2 critical)")
+
 /// Service-wide counters (plain values; see stats()).
 struct ServiceStats {
-  uint64_t TenantsOpen = 0;      ///< Occupied slots (open or evicted).
-  uint64_t TenantsOpenedTotal = 0;
-  uint64_t TenantsEvicted = 0;   ///< Evictions (incl. explicit closes).
-  uint64_t TenantsClosed = 0;    ///< Slots fully recycled.
-  uint64_t LeasesGranted = 0;
-  uint64_t LeasesRefused = 0;
-  uint64_t DrainTicks = 0;
-  uint64_t DrainedEvents = 0;
-  uint64_t RingOverflows = 0;
-  uint64_t PolicyDegrades = 0;
-  uint64_t PolicyRestores = 0;
-  uint64_t IssuesFound = 0;      ///< Central reporter's distinct issues.
-  uint64_t SnapshotsEmitted = 0;
-  /// Snapshot cadences where the dirty flag found nothing changed
-  /// since the last emission, so the render + hook were skipped.
-  uint64_t SnapshotsSkipped = 0;
-  /// Full-ring events delivered through the locked fallback (no loss).
-  uint64_t RingFallbacks = 0;
-  /// Full-ring events dropped after the retry budget (accounted loss).
-  uint64_t RingDrops = 0;
-  /// Drain-thread restarts performed by the watchdog.
-  uint64_t DrainRestarts = 0;
-  /// Watchdog liveness samples taken.
-  uint64_t WatchdogChecks = 0;
-  /// Current service health.
-  ServiceHealth Health = ServiceHealth::Healthy;
+#define EFFSAN_X(Field, Type, ...) Type Field{};
+  EFFSAN_SERVICE_STATS(EFFSAN_X)
+#undef EFFSAN_X
 };
 
 class Supervisor {
@@ -383,43 +435,17 @@ private:
 
   /// The service's metrics registry plus cached handles to its
   /// families (registered once at construction; per-size-class carved
-  /// gauges are created lazily as classes see traffic).
+  /// gauges are created lazily as classes see traffic). Each stats
+  /// record mirrors into one slot per field-table row, indexed by the
+  /// row's position (both null when the row exports no series).
   obs::MetricsRegistry Registry;
   struct ServiceMetrics {
-    obs::Counter *TenantsOpenedTotal = nullptr;
-    obs::Counter *TenantsEvictedTotal = nullptr;
-    obs::Counter *TenantsClosedTotal = nullptr;
-    obs::Counter *LeasesGrantedTotal = nullptr;
-    obs::Counter *LeasesRefusedTotal = nullptr;
-    obs::Counter *DrainTicksTotal = nullptr;
-    obs::Counter *DrainedEventsTotal = nullptr;
-    obs::Counter *RingOverflowsTotal = nullptr;
-    obs::Counter *PolicyDegradesTotal = nullptr;
-    obs::Counter *PolicyRestoresTotal = nullptr;
-    obs::Counter *IssuesFoundTotal = nullptr;
-    obs::Counter *SnapshotsEmittedTotal = nullptr;
-    obs::Counter *SnapshotsSkippedTotal = nullptr;
-    obs::Counter *RingFallbacksTotal = nullptr;
-    obs::Counter *RingDropsTotal = nullptr;
-    obs::Counter *DrainRestartsTotal = nullptr;
-    obs::Counter *WatchdogChecksTotal = nullptr;
-    obs::Counter *TypeChecksTotal = nullptr;
-    obs::Counter *LegacyTypeChecksTotal = nullptr;
-    obs::Counter *BoundsChecksTotal = nullptr;
-    obs::Counter *BoundsNarrowsTotal = nullptr;
-    obs::Counter *BoundsGetsTotal = nullptr;
-    obs::Counter *CacheHitsTotal = nullptr;
-    obs::Counter *CacheMissesTotal = nullptr;
-    obs::Counter *HeapAllocsTotal = nullptr;
-    obs::Counter *HeapFreesTotal = nullptr;
-    obs::Counter *MagazineHitsTotal = nullptr;
-    obs::Counter *MagazineRefillsTotal = nullptr;
-    obs::Counter *StealsTotal = nullptr;
-    obs::Gauge *TenantsOpen = nullptr;
-    obs::Gauge *HealthState = nullptr; ///< 0/1/2 = healthy/degraded/critical.
+    std::array<obs::MetricSlot, 0 EFFSAN_SERVICE_STATS(EFFSAN_FIELD_COUNT)>
+        Service;
+    std::array<obs::MetricSlot, 0 EFFSAN_CHECK_COUNTERS(EFFSAN_FIELD_COUNT)>
+        Checks;
+    std::array<obs::MetricSlot, 0 EFFSAN_HEAP_STATS(EFFSAN_FIELD_COUNT)> Heap;
     obs::Gauge *RingOccupancyPct = nullptr;
-    obs::Gauge *BlockBytesInUse = nullptr;
-    obs::Gauge *QuarantinedBytes = nullptr;
     obs::Histogram *DrainTickTicks = nullptr;
     obs::Histogram *RingOccupancyPctHist = nullptr;
     std::vector<obs::Gauge *> ClassCarved; ///< Indexed by size class.

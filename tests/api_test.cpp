@@ -21,6 +21,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -779,6 +781,52 @@ TEST(EffsanAbiTest, AbiV13BackCompat) {
 // ABI 1.4: allocator fast-path knobs, heap stats, deferred rendering
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+/// Drives one caller-sized out-struct through \p Fill with a short
+/// and an oversized struct_size: the short caller gets exactly its
+/// declared prefix of a full read (every byte past it untouched), and
+/// the oversized caller gets the full struct plus a zeroed tail.
+template <typename T, typename FillFn>
+void expectPrefixContract(FillFn Fill, uint32_t ShortSize) {
+  SCOPED_TRACE(ShortSize);
+  T Full;
+  std::memset(&Full, 0, sizeof(Full));
+  Full.struct_size = sizeof(T);
+  Fill(&Full);
+  ASSERT_EQ(Full.struct_size, sizeof(T));
+
+  T Partial;
+  std::memset(&Partial, 0xee, sizeof(Partial));
+  Partial.struct_size = ShortSize;
+  Fill(&Partial);
+  EXPECT_EQ(Partial.struct_size, ShortSize);
+  const auto *P = reinterpret_cast<const unsigned char *>(&Partial);
+  const auto *F = reinterpret_cast<const unsigned char *>(&Full);
+  EXPECT_EQ(std::memcmp(P + sizeof(uint32_t), F + sizeof(uint32_t),
+                        ShortSize - sizeof(uint32_t)),
+            0)
+      << "the declared prefix must match a full read";
+  for (size_t I = ShortSize; I < sizeof(T); ++I)
+    ASSERT_EQ(P[I], 0xee) << "byte " << I << " is past the declared prefix";
+
+  struct {
+    T Known;
+    uint64_t Tail;
+  } Grown;
+  std::memset(&Grown, 0xee, sizeof(Grown));
+  Grown.Known.struct_size = sizeof(Grown);
+  Fill(&Grown.Known);
+  EXPECT_EQ(Grown.Known.struct_size, sizeof(Grown));
+  EXPECT_EQ(std::memcmp(reinterpret_cast<const unsigned char *>(&Grown) +
+                            sizeof(uint32_t),
+                        F + sizeof(uint32_t), sizeof(T) - sizeof(uint32_t)),
+            0);
+  EXPECT_EQ(Grown.Tail, 0u) << "declared-but-unknown tail must be zeroed";
+}
+
+} // namespace
+
 TEST(EffsanAbiTest, HeapStatsAndMagazinesThroughTheAbi) {
   EXPECT_GE(effsan_abi_version(), (1u << 16) | 4u);
 
@@ -830,6 +878,33 @@ TEST(EffsanAbiTest, HeapStatsAndMagazinesThroughTheAbi) {
   EXPECT_EQ(Grown.Known.num_allocs, 50u);
   EXPECT_EQ(Grown.NewCounter, 0u)
       << "declared-but-unknown tail must be zeroed";
+
+  // The same contract on every other caller-sized out-struct.
+  expectPrefixContract<effsan_object_stats>(
+      [&](effsan_object_stats *Out) { effsan_get_object_stats(S, Out); },
+      offsetof(effsan_object_stats, stack_retired));
+  expectPrefixContract<effsan_run_result>(
+      [&](effsan_run_result *Out) {
+        EXPECT_NE(effsan_run_minic(S, "int main() { return 7; }", nullptr,
+                                   Out),
+                  0);
+      },
+      offsetof(effsan_run_result, steps));
+  effsan_service_options ServiceOptions;
+  effsan_service_options_init(&ServiceOptions);
+  ServiceOptions.shards = 1;
+  ServiceOptions.log_errors = 0;
+  effsan_service *Service = effsan_service_create(&ServiceOptions);
+  ASSERT_NE(Service, nullptr);
+  effsan_tenant Tenant =
+      effsan_service_tenant_open(Service, "prefix", nullptr);
+  ASSERT_NE(Tenant, EFFSAN_NO_TENANT);
+  expectPrefixContract<effsan_tenant_stats>(
+      [&](effsan_tenant_stats *Out) {
+        EXPECT_EQ(effsan_service_tenant_stats(Service, Tenant, Out), 1);
+      },
+      offsetof(effsan_tenant_stats, checks));
+  effsan_service_destroy(Service);
 
   effsan_session_destroy(S);
 

@@ -58,7 +58,8 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(MatrixSuite, ScenarioClassesAreBalanced) {
-  unsigned Types = 0, Bounds = 0, Temporal = 0, Control = 0;
+  unsigned Types = 0, Bounds = 0, Temporal = 0, Stack = 0, Global = 0,
+           Control = 0;
   for (const Scenario &S : errorSuite()) {
     switch (S.Class) {
     case ErrorClass::Types:
@@ -70,6 +71,12 @@ TEST(MatrixSuite, ScenarioClassesAreBalanced) {
     case ErrorClass::Temporal:
       ++Temporal;
       break;
+    case ErrorClass::Stack:
+      ++Stack;
+      break;
+    case ErrorClass::Global:
+      ++Global;
+      break;
     case ErrorClass::Control:
       ++Control;
       break;
@@ -78,6 +85,8 @@ TEST(MatrixSuite, ScenarioClassesAreBalanced) {
   EXPECT_GE(Types, 4u);
   EXPECT_GE(Bounds, 4u);
   EXPECT_GE(Temporal, 4u);
+  EXPECT_GE(Stack, 2u);
+  EXPECT_GE(Global, 2u);
   EXPECT_GE(Control, 2u);
 }
 

@@ -133,6 +133,49 @@ TEST(Docs, StackGlobalSectionsArePinned) {
       << "worked example missing";
 }
 
+TEST(Docs, ObservabilityListsEveryServiceMetric) {
+  // Every family the supervisor renders is documented.
+  std::string Obs = slurp(Root / "docs" / "OBSERVABILITY.md");
+  for (const char *Family :
+       {"effsan_service_tenants_opened_total",
+        "effsan_service_tenants_evicted_total",
+        "effsan_service_tenants_closed_total",
+        "effsan_service_leases_granted_total",
+        "effsan_service_leases_refused_total",
+        "effsan_service_drain_ticks_total",
+        "effsan_service_drained_events_total",
+        "effsan_service_ring_overflows_total",
+        "effsan_service_policy_degrades_total",
+        "effsan_service_policy_restores_total",
+        "effsan_service_issues_found_total",
+        "effsan_service_snapshots_emitted_total",
+        "effsan_service_snapshots_skipped_total",
+        "effsan_service_ring_fallbacks_total",
+        "effsan_service_ring_drops_total",
+        "effsan_service_drain_restarts_total",
+        "effsan_service_watchdog_checks_total", "effsan_checks_total",
+        "effsan_check_cache_hits_total", "effsan_check_cache_misses_total",
+        "effsan_heap_allocs_total", "effsan_heap_frees_total",
+        "effsan_heap_magazine_hits_total",
+        "effsan_heap_magazine_refills_total", "effsan_heap_steals_total",
+        "effsan_service_tenants_open", "effsan_service_health",
+        "effsan_service_ring_occupancy_percent",
+        "effsan_heap_block_bytes_in_use", "effsan_heap_quarantined_bytes",
+        "effsan_service_drain_tick_duration_ticks",
+        "effsan_service_ring_occupancy_pct",
+        "effsan_heap_class_carved_bytes"})
+    EXPECT_TRUE(Obs.find(std::string("`") + Family + "`") !=
+                    std::string::npos ||
+                Obs.find(std::string("`") + Family + "{") !=
+                    std::string::npos)
+        << Family;
+
+  std::string Service = slurp(Root / "docs" / "SERVICE.md");
+  EXPECT_NE(Service.find("EFFSAN_SERVICE_STATS"), std::string::npos);
+  std::string Abi = slurp(Root / "docs" / "ABI.md");
+  EXPECT_NE(Abi.find("writePrefix"), std::string::npos);
+}
+
 TEST(Docs, ResilienceSectionsArePinned) {
   // PR 10's doc surface: the resilience guide (fault-point catalogue,
   // health state machine, replay workflow), the ABI 1.9 catalogue +

@@ -678,8 +678,9 @@ TEST(ResilienceAbiTest, FaultControlsRoundTrip) {
 
   effsan_fault_arm(77);
   EXPECT_EQ(effsan_fault_seed(), 77u);
-  if (resilience::compiledIn())
+  if (resilience::compiledIn()) {
     EXPECT_NE(effsan_fault_armed(), 0);
+  }
   effsan_fault_disarm();
   EXPECT_EQ(effsan_fault_armed(), 0);
 
