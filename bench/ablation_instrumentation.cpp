@@ -185,11 +185,7 @@ int main(int argc, char **argv) {
   std::printf("Ablation: instrumentation-pass optimizations (Section 4/6)\n");
   std::printf("MiniC workload: 24x24 matmul + 200-node list, full variant, "
               "best of %u\nengine: %s\n",
-              Reps,
-              Tree ? "tree-walker"
-                   : ("bytecode VM (" +
-                      std::string(bytecode::dispatchStrategy()) + " dispatch)")
-                         .c_str());
+              Reps, Tree ? "tree-walker" : "bytecode VM");
   std::printf("================================================================"
               "========\n\n");
   std::printf("%-26s %9s %9s %12s %12s %9s\n", "configuration", "static",

@@ -45,8 +45,8 @@ int main(int argc, char **argv) {
   for (const Workload &W : browserWorkloads()) {
     double None = 1e30, Full = 1e30;
     for (unsigned Rep = 0; Rep < Reps; ++Rep) {
-      RunStats N = runWorkload(W, PolicyKind::None, Scale);
-      RunStats F = runWorkload(W, PolicyKind::Full, Scale);
+      RunStats N = runWorkload(W, Variant::None, Scale);
+      RunStats F = runWorkload(W, Variant::Full, Scale);
       if (N.Seconds < None)
         None = N.Seconds;
       if (F.Seconds < Full)

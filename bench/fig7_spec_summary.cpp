@@ -52,7 +52,7 @@ int main(int argc, char **argv) {
   CheckCounters::Snapshot VariantTotals[3] = {};
 
   for (const Workload &W : specWorkloads()) {
-    RunStats Full = runWorkload(W, PolicyKind::Full, Scale);
+    RunStats Full = runWorkload(W, Variant::Full, Scale);
     uint64_t TypeChecks = Full.Checks.TypeChecks;
     uint64_t BoundsChecks = Full.Checks.BoundsChecks;
     bool IsCxx = std::strcmp(W.Info.Language, "C++") == 0;
@@ -74,8 +74,8 @@ int main(int argc, char **argv) {
       CxxSloc += W.Info.KiloSloc;
     }
     // Variant check volumes (Section 6.2 comparison with TypeSan).
-    RunStats TypeVar = runWorkload(W, PolicyKind::Type, Scale);
-    RunStats BoundsVar = runWorkload(W, PolicyKind::Bounds, Scale);
+    RunStats TypeVar = runWorkload(W, Variant::Type, Scale);
+    RunStats BoundsVar = runWorkload(W, Variant::Bounds, Scale);
     VariantTotals[0].TypeChecks += TypeVar.Checks.TypeChecks;
     VariantTotals[1].BoundsGets += BoundsVar.Checks.BoundsGets;
     VariantTotals[1].BoundsChecks += BoundsVar.Checks.BoundsChecks;

@@ -28,7 +28,7 @@ using namespace effective::workloads;
 namespace {
 
 /// Best-of-N timing for one (workload, policy) pair.
-double bestSeconds(const Workload &W, PolicyKind Kind, unsigned Scale,
+double bestSeconds(const Workload &W, Variant Kind, unsigned Scale,
                    unsigned Reps) {
   double Best = 1e30;
   for (unsigned Rep = 0; Rep < Reps; ++Rep) {
@@ -64,10 +64,10 @@ int main(int argc, char **argv) {
   double LogSum[3] = {0, 0, 0};
   unsigned Counted = 0;
   for (const Workload &W : specWorkloads()) {
-    double None = bestSeconds(W, PolicyKind::None, Scale, Reps);
-    double Type = bestSeconds(W, PolicyKind::Type, Scale, Reps);
-    double Bounds = bestSeconds(W, PolicyKind::Bounds, Scale, Reps);
-    double Full = bestSeconds(W, PolicyKind::Full, Scale, Reps);
+    double None = bestSeconds(W, Variant::None, Scale, Reps);
+    double Type = bestSeconds(W, Variant::Type, Scale, Reps);
+    double Bounds = bestSeconds(W, Variant::Bounds, Scale, Reps);
+    double Full = bestSeconds(W, Variant::Full, Scale, Reps);
     double OvType = Type / None, OvBounds = Bounds / None,
            OvFull = Full / None;
     std::printf("%-12s %10.3f %10.3f %10.3f %10.3f | %7.2fx %7.2fx "

@@ -38,8 +38,8 @@ int main(int argc, char **argv) {
 
   uint64_t TotalNone = 0, TotalFull = 0;
   for (const Workload &W : specWorkloads()) {
-    RunStats None = runWorkload(W, PolicyKind::None, Scale);
-    RunStats Full = runWorkload(W, PolicyKind::Full, Scale);
+    RunStats None = runWorkload(W, Variant::None, Scale);
+    RunStats Full = runWorkload(W, Variant::Full, Scale);
     double Overhead =
         None.PeakHeapBytes
             ? 100.0 * ((double)Full.PeakHeapBytes / None.PeakHeapBytes - 1)

@@ -151,7 +151,7 @@ int main(int argc, char **argv) {
   }
 
   std::printf("== %s: compiled under %s ==\n", FileName.c_str(),
-              variantName(Opts.V).data());
+              variantName(Opts.V));
   std::printf("static instrumentation: %llu type_check, %llu "
               "bounds_check, %llu bounds_get, %llu narrow "
               "(%llu never-fail elided, %llu subsumed)\n",

@@ -7,9 +7,10 @@
 /// \file
 /// The check policy a Sanitizer session runs under — the paper's
 /// Section 6.2 evaluation variants as a *configuration value* instead of
-/// divergent call sites. A dependency-free header so lower layers (the
-/// instrumentation pipeline) can map policies without pulling in the
-/// session machinery.
+/// divergent call sites — and the Figure 8 build variants with the one
+/// table of what each instruments. A dependency-free header so lower
+/// layers (CheckedPtr, the instrumentation pipeline) can map policies
+/// without pulling in the session machinery.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,6 +18,7 @@
 #define EFFECTIVE_API_CHECKPOLICY_H
 
 #include <cstdint>
+#include <iterator>
 #include <optional>
 #include <string_view>
 
@@ -91,6 +93,61 @@ inline std::optional<CheckPolicy> parseCheckPolicy(std::string_view Name) {
   if (Name == "off" || Name == "none")
     return CheckPolicy::Off;
   return std::nullopt;
+}
+
+/// The paper's four Figure 8 builds: uninstrumented, EffectiveSan-type,
+/// EffectiveSan-bounds and full EffectiveSan. One enum shared by the
+/// CheckedPtr workloads (core/CheckedPtr.h), the instrumentation pass
+/// (instrument/InstrumentPass.h) and the workload harness.
+enum class Variant : uint8_t { None, Type, Bounds, Full };
+
+/// What one variant instruments, as the Figure 3 schema switches.
+struct VariantTraits {
+  /// Rules (a)-(c): pointers entering checked code get bounds, by
+  /// type_check when CheckCasts is also set, else by bounds_get.
+  bool CheckInputs;
+  /// Rule (d): casts are type-checked.
+  bool CheckCasts;
+  /// Rule (g): uses and escapes are bounds-checked.
+  bool CheckBounds;
+  /// Pointers carry a BOUNDS value (rule (f) propagation).
+  bool StoresBounds;
+  /// Rule (e): field access narrows to the member.
+  bool NarrowFields;
+  /// Display name ("Uninstrumented", "EffectiveSan-type", ...).
+  const char *Name;
+  /// The session check policy a run of this build uses.
+  CheckPolicy Policy;
+};
+
+/// One row per Variant, in enumerator order.
+inline constexpr VariantTraits VariantTable[] = {
+    {false, false, false, false, false, "Uninstrumented", CheckPolicy::Off},
+    {false, true, false, false, false, "EffectiveSan-type",
+     CheckPolicy::TypeOnly},
+    // Section 6.2: type checks degrade to bounds_get and there is no
+    // rule-(e) narrowing, making the variant comparable to
+    // LowFat/ASan-class tools.
+    {true, false, true, true, false, "EffectiveSan-bounds",
+     CheckPolicy::BoundsOnly},
+    {true, true, true, true, true, "EffectiveSan (full)", CheckPolicy::Full},
+};
+
+constexpr const VariantTraits &traitsOf(Variant V) {
+  return VariantTable[static_cast<uint8_t>(V)];
+}
+
+constexpr const char *variantName(Variant V) { return traitsOf(V).Name; }
+
+constexpr CheckPolicy checkPolicyFor(Variant V) { return traitsOf(V).Policy; }
+
+/// The build a session policy instruments as. CountOnly maps to Full:
+/// the checks must execute to be counted.
+constexpr Variant variantOf(CheckPolicy Policy) {
+  for (uint8_t V = 0; V < std::size(VariantTable); ++V)
+    if (VariantTable[V].Policy == Policy)
+      return static_cast<Variant>(V);
+  return Variant::Full;
 }
 
 } // namespace effective

@@ -30,7 +30,7 @@ namespace {
 /// The uninstrumented baseline: plain allocation, no checks ever.
 class NoneModel final : public SanitizerModel {
 public:
-  const char *name() const override { return "Uninstrumented"; }
+  const char *name() const override { return modelKindName(ModelKind::None); }
 
   ~NoneModel() override {
     for (void *P : Owned)
@@ -158,13 +158,13 @@ effective::baselines::createEffectiveModel(ModelKind Kind,
   case ModelKind::None:
     return std::make_unique<NoneModel>();
   case ModelKind::EffectiveSan:
-    return std::make_unique<EffectiveSanModel>("EffectiveSan",
+    return std::make_unique<EffectiveSanModel>(modelKindName(Kind),
                                                CheckPolicy::Full, Ctx);
   case ModelKind::EffectiveSanBounds:
-    return std::make_unique<EffectiveSanModel>("EffectiveSan-bounds",
+    return std::make_unique<EffectiveSanModel>(modelKindName(Kind),
                                                CheckPolicy::BoundsOnly, Ctx);
   case ModelKind::EffectiveSanType:
-    return std::make_unique<EffectiveSanModel>("EffectiveSan-type",
+    return std::make_unique<EffectiveSanModel>(modelKindName(Kind),
                                                CheckPolicy::TypeOnly, Ctx);
   default:
     EFFSAN_UNREACHABLE("not an EffectiveSan model kind");

@@ -233,10 +233,6 @@ const char *opName(BcOp Op);
 /// Resolves a mnemonic back to its opcode; false if unknown.
 bool opFromName(std::string_view Name, BcOp &Out);
 
-/// "computed-goto" or "switch" — which dispatch strategy the VM was
-/// built with (EFFSAN_BC_SWITCH_DISPATCH forces the portable switch).
-const char *dispatchStrategy();
-
 } // namespace bytecode
 } // namespace effective
 

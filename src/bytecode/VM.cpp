@@ -5,15 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The dispatch loop. Two strategies behind one macro pair:
-///
-///   * computed-goto (GCC/Clang default): every handler ends in its own
-///     indirect `goto *Labels[op]`, so the branch predictor sees one
-///     distinct indirect branch per opcode instead of the single
-///     shared dispatch branch a `switch` loop funnels everything
-///     through — the classic direct-threading win;
-///   * portable `switch` loop (EFFSAN_BC_SWITCH_DISPATCH, or any
-///     compiler without labels-as-values).
+/// The dispatch loop, direct-threaded with computed goto (a GNU
+/// extension, like the rest of the tree's `__attribute__`s): every
+/// handler ends in its own indirect `goto *Labels[op]`, so the branch
+/// predictor sees one distinct indirect branch per opcode instead of
+/// the single shared dispatch branch a `switch` loop funnels
+/// everything through.
 ///
 /// Frames live on flat reused stacks (registers, bounds, slot
 /// pointers): a call is three resize()s that normally touch no
@@ -42,21 +39,6 @@
 
 using namespace effective;
 using namespace effective::bytecode;
-
-#if !defined(EFFSAN_BC_SWITCH_DISPATCH) &&                                     \
-    (defined(__GNUC__) || defined(__clang__))
-#define EFFSAN_BC_COMPUTED_GOTO 1
-#else
-#define EFFSAN_BC_COMPUTED_GOTO 0
-#endif
-
-const char *bytecode::dispatchStrategy() {
-#if EFFSAN_BC_COMPUTED_GOTO
-  return "computed-goto";
-#else
-  return "switch";
-#endif
-}
 
 namespace {
 
@@ -322,7 +304,6 @@ Value VM::execute(const BcFunction &F, size_t RegBase, size_t BndBase,
   // budget stays cumulative across the call tree.
   uint64_t LSteps = Steps;
 
-#if EFFSAN_BC_COMPUTED_GOTO
   // One label per opcode, in EFFSAN_BC_OPCODE_LIST order (the enum's).
   static const void *const Labels[NumBcOps] = {
 #define EFFSAN_BC_LABEL(Name) &&L_##Name,
@@ -340,17 +321,6 @@ Value VM::execute(const BcFunction &F, size_t RegBase, size_t BndBase,
     goto *Labels[static_cast<size_t>(In->Op)];                                 \
   } while (0)
   BC_NEXT();
-#else
-#define BC_CASE(Name) case BcOp::Name:
-#define BC_NEXT() break
-  for (;;) {
-    if (EFFSAN_UNLIKELY(++LSteps > Opts.MaxSteps)) {
-      fault("instruction budget exhausted in @" + F.Name);
-      BC_RET(Zero);
-    }
-    In = IP++;
-    switch (In->Op) {
-#endif
 
   //===------------------------------------------------------------------===//
   // Constants and moves
@@ -854,10 +824,6 @@ Value VM::execute(const BcFunction &F, size_t RegBase, size_t BndBase,
   }
   BC_NEXT();
 
-#if !EFFSAN_BC_COMPUTED_GOTO
-    } // switch
-  }   // for
-#endif
 #undef BC_CASE
 #undef BC_NEXT
   BC_RET(Zero); // Unreachable: every handler returns or re-dispatches.

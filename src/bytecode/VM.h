@@ -5,9 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Executes a bytecode::Program: direct-threaded computed-goto dispatch
-/// on GCC/Clang (a portable `switch` loop behind
-/// EFFSAN_BC_SWITCH_DISPATCH), flat reused register/bounds/slot stacks,
+/// Executes a bytecode::Program: direct-threaded computed-goto dispatch,
+/// flat reused register/bounds/slot stacks,
 /// and check superinstructions that reach the runtime's
 /// EFFSAN_ALWAYS_INLINE fast paths in one dispatch.
 ///

@@ -27,6 +27,7 @@
 #ifndef EFFECTIVE_CORE_CHECKEDPTR_H
 #define EFFECTIVE_CORE_CHECKEDPTR_H
 
+#include "api/CheckPolicy.h"
 #include "core/Reflect.h"
 #include "core/Runtime.h"
 
@@ -85,51 +86,22 @@ private:
 /// @}
 
 /// \name Instrumentation policies (the Figure 8 variants).
+/// A policy is one VariantTable row (api/CheckPolicy.h) lifted to
+/// compile-time constants, so every `if constexpr` below folds away.
 /// @{
-
-/// Full EffectiveSan: "check everything".
-struct FullPolicy {
-  static constexpr bool CheckInputs = true;
-  static constexpr bool CheckCasts = true;
-  static constexpr bool CheckBounds = true;
-  static constexpr bool StoresBounds = true;
-  static constexpr bool NarrowFields = true;
-  static constexpr const char *name() { return "EffectiveSan (full)"; }
+template <Variant V> struct VariantPolicy {
+  static constexpr bool CheckInputs = traitsOf(V).CheckInputs;
+  static constexpr bool CheckCasts = traitsOf(V).CheckCasts;
+  static constexpr bool CheckBounds = traitsOf(V).CheckBounds;
+  static constexpr bool StoresBounds = traitsOf(V).StoresBounds;
+  static constexpr bool NarrowFields = traitsOf(V).NarrowFields;
+  static constexpr const char *name() { return variantName(V); }
 };
 
-/// EffectiveSan-bounds: object bounds only; type checks are replaced by
-/// bounds_get (Section 6.2).
-struct BoundsPolicy {
-  static constexpr bool CheckInputs = true;
-  static constexpr bool CheckCasts = false;
-  static constexpr bool CheckBounds = true;
-  static constexpr bool StoresBounds = true;
-  /// "Protects object bounds only" (Section 6.2): no rule-(e) narrowing,
-  /// making the variant comparable to LowFat/ASan-class tools.
-  static constexpr bool NarrowFields = false;
-  static constexpr const char *name() { return "EffectiveSan-bounds"; }
-};
-
-/// EffectiveSan-type: type checks on cast operations only (rule (d));
-/// all other instrumentation removed.
-struct TypePolicy {
-  static constexpr bool CheckInputs = false;
-  static constexpr bool CheckCasts = true;
-  static constexpr bool CheckBounds = false;
-  static constexpr bool StoresBounds = false;
-  static constexpr bool NarrowFields = false;
-  static constexpr const char *name() { return "EffectiveSan-type"; }
-};
-
-/// Uninstrumented baseline.
-struct NonePolicy {
-  static constexpr bool CheckInputs = false;
-  static constexpr bool CheckCasts = false;
-  static constexpr bool CheckBounds = false;
-  static constexpr bool StoresBounds = false;
-  static constexpr bool NarrowFields = false;
-  static constexpr const char *name() { return "Uninstrumented"; }
-};
+using FullPolicy = VariantPolicy<Variant::Full>;
+using BoundsPolicy = VariantPolicy<Variant::Bounds>;
+using TypePolicy = VariantPolicy<Variant::Type>;
+using NonePolicy = VariantPolicy<Variant::None>;
 /// @}
 
 namespace detail {

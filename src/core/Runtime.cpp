@@ -208,7 +208,7 @@ void *Runtime::stackAllocate(size_t Size, const TypeInfo *Type,
                               "resources exhausted"});
     return nullptr;
   }
-  CheckCounters::bump(ObjCounters.StackAllocs);
+  ObjCounters.StackAllocs.fetch_add(1, std::memory_order_relaxed);
   if (EFFSAN_UNLIKELY(!Heap.isLowFat(Block)))
     return Block;
   auto *Meta = static_cast<MetaHeader *>(Block);
@@ -227,14 +227,14 @@ void Runtime::stackRelease(size_t Mark) {
   // use-after-return for as long as the quarantine delays reuse.
   for (const lowfat::StackPool::Record &R : Pool.blocksSince(Mark)) {
     if (R.Retire)
-      CheckCounters::bump(ObjCounters.StackRetired);
+      ObjCounters.StackRetired.fetch_add(1, std::memory_order_relaxed);
     if (!Heap.isLowFat(R.Ptr))
       continue;
     auto *Meta = static_cast<MetaHeader *>(R.Ptr);
     Meta->Type = Ctx.getStackFree();
   }
   Pool.release(Mark);
-  CheckCounters::bump(ObjCounters.StackFrames);
+  ObjCounters.StackFrames.fetch_add(1, std::memory_order_relaxed);
 }
 
 void *Runtime::globalAllocate(size_t Size, const TypeInfo *Type,

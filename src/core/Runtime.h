@@ -146,8 +146,9 @@ struct RuntimeOptions {
 };
 
 /// Typed stack/global object counters (the ABI's effsan_object_stats
-/// surface). Relaxed atomics, aggregated across every thread's stack
-/// pool by bumping at the Runtime entry points.
+/// surface). Exact relaxed fetch_adds at the Runtime entry points,
+/// aggregated across every thread's stack pool; these paths are off
+/// the check path, so they skip CheckCounters::bump's lossy store.
 struct ObjectCounters {
   /// Typed stack slots ever allocated (stackAllocate calls).
   std::atomic<uint64_t> StackAllocs{0};
@@ -427,9 +428,6 @@ public:
 
   /// The process-wide runtime over TypeContext::global().
   static Runtime &global();
-
-  /// The session's type-check inline cache (tests and statistics).
-  SiteCache &siteCache() { return Cache; }
 
   /// The session's hot check-site profiler (counts only while
   /// obs::ProfileFlag is set; see obs/SiteProfiler.h).

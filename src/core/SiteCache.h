@@ -157,7 +157,6 @@ public:
 
   bool enabled() const { return NumEntries != 0; }
   size_t numEntries() const { return NumEntries; }
-  size_t numSets() const { return NumEntries / Ways; }
 
   /// The first way of \p Site's set (ways are consecutive entries).
   /// \pre enabled().

@@ -92,9 +92,6 @@ public:
   /// anonymous records), empty otherwise.
   std::string_view name() const { return Name; }
 
-  bool isPrimitive() const {
-    return Kind >= TypeKind::Void && Kind <= TypeKind::LongDouble;
-  }
   bool isVoid() const { return Kind == TypeKind::Void; }
   /// True for both FREE flavors — every temporal check tests this, so
   /// retired stack objects trip the same machinery as freed heap ones.
@@ -114,7 +111,6 @@ public:
     return Kind >= TypeKind::Float && Kind <= TypeKind::LongDouble;
   }
   bool isPointer() const { return Kind == TypeKind::Pointer; }
-  bool isArray() const { return Kind == TypeKind::Array; }
   bool isRecord() const {
     return Kind == TypeKind::Struct || Kind == TypeKind::Union;
   }

@@ -13,20 +13,6 @@ using namespace effective;
 using namespace effective::instrument;
 using namespace effective::ir;
 
-std::string_view instrument::variantName(Variant V) {
-  switch (V) {
-  case Variant::None:
-    return "Uninstrumented";
-  case Variant::Type:
-    return "EffectiveSan-type";
-  case Variant::Bounds:
-    return "EffectiveSan-bounds";
-  case Variant::Full:
-    return "EffectiveSan (full)";
-  }
-  return "<bad-variant>";
-}
-
 namespace {
 
 /// Per-function instrumentation.
@@ -35,17 +21,17 @@ public:
   FunctionInstrumenter(Module &M, Function &F,
                        const InstrumentOptions &Opts,
                        InstrumentStats &Stats)
-      : M(M), F(F), Opts(Opts), Stats(Stats) {}
+      : M(M), F(F), Opts(Opts), Schema(traitsOf(Opts.V)), Stats(Stats) {}
 
   void run() {
     markEscapingSlots();
-    if (Opts.V == Variant::None)
+    if (!Schema.CheckInputs && !Schema.CheckCasts)
       return;
     computeNeeded();
     allocateBoundsRegs();
     for (BlockId B = 0; B < F.Blocks.size(); ++B)
       instrumentBlock(B);
-    if (Opts.ElideSubsumedChecks && Opts.V != Variant::Type)
+    if (Opts.ElideSubsumedChecks && Schema.CheckBounds)
       for (Block &B : F.Blocks)
         removeSubsumed(B);
   }
@@ -224,7 +210,7 @@ private:
 
   void allocateBoundsRegs() {
     BoundsOf.assign(F.numRegs(), NoBReg);
-    if (Opts.V == Variant::Type)
+    if (!Schema.StoresBounds)
       return; // Cast checks discard their BOUNDS result.
     for (Reg R = 0; R < F.numRegs(); ++R)
       if (Needed[R])
@@ -248,7 +234,7 @@ private:
     C.A = Ptr;
     C.BDst = Into;
     C.Loc = Loc;
-    if (Opts.V == Variant::Full || Opts.V == Variant::Type) {
+    if (Schema.CheckCasts) {
       C.Op = Opcode::TypeCheck;
       C.Type = Pointee;
       C.Site = M.newCheckSite(CheckSiteKind::TypeCheck, Loc, Pointee,
@@ -296,7 +282,7 @@ private:
     Out.reserve(B.Instrs.size() * 2);
 
     // Rule (a): parameters are inputs, checked once at function entry.
-    if (BId == 0 && Opts.V != Variant::Type) {
+    if (BId == 0 && Schema.CheckInputs) {
       for (const Param &P : F.Params) {
         if (!isPointerReg(P.R) || !Needed[P.R])
           continue;
@@ -314,18 +300,17 @@ private:
       switch (I.Op) {
       case Opcode::Load:
         // Rule (g): check the access.
-        if (Opts.V != Variant::Type)
+        if (Schema.CheckBounds)
           emitBoundsCheck(Out, I.A, I.Type->size(), I.Loc);
         Out.push_back(I);
         // Rule (c): a pointer read from memory is an input.
-        if (Opts.V != Variant::Type && isPointerReg(I.Dst) &&
-            Needed[I.Dst])
+        if (Schema.CheckInputs && isPointerReg(I.Dst) && Needed[I.Dst])
           emitInputCheck(Out, I.Dst, pointeeOf(I.Dst), I.Loc,
                          boundsFor(I.Dst));
         break;
 
       case Opcode::Store:
-        if (Opts.V != Variant::Type) {
+        if (Schema.CheckBounds) {
           emitBoundsCheck(Out, I.A, I.Type->size(), I.Loc);
           // Rule (g): escape of a stored pointer value.
           if (isPointerReg(I.B))
@@ -336,7 +321,7 @@ private:
 
       case Opcode::Call:
       case Opcode::CallBuiltin: {
-        if (Opts.V != Variant::Type)
+        if (Schema.CheckBounds)
           for (Reg Arg : I.Args)
             if (isPointerReg(Arg))
               emitBoundsCheck(Out, Arg, 0, I.Loc); // Escape.
@@ -344,7 +329,7 @@ private:
         SourceLoc Loc = I.Loc;
         Out.push_back(I);
         // Rule (b): a pointer call return is an input.
-        if (Opts.V != Variant::Type && Dst != NoReg && isPointerReg(Dst) &&
+        if (Schema.CheckInputs && Dst != NoReg && isPointerReg(Dst) &&
             Needed[Dst])
           emitInputCheck(Out, Dst, pointeeOf(Dst), Loc, boundsFor(Dst));
         break;
@@ -356,14 +341,14 @@ private:
       case Opcode::StringAddr:
         // Fresh objects: the allocation bounds are known without any
         // check (the never-fail rule folds rule (b) away here).
-        if (Opts.V != Variant::Type)
+        if (Schema.CheckBounds)
           I.BDst = boundsFor(I.Dst);
         Out.push_back(I);
         break;
 
       case Opcode::IndexAddr:
         // Rule (f): pointer arithmetic propagates bounds unchanged.
-        if (Opts.V != Variant::Type)
+        if (Schema.CheckBounds)
           propagateBounds(I, I.Dst, I.A);
         Out.push_back(I);
         break;
@@ -373,12 +358,12 @@ private:
         const auto *Rec = cast<RecordType>(I.Type);
         uint64_t FieldSize = Rec->fields()[I.Imm].Type->size();
         SourceLoc Loc = I.Loc;
-        if (Opts.V != Variant::Type)
+        if (Schema.CheckBounds)
           propagateBounds(I, Dst, BaseReg);
         Out.push_back(I);
         // Rule (e): narrow to the selected member — Full only; the
         // -bounds variant enforces allocation bounds.
-        if (Opts.V == Variant::Full && boundsFor(Dst) != NoBReg) {
+        if (Schema.NarrowFields && boundsFor(Dst) != NoBReg) {
           Instr N;
           N.Op = Opcode::BoundsNarrow;
           N.A = Dst;
@@ -396,7 +381,7 @@ private:
       }
 
       case Opcode::Copy:
-        if (Opts.V != Variant::Type && isPointerReg(I.Dst))
+        if (Schema.CheckBounds && isPointerReg(I.Dst))
           propagateBounds(I, I.Dst, I.A);
         Out.push_back(I);
         break;
@@ -418,7 +403,7 @@ private:
             (Opts.ElideNeverFailingChecks &&
              (SamePointee || FreshMatchingMalloc || Upcast));
 
-        if (Opts.V == Variant::Type) {
+        if (!Schema.StoresBounds) {
           // Rule (d) regardless of use (Section 6.2).
           Out.push_back(I);
           if (!NeverFails) {
@@ -554,6 +539,8 @@ private:
   Module &M;
   Function &F;
   const InstrumentOptions &Opts;
+  /// Opts.V's schema switches.
+  const VariantTraits &Schema;
   InstrumentStats &Stats;
   std::vector<bool> Needed;
   std::vector<BReg> BoundsOf;

@@ -37,16 +37,15 @@
 #ifndef EFFECTIVE_INSTRUMENT_INSTRUMENTPASS_H
 #define EFFECTIVE_INSTRUMENT_INSTRUMENTPASS_H
 
+#include "api/CheckPolicy.h"
 #include "ir/IR.h"
 
 namespace effective {
 namespace instrument {
 
-/// The paper's evaluation variants.
-enum class Variant : uint8_t { None, Type, Bounds, Full };
-
-/// Returns "EffectiveSan (full)" etc.
-std::string_view variantName(Variant V);
+/// The paper's evaluation variants; the pass reads each one's schema
+/// switches from VariantTable.
+using effective::Variant;
 
 /// Pass configuration.
 struct InstrumentOptions {

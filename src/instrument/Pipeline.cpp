@@ -20,21 +20,7 @@ InstrumentOptions
 instrument::instrumentOptionsFor(CheckPolicy Policy,
                                  const InstrumentOptions &Base) {
   InstrumentOptions Opts = Base;
-  switch (Policy) {
-  case CheckPolicy::Full:
-  case CheckPolicy::CountOnly:
-    Opts.V = Variant::Full;
-    break;
-  case CheckPolicy::BoundsOnly:
-    Opts.V = Variant::Bounds;
-    break;
-  case CheckPolicy::TypeOnly:
-    Opts.V = Variant::Type;
-    break;
-  case CheckPolicy::Off:
-    Opts.V = Variant::None;
-    break;
-  }
+  Opts.V = variantOf(Policy);
   return Opts;
 }
 

@@ -164,8 +164,7 @@ public:
   class Frame {
   public:
     explicit Frame(StackPool &Pool)
-        : Pool(Pool), Id(++Pool.NextFrame), Prev(Pool.CurrentFrame),
-          Mark(Pool.mark()) {
+        : Pool(Pool), Id(++Pool.NextFrame), Prev(Pool.CurrentFrame) {
       Pool.CurrentFrame = Id;
     }
     ~Frame() {
@@ -177,13 +176,10 @@ public:
     Frame(const Frame &) = delete;
     Frame &operator=(const Frame &) = delete;
 
-    size_t markValue() const { return Mark; }
-
   private:
     StackPool &Pool;
     uint64_t Id;
     uint64_t Prev;
-    size_t Mark;
   };
 
 private:

@@ -477,20 +477,18 @@ public:
 class VarDecl {
 public:
   VarDecl(std::string_view Name, const TypeInfo *Type, Expr *Init,
-          bool IsGlobal, SourceLoc Loc)
-      : Name(Name), Type(Type), Init(Init), Global(IsGlobal), Loc(Loc) {}
+          SourceLoc Loc)
+      : Name(Name), Type(Type), Init(Init), Loc(Loc) {}
 
   std::string_view name() const { return Name; }
   const TypeInfo *type() const { return Type; }
   Expr *init() const { return Init; }
-  bool isGlobal() const { return Global; }
   SourceLoc loc() const { return Loc; }
 
 private:
   std::string_view Name;
   const TypeInfo *Type;
   Expr *Init;
-  bool Global;
   SourceLoc Loc;
 };
 

@@ -251,7 +251,7 @@ bool Parser::parseUnit(TranslationUnit &Unit) {
             return false;
           continue;
         }
-        VarDecl *G = parseVarDeclTail(T, Name, /*IsGlobal=*/true, Loc);
+        VarDecl *G = parseVarDeclTail(T, Name, Loc);
         if (!G)
           return false;
         Unit.Globals.push_back(G);
@@ -279,7 +279,7 @@ bool Parser::parseUnit(TranslationUnit &Unit) {
         return false;
       continue;
     }
-    VarDecl *G = parseVarDeclTail(T, Name, /*IsGlobal=*/true, Loc);
+    VarDecl *G = parseVarDeclTail(T, Name, Loc);
     if (!G)
       return false;
     Unit.Globals.push_back(G);
@@ -309,7 +309,7 @@ FunctionDecl *Parser::parseFunction(const TypeInfo *ReturnType,
           return nullptr;
         }
         Params.push_back(Ctx.create<VarDecl>(Ctx.internString(Tok.Text), T,
-                                             nullptr, false, Tok.Loc));
+                                             nullptr, Tok.Loc));
         consume();
         while (Tok.is(TokenKind::Comma)) {
           consume();
@@ -319,8 +319,7 @@ FunctionDecl *Parser::parseFunction(const TypeInfo *ReturnType,
             return nullptr;
           }
           Params.push_back(Ctx.create<VarDecl>(Ctx.internString(Tok.Text),
-                                               PT, nullptr, false,
-                                               Tok.Loc));
+                                               PT, nullptr, Tok.Loc));
           consume();
         }
       }
@@ -332,7 +331,7 @@ FunctionDecl *Parser::parseFunction(const TypeInfo *ReturnType,
           return nullptr;
         }
         Params.push_back(Ctx.create<VarDecl>(Ctx.internString(Tok.Text),
-                                             PT, nullptr, false, Tok.Loc));
+                                             PT, nullptr, Tok.Loc));
         consume();
       } while (Tok.is(TokenKind::Comma) && (consume(), true));
     }
@@ -351,8 +350,7 @@ FunctionDecl *Parser::parseFunction(const TypeInfo *ReturnType,
 }
 
 VarDecl *Parser::parseVarDeclTail(const TypeInfo *Type,
-                                  std::string_view Name, bool IsGlobal,
-                                  SourceLoc Loc) {
+                                  std::string_view Name, SourceLoc Loc) {
   std::vector<uint64_t> Dims;
   while (Tok.is(TokenKind::LBracket)) {
     consume();
@@ -371,7 +369,7 @@ VarDecl *Parser::parseVarDeclTail(const TypeInfo *Type,
     Init = parseExpr();
   }
   expect(TokenKind::Semicolon, "';'");
-  return Ctx.create<VarDecl>(Name, Type, Init, IsGlobal, Loc);
+  return Ctx.create<VarDecl>(Name, Type, Init, Loc);
 }
 
 //===----------------------------------------------------------------------===//
@@ -461,7 +459,7 @@ Stmt *Parser::parseStatement() {
     std::string_view Name = Ctx.internString(Tok.Text);
     SourceLoc NameLoc = Tok.Loc;
     consume();
-    VarDecl *D = parseVarDeclTail(T, Name, /*IsGlobal=*/false, NameLoc);
+    VarDecl *D = parseVarDeclTail(T, Name, NameLoc);
     if (!D)
       return Ctx.create<BreakStmt>(Loc);
     return Ctx.create<DeclStmt>(D, Loc);

@@ -57,7 +57,7 @@ private:
                               std::string_view Name, SourceLoc Loc,
                               TranslationUnit &Unit);
   VarDecl *parseVarDeclTail(const TypeInfo *Type, std::string_view Name,
-                            bool IsGlobal, SourceLoc Loc);
+                            SourceLoc Loc);
 
   // Statements.
   Stmt *parseStatement();

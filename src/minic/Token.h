@@ -106,7 +106,6 @@ struct Token {
   double FloatValue = 0;
 
   bool is(TokenKind K) const { return Kind == K; }
-  bool isOneOf(TokenKind A, TokenKind B) const { return is(A) || is(B); }
 };
 
 } // namespace minic

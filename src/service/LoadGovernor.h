@@ -109,7 +109,6 @@ public:
   CheckPolicy policyOf(unsigned Shard) const {
     return policyAtLevel(Base, States[Shard].Level);
   }
-  CheckPolicy basePolicy() const { return Base; }
 
   /// Forgets a shard's pressure history and drops it back to the base
   /// policy (tenant eviction / close: the next tenant starts Full).

@@ -89,8 +89,6 @@ class TenantRegistry {
 public:
   explicit TenantRegistry(unsigned NumShards);
 
-  unsigned numSlots() const { return static_cast<unsigned>(Slots.size()); }
-
   /// Cumulative registry traffic (ServiceStats inputs).
   struct Totals {
     uint64_t Opened = 0;

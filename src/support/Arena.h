@@ -43,7 +43,6 @@ public:
       P = (Cur + Align - 1) & ~(uintptr_t)(Align - 1);
     }
     Cur = P + Size;
-    TotalAllocated += Size;
     return reinterpret_cast<void *>(P);
   }
 
@@ -62,9 +61,6 @@ public:
     return std::string_view(Mem, S.size());
   }
 
-  /// Total bytes handed out (excluding slab slack).
-  size_t bytesAllocated() const { return TotalAllocated; }
-
 private:
   void newSlab(size_t MinSize) {
     size_t Size = MinSize > SlabSize ? MinSize : SlabSize;
@@ -77,7 +73,6 @@ private:
   std::vector<std::unique_ptr<char[]>> Slabs;
   uintptr_t Cur = 0;
   uintptr_t End = 0;
-  size_t TotalAllocated = 0;
 };
 
 } // namespace effective

@@ -19,16 +19,15 @@ using namespace effective::workloads;
 
 namespace {
 
-uint64_t (*entryFor(const Workload &W, PolicyKind Kind))(Runtime &,
-                                                         unsigned) {
+uint64_t (*entryFor(const Workload &W, Variant Kind))(Runtime &, unsigned) {
   switch (Kind) {
-  case PolicyKind::None:
+  case Variant::None:
     return W.RunNone;
-  case PolicyKind::Type:
+  case Variant::Type:
     return W.RunType;
-  case PolicyKind::Bounds:
+  case Variant::Bounds:
     return W.RunBounds;
-  case PolicyKind::Full:
+  case Variant::Full:
     return W.RunFull;
   }
   return W.RunFull;
@@ -36,36 +35,8 @@ uint64_t (*entryFor(const Workload &W, PolicyKind Kind))(Runtime &,
 
 } // namespace
 
-const char *effective::workloads::policyKindName(PolicyKind Kind) {
-  switch (Kind) {
-  case PolicyKind::None:
-    return "Uninstrumented";
-  case PolicyKind::Type:
-    return "EffectiveSan-type";
-  case PolicyKind::Bounds:
-    return "EffectiveSan-bounds";
-  case PolicyKind::Full:
-    return "EffectiveSan (full)";
-  }
-  return "?";
-}
-
-CheckPolicy effective::workloads::checkPolicyFor(PolicyKind Kind) {
-  switch (Kind) {
-  case PolicyKind::None:
-    return CheckPolicy::Off;
-  case PolicyKind::Type:
-    return CheckPolicy::TypeOnly;
-  case PolicyKind::Bounds:
-    return CheckPolicy::BoundsOnly;
-  case PolicyKind::Full:
-    return CheckPolicy::Full;
-  }
-  return CheckPolicy::Full;
-}
-
 RunStats effective::workloads::runWorkload(const Workload &W,
-                                           PolicyKind Kind, unsigned Scale,
+                                           Variant Kind, unsigned Scale,
                                            std::FILE *LogStream) {
   SessionOptions Options;
   // The kernels select their instrumentation at compile time (the
@@ -95,7 +66,7 @@ RunStats effective::workloads::runWorkload(const Workload &W,
   Stats.Checks = RT.counters().snapshot();
   Stats.Issues = RT.reporter().numIssues();
   Stats.ErrorEvents = RT.reporter().numEvents();
-  Stats.PeakHeapBytes = Kind == PolicyKind::None
+  Stats.PeakHeapBytes = Kind == Variant::None
                             ? MallocTally::peakBytes()
                             : RT.heap().stats().PeakBlockBytesInUse;
   Stats.Checksum = Checksum;
@@ -103,8 +74,7 @@ RunStats effective::workloads::runWorkload(const Workload &W,
 }
 
 RunStats effective::workloads::runWorkloadMT(const Workload &W,
-                                             PolicyKind Kind,
-                                             unsigned Scale,
+                                             Variant Kind, unsigned Scale,
                                              unsigned Threads,
                                              std::FILE *LogStream) {
   if (Threads <= 1)
@@ -163,7 +133,7 @@ RunStats effective::workloads::runWorkloadMT(const Workload &W,
   Stats.Checks = Pool.counters();
   Stats.Issues = Pool.reporter().numIssues();
   Stats.ErrorEvents = Pool.reporter().numEvents();
-  Stats.PeakHeapBytes = Kind == PolicyKind::None
+  Stats.PeakHeapBytes = Kind == Variant::None
                             ? MallocTally::peakBytes()
                             : Pool.heap().stats().PeakBlockBytesInUse;
   Stats.Checksum = Checksums[0];

@@ -24,14 +24,11 @@
 namespace effective {
 namespace workloads {
 
-/// The paper's build variants (Figure 8).
-enum class PolicyKind : uint8_t { None, Type, Bounds, Full };
+/// Kept only because perfbench/ still spells the variant PolicyKind.
+using PolicyKind = Variant;
 
-/// Display name ("Uninstrumented", "EffectiveSan-type", ...).
-const char *policyKindName(PolicyKind Kind);
-
-/// The session check policy matching a compile-time build variant.
-CheckPolicy checkPolicyFor(PolicyKind Kind);
+/// Kept only because perfbench/ still calls policyKindName.
+inline const char *policyKindName(Variant V) { return variantName(V); }
 
 /// Everything measured for one run.
 struct RunStats {
@@ -51,7 +48,7 @@ struct RunStats {
 /// Runs \p W once under \p Kind at \p Scale. When \p LogStream is
 /// non-null the runtime logs each issue there (Figure 7 logging mode);
 /// otherwise errors are only counted (performance mode).
-RunStats runWorkload(const Workload &W, PolicyKind Kind, unsigned Scale,
+RunStats runWorkload(const Workload &W, Variant Kind, unsigned Scale,
                      std::FILE *LogStream = nullptr);
 
 /// Multi-threaded pool mode: fans \p Threads copies of the workload
@@ -64,7 +61,7 @@ RunStats runWorkload(const Workload &W, PolicyKind Kind, unsigned Scale,
 /// deterministic, so every worker must produce the same checksum — the
 /// harness verifies this and returns it. Threads <= 1 degrades to
 /// runWorkload.
-RunStats runWorkloadMT(const Workload &W, PolicyKind Kind, unsigned Scale,
+RunStats runWorkloadMT(const Workload &W, Variant Kind, unsigned Scale,
                        unsigned Threads, std::FILE *LogStream = nullptr);
 
 } // namespace workloads

@@ -678,11 +678,3 @@ int main() {
   EXPECT_EQ(PlainText.find("CheckLoad"), std::string::npos);
   EXPECT_EQ(PlainText.find("CheckStore"), std::string::npos);
 }
-
-TEST(Dispatch, StrategyIsReported) {
-  std::string_view S = bytecode::dispatchStrategy();
-  EXPECT_TRUE(S == "computed-goto" || S == "switch") << S;
-#if !defined(EFFSAN_BC_SWITCH_DISPATCH) && (defined(__GNUC__) || defined(__clang__))
-  EXPECT_EQ(S, "computed-goto");
-#endif
-}

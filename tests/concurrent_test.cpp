@@ -772,9 +772,9 @@ const workloads::Workload &findWorkload(const char *Name) {
 TEST(HarnessMTTest, FanOutMatchesSingleThreadedRun) {
   const workloads::Workload &W = findWorkload("mcf"); // Clean kernel.
   workloads::RunStats Single =
-      workloads::runWorkload(W, workloads::PolicyKind::Full, 2);
+      workloads::runWorkload(W, Variant::Full, 2);
   workloads::RunStats MT =
-      workloads::runWorkloadMT(W, workloads::PolicyKind::Full, 2, 3);
+      workloads::runWorkloadMT(W, Variant::Full, 2, 3);
 
   EXPECT_EQ(MT.Checksum, Single.Checksum)
       << "every shard must reproduce the deterministic kernel result";
@@ -791,9 +791,9 @@ TEST(HarnessMTTest, SeededIssuesDedupAcrossShards) {
   const workloads::Workload &W = findWorkload("perlbench");
   ASSERT_GT(W.Info.SeededIssues, 0u);
   workloads::RunStats Single =
-      workloads::runWorkload(W, workloads::PolicyKind::Full, 1);
+      workloads::runWorkload(W, Variant::Full, 1);
   workloads::RunStats MT =
-      workloads::runWorkloadMT(W, workloads::PolicyKind::Full, 1, 2);
+      workloads::runWorkloadMT(W, Variant::Full, 1, 2);
   EXPECT_EQ(MT.Issues, Single.Issues);
   EXPECT_EQ(MT.Checksum, Single.Checksum);
   EXPECT_GE(MT.ErrorEvents, 2 * Single.ErrorEvents)

@@ -13,6 +13,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "core/CheckedPtr.h"
+#include "instrument/Pipeline.h"
 #include "workloads/Harness.h"
 
 #include <gtest/gtest.h>
@@ -37,10 +39,10 @@ std::string specName(const ::testing::TestParamInfo<size_t> &Info) {
 
 TEST_P(SpecWorkloadTest, ChecksumIdenticalAcrossPolicies) {
   const Workload &W = workload();
-  RunStats None = runWorkload(W, PolicyKind::None, 1);
-  RunStats Type = runWorkload(W, PolicyKind::Type, 1);
-  RunStats Bounds = runWorkload(W, PolicyKind::Bounds, 1);
-  RunStats Full = runWorkload(W, PolicyKind::Full, 1);
+  RunStats None = runWorkload(W, Variant::None, 1);
+  RunStats Type = runWorkload(W, Variant::Type, 1);
+  RunStats Bounds = runWorkload(W, Variant::Bounds, 1);
+  RunStats Full = runWorkload(W, Variant::Full, 1);
   EXPECT_EQ(None.Checksum, Full.Checksum) << W.Info.Name;
   EXPECT_EQ(Type.Checksum, Full.Checksum) << W.Info.Name;
   EXPECT_EQ(Bounds.Checksum, Full.Checksum) << W.Info.Name;
@@ -48,13 +50,13 @@ TEST_P(SpecWorkloadTest, ChecksumIdenticalAcrossPolicies) {
 
 TEST_P(SpecWorkloadTest, FullInstrumentationFindsSeededIssues) {
   const Workload &W = workload();
-  RunStats Full = runWorkload(W, PolicyKind::Full, 1);
+  RunStats Full = runWorkload(W, Variant::Full, 1);
   EXPECT_EQ(Full.Issues, W.Info.SeededIssues) << W.Info.Name;
 }
 
 TEST_P(SpecWorkloadTest, UninstrumentedRunsNoChecks) {
   const Workload &W = workload();
-  RunStats None = runWorkload(W, PolicyKind::None, 1);
+  RunStats None = runWorkload(W, Variant::None, 1);
   EXPECT_EQ(None.Checks.TypeChecks, 0u) << W.Info.Name;
   EXPECT_EQ(None.Checks.BoundsChecks, 0u) << W.Info.Name;
   EXPECT_EQ(None.Issues, 0u) << W.Info.Name;
@@ -62,16 +64,16 @@ TEST_P(SpecWorkloadTest, UninstrumentedRunsNoChecks) {
 
 TEST_P(SpecWorkloadTest, FullInstrumentationChecksEverything) {
   const Workload &W = workload();
-  RunStats Full = runWorkload(W, PolicyKind::Full, 1);
+  RunStats Full = runWorkload(W, Variant::Full, 1);
   EXPECT_GT(Full.Checks.TypeChecks, 0u) << W.Info.Name;
   EXPECT_GT(Full.Checks.BoundsChecks, 0u) << W.Info.Name;
 }
 
 TEST_P(SpecWorkloadTest, VariantsScaleDownChecking) {
   const Workload &W = workload();
-  RunStats Full = runWorkload(W, PolicyKind::Full, 1);
-  RunStats Type = runWorkload(W, PolicyKind::Type, 1);
-  RunStats Bounds = runWorkload(W, PolicyKind::Bounds, 1);
+  RunStats Full = runWorkload(W, Variant::Full, 1);
+  RunStats Type = runWorkload(W, Variant::Type, 1);
+  RunStats Bounds = runWorkload(W, Variant::Bounds, 1);
   // The -type variant performs no bounds checking at all.
   EXPECT_EQ(Type.Checks.BoundsChecks, 0u) << W.Info.Name;
   // The -bounds variant never compares types.
@@ -84,8 +86,8 @@ TEST_P(SpecWorkloadTest, VariantsScaleDownChecking) {
 
 TEST_P(SpecWorkloadTest, IssuesAreDeterministic) {
   const Workload &W = workload();
-  RunStats A = runWorkload(W, PolicyKind::Full, 1);
-  RunStats B = runWorkload(W, PolicyKind::Full, 1);
+  RunStats A = runWorkload(W, Variant::Full, 1);
+  RunStats B = runWorkload(W, Variant::Full, 1);
   EXPECT_EQ(A.Issues, B.Issues) << W.Info.Name;
   EXPECT_EQ(A.Checksum, B.Checksum) << W.Info.Name;
   EXPECT_EQ(A.Checks.TypeChecks, B.Checks.TypeChecks) << W.Info.Name;
@@ -118,7 +120,7 @@ TEST(Figure7Shape, BoundsChecksOutnumberTypeChecks) {
   // (~4x). Our kernels must reproduce the direction of this ratio.
   uint64_t Type = 0, Bounds = 0;
   for (const Workload &W : specWorkloads()) {
-    RunStats Full = runWorkload(W, PolicyKind::Full, 1);
+    RunStats Full = runWorkload(W, Variant::Full, 1);
     Type += Full.Checks.TypeChecks;
     Bounds += Full.Checks.BoundsChecks;
   }
@@ -129,7 +131,7 @@ TEST(Figure7Shape, LegacyChecksAreRare) {
   // Paper: only ~1.1% of type checks were on legacy pointers.
   uint64_t Type = 0, Legacy = 0;
   for (const Workload &W : specWorkloads()) {
-    RunStats Full = runWorkload(W, PolicyKind::Full, 1);
+    RunStats Full = runWorkload(W, Variant::Full, 1);
     Type += Full.Checks.TypeChecks;
     Legacy += Full.Checks.LegacyTypeChecks;
   }
@@ -144,8 +146,8 @@ TEST(Figure7Shape, LegacyChecksAreRare) {
 TEST(Figure9Shape, MemoryOverheadIsModest) {
   uint64_t None = 0, Full = 0;
   for (const Workload &W : specWorkloads()) {
-    None += runWorkload(W, PolicyKind::None, 1).PeakHeapBytes;
-    Full += runWorkload(W, PolicyKind::Full, 1).PeakHeapBytes;
+    None += runWorkload(W, Variant::None, 1).PeakHeapBytes;
+    Full += runWorkload(W, Variant::Full, 1).PeakHeapBytes;
   }
   ASSERT_GT(None, 0u);
   double Overhead = static_cast<double>(Full) / None;
@@ -174,8 +176,8 @@ std::string browserName(const ::testing::TestParamInfo<size_t> &Info) {
 
 TEST_P(BrowserWorkloadTest, ChecksumIdenticalAcrossPolicies) {
   const Workload &W = browserWorkloads()[GetParam()];
-  RunStats None = runWorkload(W, PolicyKind::None, 1);
-  RunStats Full = runWorkload(W, PolicyKind::Full, 1);
+  RunStats None = runWorkload(W, Variant::None, 1);
+  RunStats Full = runWorkload(W, Variant::Full, 1);
   EXPECT_EQ(None.Checksum, Full.Checksum) << W.Info.Name;
   EXPECT_EQ(Full.Issues, W.Info.SeededIssues) << W.Info.Name;
 }
@@ -183,3 +185,58 @@ TEST_P(BrowserWorkloadTest, ChecksumIdenticalAcrossPolicies) {
 INSTANTIATE_TEST_SUITE_P(
     AllBrowser, BrowserWorkloadTest,
     ::testing::Range<size_t>(0, browserWorkloads().size()), browserName);
+
+//===----------------------------------------------------------------------===//
+// The Figure 8 variant table
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// One Figure 8 variant as every layer must see it: the CheckedPtr
+/// schema switches, the display name, and the session policy.
+struct PinnedVariant {
+  instrument::Variant V;
+  bool CheckInputs, CheckCasts, CheckBounds, StoresBounds, NarrowFields;
+  const char *Name;
+  CheckPolicy Policy;
+};
+
+constexpr PinnedVariant Pinned[] = {
+    {instrument::Variant::None, false, false, false, false, false,
+     "Uninstrumented", CheckPolicy::Off},
+    {instrument::Variant::Type, false, true, false, false, false,
+     "EffectiveSan-type", CheckPolicy::TypeOnly},
+    {instrument::Variant::Bounds, true, false, true, true, false,
+     "EffectiveSan-bounds", CheckPolicy::BoundsOnly},
+    {instrument::Variant::Full, true, true, true, true, true,
+     "EffectiveSan (full)", CheckPolicy::Full},
+};
+
+template <typename P> void expectPinned(const PinnedVariant &E) {
+  SCOPED_TRACE(E.Name);
+  EXPECT_EQ(P::CheckInputs, E.CheckInputs);
+  EXPECT_EQ(P::CheckCasts, E.CheckCasts);
+  EXPECT_EQ(P::CheckBounds, E.CheckBounds);
+  EXPECT_EQ(P::StoresBounds, E.StoresBounds);
+  EXPECT_EQ(P::NarrowFields, E.NarrowFields);
+  EXPECT_EQ(std::string_view(P::name()), E.Name);
+  EXPECT_EQ(std::string_view(variantName(E.V)), E.Name);
+  // The spellings the benchmark harness drives the workloads with.
+  PolicyKind Kind = static_cast<PolicyKind>(E.V);
+  EXPECT_STREQ(policyKindName(Kind), E.Name);
+  EXPECT_EQ(checkPolicyFor(Kind), E.Policy);
+  EXPECT_EQ(instrument::instrumentOptionsFor(checkPolicyFor(Kind)).V, E.V);
+}
+
+} // namespace
+
+TEST(VariantTable, PinsEveryLayersViewOfTheFigure8Variants) {
+  expectPinned<NonePolicy>(Pinned[0]);
+  expectPinned<TypePolicy>(Pinned[1]);
+  expectPinned<BoundsPolicy>(Pinned[2]);
+  expectPinned<FullPolicy>(Pinned[3]);
+  // The checks must execute to be counted, so CountOnly instruments as
+  // Full.
+  EXPECT_EQ(instrument::instrumentOptionsFor(CheckPolicy::CountOnly).V,
+            instrument::Variant::Full);
+}
