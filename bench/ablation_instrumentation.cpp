@@ -9,22 +9,20 @@
 /// subsumed bounds checks, and removing redundant bounds narrowing"),
 /// plus the used-pointers-only rule of Section 4, measured on MiniC
 /// programs: static check counts, dynamically executed checks and VM
-/// wall-clock, at O0 (schema-literal) vs. each optimization
-/// individually vs. all together.
+/// wall-clock (median of the runs), at O0 (schema-literal) vs. each
+/// optimization individually vs. all together.
 ///
 /// Usage: ablation_instrumentation [reps] [--engine=tree|bytecode]
-///        (defaults: 5 reps, the bytecode VM)
+///        (defaults: 5 runs per configuration, the bytecode VM)
 ///
 //===----------------------------------------------------------------------===//
 
+#include "BenchUtil.h"
 #include "api/Sanitizer.h"
 #include "bytecode/VM.h"
 #include "instrument/Pipeline.h"
 #include "interp/Interp.h"
 
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 using namespace effective;
@@ -121,42 +119,19 @@ struct Config {
   InstrumentOptions Opts;
 };
 
-double bestSeconds(const CompileResult &R, Sanitizer &Session, bool Tree,
-                   unsigned Reps, interp::RunResult &Out) {
-  double Best = 1e30;
-  for (unsigned Rep = 0; Rep < Reps; ++Rep) {
-    auto T0 = std::chrono::steady_clock::now();
-    interp::RunResult Res =
-        Tree ? interp::run(*R.M, Session) : bytecode::run(*R.BC, Session);
-    auto T1 = std::chrono::steady_clock::now();
-    double Sec = std::chrono::duration<double>(T1 - T0).count();
-    if (Res.Ok && Sec < Best) {
-      Best = Sec;
-      Out = Res;
-    }
-  }
-  return Best;
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
   unsigned Reps = 5;
-  bool Tree = false;
-  for (int I = 1; I < argc; ++I) {
-    if (std::strcmp(argv[I], "--engine=tree") == 0)
-      Tree = true;
-    else if (std::strcmp(argv[I], "--engine=bytecode") == 0)
-      Tree = false;
-    else if (std::strncmp(argv[I], "--engine=", 9) == 0) {
-      std::fprintf(stderr, "unknown engine '%s' (tree|bytecode)\n",
-                   argv[I] + 9);
-      return 2;
-    } else
-      Reps = static_cast<unsigned>(std::atoi(argv[I]));
+  const char *Engine = "bytecode";
+  if (!bench::parseArgs(argc, argv, "[reps] [--engine=tree|bytecode]", &Reps,
+                        nullptr, {{"--engine=", &Engine}}))
+    return 2;
+  bool Tree = std::strcmp(Engine, "tree") == 0;
+  if (!Tree && std::strcmp(Engine, "bytecode") != 0) {
+    std::fprintf(stderr, "unknown engine '%s' (tree|bytecode)\n", Engine);
+    return 2;
   }
-  if (Reps == 0)
-    Reps = 1;
 
   InstrumentOptions O0;
   O0.OnlyUsedPointers = false;
@@ -180,23 +155,16 @@ int main(int argc, char **argv) {
       {"O1 (all, the default)", InstrumentOptions()},
   };
 
-  std::printf("================================================================"
-              "========\n");
-  std::printf("Ablation: instrumentation-pass optimizations (Section 4/6)\n");
-  std::printf("MiniC workload: 24x24 matmul + 200-node list, full variant, "
-              "best of %u\nengine: %s\n",
-              Reps, Tree ? "tree-walker" : "bytecode VM");
-  std::printf("================================================================"
-              "========\n\n");
+  bench::banner("Ablation: instrumentation-pass optimizations (Section 4/6)\n"
+                "MiniC workload: 24x24 matmul + 200-node list, full variant, "
+                "median of %u\nengine: %s",
+                Reps, Tree ? "tree-walker" : "bytecode VM");
   std::printf("%-26s %9s %9s %12s %12s %9s\n", "configuration", "static",
               "elided", "exec.type", "exec.bounds", "time");
 
-  double Baseline = 0;
   for (const Config &C : Configs) {
     // A fresh session per configuration: private types, heap, counters.
-    SessionOptions SessionOpts;
-    SessionOpts.Reporter.Mode = ReportMode::Count;
-    Sanitizer Session(SessionOpts);
+    Sanitizer Session(bench::countingSession());
     DiagnosticEngine Diags;
     CompileResult R =
         compileMiniC(Program, Session.types(), Diags, C.Opts);
@@ -205,9 +173,16 @@ int main(int argc, char **argv) {
       return 1;
     }
     interp::RunResult Run;
-    double Sec = bestSeconds(R, Session, Tree, Reps, Run);
-    if (Baseline == 0)
-      Baseline = Sec;
+    std::vector<double> Runs;
+    for (unsigned Rep = 0; Rep < Reps; ++Rep)
+      Runs.push_back(bench::timeSeconds([&] {
+        Run = Tree ? interp::run(*R.M, Session) : bytecode::run(*R.BC, Session);
+      }));
+    if (!Run.Ok) {
+      std::fprintf(stderr, "%s: the workload failed to run\n", C.Name);
+      return 1;
+    }
+    double Sec = bench::median(Runs);
     uint64_t Static = R.Stats.TypeChecks + R.Stats.BoundsChecks +
                       R.Stats.BoundsGets + R.Stats.BoundsNarrows;
     uint64_t Elided = R.Stats.ElidedNeverFail + R.Stats.ElidedSubsumed +

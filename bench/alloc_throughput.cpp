@@ -41,14 +41,10 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "BenchUtil.h"
 #include "lowfat/LowFatHeap.h"
 
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <thread>
-#include <vector>
 
 using namespace effective;
 using namespace effective::lowfat;
@@ -77,18 +73,6 @@ void churnWorker(LowFatHeap &Heap, unsigned Shard, unsigned Iters) {
   Heap.flushThreadCache(); // Make TLS-cached state visible to stats().
 }
 
-template <typename Fn> double timeThreads(unsigned Threads, Fn &&Body) {
-  std::vector<std::thread> Workers;
-  Workers.reserve(Threads);
-  auto Start = std::chrono::steady_clock::now();
-  for (unsigned T = 0; T < Threads; ++T)
-    Workers.emplace_back([&Body, T] { Body(T); });
-  for (std::thread &W : Workers)
-    W.join();
-  auto End = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(End - Start).count();
-}
-
 struct Sample {
   const char *Mix;
   const char *Config;
@@ -107,7 +91,7 @@ Sample runChurn(const char *Mix, const char *Config, bool Sharded,
                 unsigned MagazineSize, unsigned Threads, unsigned Iters,
                 HeapStats *StatsOut = nullptr) {
   LowFatHeap Heap(churnOptions(Sharded ? Threads : 1, MagazineSize));
-  double Secs = timeThreads(Threads, [&](unsigned T) {
+  double Secs = bench::timeThreads(Threads, [&](unsigned T) {
     churnWorker(Heap, Sharded ? T : 0, Iters);
   });
   if (StatsOut)
@@ -147,36 +131,26 @@ HeapStats runStealMix(bool Stealing, unsigned *LowFatServed) {
   return Stats;
 }
 
-void printRow(const Sample &S) {
-  std::printf("%-14s %-11s %7u %14.2f\n", S.Mix, S.Config, S.Threads,
-              S.MopsPerSec);
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
   unsigned Iters = 400000;
   const char *JsonPath = nullptr;
-  for (int I = 1; I < argc; ++I) {
-    if (std::strncmp(argv[I], "--json=", 7) == 0)
-      JsonPath = argv[I] + 7;
-    else
-      Iters = static_cast<unsigned>(std::atoi(argv[I]));
-  }
-  if (Iters == 0)
-    Iters = 1;
+  if (!bench::parseArgs(argc, argv, "[iters_per_thread] [--json=FILE]",
+                        &Iters, &JsonPath))
+    return 2;
 
-  std::printf("==============================================================\n"
-              "Low-fat allocator throughput: TLS magazines + lock-free\n"
-              "sub-arenas (%u alloc+free pairs/thread; %u hardware threads;\n"
-              "M pairs/s, higher is better)\n"
-              "==============================================================\n"
-              "\n%-14s %-11s %7s %14s\n",
-              Iters, std::thread::hardware_concurrency(), "mix", "config",
-              "threads", "M pairs/s");
+  bench::banner("Low-fat allocator throughput: TLS magazines + lock-free\n"
+                "sub-arenas (%u alloc+free pairs/thread; %u hardware threads;\n"
+                "M pairs/s, higher is better)",
+                Iters, std::thread::hardware_concurrency());
+  std::printf("%-14s %-11s %7s %14s\n", "mix", "config", "threads",
+              "M pairs/s");
 
   const unsigned ThreadCounts[] = {1, 2, 4, 8};
-  std::vector<Sample> Samples;
+  bench::JsonWriter Json;
+  Json.str("bench", "alloc_throughput").count("iters_per_thread", Iters);
+  Json.host().array("samples");
   HeapStats ChurnStats; // From the 8-thread sharded magazine run.
   for (bool Sharded : {true, false}) {
     const char *Mix = Sharded ? "churn-sharded" : "churn-shared";
@@ -186,8 +160,14 @@ int main(int argc, char **argv) {
         bool Record = Sharded && Mag && Threads == 8;
         Sample S = runChurn(Mix, Config, Sharded, Mag, Threads, Iters,
                             Record ? &ChurnStats : nullptr);
-        printRow(S);
-        Samples.push_back(S);
+        std::printf("%-14s %-11s %7u %14.2f\n", S.Mix, S.Config, S.Threads,
+                    S.MopsPerSec);
+        Json.object()
+            .str("mix", S.Mix)
+            .str("config", S.Config)
+            .count("threads", S.Threads)
+            .num("mops_per_sec", S.MopsPerSec)
+            .end();
       }
     }
   }
@@ -221,45 +201,24 @@ int main(int argc, char **argv) {
               (unsigned long long)NoSteal.ExhaustFallbacks,
               NoStealServed);
 
-  if (JsonPath) {
-    std::FILE *F = std::fopen(JsonPath, "w");
-    if (!F) {
-      std::fprintf(stderr, "alloc_throughput: cannot write %s\n",
-                   JsonPath);
-      return 1;
-    }
-    std::fprintf(F,
-                 "{\n  \"bench\": \"alloc_throughput\",\n"
-                 "  \"iters_per_thread\": %u,\n"
-                 "  \"hardware_threads\": %u,\n  \"samples\": [\n",
-                 Iters, std::thread::hardware_concurrency());
-    for (size_t I = 0; I < Samples.size(); ++I) {
-      const Sample &S = Samples[I];
-      std::fprintf(F,
-                   "    {\"mix\": \"%s\", \"config\": \"%s\", "
-                   "\"threads\": %u, \"mops_per_sec\": %.3f}%s\n",
-                   S.Mix, S.Config, S.Threads, S.MopsPerSec,
-                   I + 1 < Samples.size() ? "," : "");
-    }
-    std::fprintf(
-        F,
-        "  ],\n"
-        "  \"churn\": {\"magazine_hit_rate_pct\": %.2f, "
-        "\"magazine_hits\": %llu, \"magazine_refills\": %llu, "
-        "\"lowfat_allocs\": %llu, \"exhaust_fallbacks\": %llu},\n"
-        "  \"steal\": {\"steals\": %llu, \"exhaust_fallbacks\": %llu, "
-        "\"lowfat_served\": %u, \"blocks\": 12,\n"
-        "             \"nosteal_exhaust_fallbacks\": %llu},\n"
-        "  \"mutex_free_steady_state\": true\n}\n",
-        HitRate, (unsigned long long)ChurnStats.MagazineHits,
-        (unsigned long long)ChurnStats.MagazineRefills,
-        (unsigned long long)LowFatAllocs,
-        (unsigned long long)ChurnStats.ExhaustFallbacks,
-        (unsigned long long)Steal.Steals,
-        (unsigned long long)Steal.ExhaustFallbacks, StealServed,
-        (unsigned long long)NoSteal.ExhaustFallbacks);
-    std::fclose(F);
-  }
+  Json.end();
+  Json.object("churn")
+      .num("magazine_hit_rate_pct", HitRate, 2)
+      .count("magazine_hits", ChurnStats.MagazineHits)
+      .count("magazine_refills", ChurnStats.MagazineRefills)
+      .count("lowfat_allocs", LowFatAllocs)
+      .count("exhaust_fallbacks", ChurnStats.ExhaustFallbacks)
+      .end();
+  Json.object("steal")
+      .count("steals", Steal.Steals)
+      .count("exhaust_fallbacks", Steal.ExhaustFallbacks)
+      .count("lowfat_served", StealServed)
+      .count("blocks", 12)
+      .count("nosteal_exhaust_fallbacks", NoSteal.ExhaustFallbacks)
+      .end();
+  Json.flag("mutex_free_steady_state", true);
+  if (JsonPath && !Json.write(JsonPath, "alloc_throughput"))
+    return 1;
 
   std::printf("\nmt_throughput measures the full runtime (checks + "
               "reporting) under the\nsame sharding; this bench isolates "

@@ -6,15 +6,11 @@
 ///
 /// What the resilience layer's fault points cost on the hot paths they
 /// are compiled into (allocator bump/refill/quarantine, ring push,
-/// site registration).
-///
-/// One measurement, run twice over the same session: the full SPEC
-/// workload mix with the fault registry disarmed (one relaxed load per
-/// point — the shipped default) and armed with every point Off (the
-/// worst case short of firing: each point consults its per-point mode
-/// atomically and counts the evaluation). Measurement is paired like
-/// obs_overhead: alternating off/on passes, MEDIAN of the per-pair
-/// throughput ratios, so slow drift cancels and outlier pairs drop.
+/// site registration): the SPEC mix (bench/BenchUtil.h) with the
+/// fault registry disarmed (one relaxed load per point — the shipped
+/// default) and armed with every point Off (the worst case short of
+/// firing: each point consults its per-point mode atomically and
+/// counts the evaluation).
 ///
 /// The contract this bench gates (docs/RESILIENCE.md#overhead):
 /// disarmed fault points cost <= 1% on the check-bound mix (the armed
@@ -23,142 +19,40 @@
 /// identical code, and the JSON reports compiled_out so CI knows not
 /// to read an overhead into the noise.
 ///
-/// Usage: fault_overhead [reps] [--json=FILE]
+/// Usage: fault_overhead [--json=FILE]
 ///
-///   reps         SPEC-mix iterations per timed pass (default 10;
-///                seven off/on pairs are timed either way)
 ///   --json=FILE  emit the measurements as JSON (the BENCH_fault
 ///                artifact; the CI bench job gates .overhead_pct)
 ///
 //===----------------------------------------------------------------------===//
 
-#include "core/Effective.h"
+#include "BenchUtil.h"
 #include "resilience/Fault.h"
-#include "workloads/Workload.h"
-
-#include <algorithm>
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 using namespace effective;
 
-namespace {
-
-double secondsSince(std::chrono::steady_clock::time_point Start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       Start)
-      .count();
-}
-
-/// One timed pass: \p Reps rounds of the full SPEC mix. Returns
-/// checks per second (all check kinds, from the runtime's counters).
-double runPass(Runtime &RT, unsigned Reps, uint64_t &Sink) {
-  auto Before = RT.counters().snapshot();
-  auto Start = std::chrono::steady_clock::now();
-  for (unsigned R = 0; R < Reps; ++R)
-    for (const workloads::Workload &W : workloads::specWorkloads())
-      Sink += W.RunFull(RT, /*Scale=*/1);
-  double Secs = secondsSince(Start);
-  auto After = RT.counters().snapshot();
-  double Checks =
-      double((After.TypeChecks - Before.TypeChecks) +
-             (After.BoundsChecks - Before.BoundsChecks) +
-             (After.BoundsNarrows - Before.BoundsNarrows) +
-             (After.BoundsGets - Before.BoundsGets));
-  return Checks / Secs;
-}
-
-} // namespace
-
 int main(int argc, char **argv) {
-  unsigned Reps = 10;
-  const char *JsonPath = nullptr;
-  for (int I = 1; I < argc; ++I) {
-    if (std::strncmp(argv[I], "--json=", 7) == 0)
-      JsonPath = argv[I] + 7;
-    else
-      Reps = static_cast<unsigned>(std::atoi(argv[I]));
-  }
-  if (Reps == 0)
-    Reps = 1;
-
-  SessionOptions Options;
-  Options.Reporter.Mode = ReportMode::Count;
-  Sanitizer Session(TypeContext::global(), Options);
-  SanitizerScope Scope(Session);
-  Runtime &RT = Session.runtime();
-
   resilience::FaultRegistry &Faults = resilience::FaultRegistry::instance();
   Faults.disarm();
-
-  std::printf("================================================================"
-              "========\n");
-  std::printf("Fault-point overhead: SPEC mix, disarmed vs armed-never-firing "
-              "(%u reps/pass, median of 7 pairs)\n",
-              Reps);
-  std::printf("compiled in: %s\n",
-              resilience::compiledIn()
-                  ? "yes"
-                  : "no (EFFSAN_FAULT_OFF - both passes run identical code)");
-  std::printf("================================================================"
-              "========\n\n");
-
-  uint64_t Sink = 0;
-  // Warm both configurations once before timing starts.
-  runPass(RT, 1, Sink);
-  Faults.arm(/*Seed=*/1234); // Every point stays Off: armed, never fires.
-  runPass(RT, 1, Sink);
-  Faults.disarm();
-
-  constexpr int Pairs = 7;
-  double BestOff = 0, BestOn = 0;
-  double Ratios[Pairs];
-  for (int Pair = 0; Pair < Pairs; ++Pair) {
-    double Off = runPass(RT, Reps, Sink);
-    Faults.arm(/*Seed=*/1234);
-    double On = runPass(RT, Reps, Sink);
-    uint64_t Evals = 0;
-    for (unsigned P = 0; P < resilience::NumFaultPointValues; ++P)
-      Evals += Faults.evaluations(static_cast<resilience::FaultPoint>(P));
-    Faults.disarm();
-    if (resilience::compiledIn() && Evals == 0) {
-      std::fprintf(stderr,
-                   "fault_overhead: armed pass evaluated no fault points — "
-                   "the measurement is vacuous\n");
-      return 1;
-    }
-    BestOff = std::max(BestOff, Off);
-    BestOn = std::max(BestOn, On);
-    Ratios[Pair] = Off / On;
-  }
-  if (Sink == uint64_t(-1))
-    std::printf("impossible\n"); // Keep the sink alive.
-
-  std::sort(Ratios, Ratios + Pairs);
-  double OverheadPct = (Ratios[Pairs / 2] - 1.0) * 100.0;
-
-  std::printf("%18s %14.2f M checks/s\n", "faults disarmed", BestOff / 1e6);
-  std::printf("%18s %14.2f M checks/s\n", "faults armed", BestOn / 1e6);
-  std::printf("%18s %14.2f %%   (CI gate: <= 1%%)\n", "overhead",
-              OverheadPct);
-
-  if (JsonPath) {
-    std::FILE *F = std::fopen(JsonPath, "w");
-    if (!F) {
-      std::fprintf(stderr, "fault_overhead: cannot write %s\n", JsonPath);
-      return 1;
-    }
-    std::fprintf(F,
-                 "{\n  \"bench\": \"fault_overhead\",\n  \"reps\": %u,\n"
-                 "  \"compiled_out\": %s,\n"
-                 "  \"fault_off_checks_per_sec\": %.2f,\n"
-                 "  \"fault_on_checks_per_sec\": %.2f,\n"
-                 "  \"overhead_pct\": %.3f\n}\n",
-                 Reps, resilience::compiledIn() ? "false" : "true", BestOff,
-                 BestOn, OverheadPct);
-    std::fclose(F);
-  }
-  return 0;
+  bool Vacuous = false;
+  return bench::runArmedOverhead(
+      argc, argv,
+      {"fault_overhead",
+       "Fault-point overhead: SPEC mix, disarmed vs armed-never-firing",
+       "fault", 1, resilience::compiledIn() ? nullptr : "EFFSAN_FAULT_OFF"},
+      [&] { Faults.arm(/*Seed=*/1234); }, // Every point stays Off.
+      [&] {
+        uint64_t Evals = 0;
+        for (unsigned P = 0; P < resilience::NumFaultPointValues; ++P)
+          Evals += Faults.evaluations(static_cast<resilience::FaultPoint>(P));
+        Vacuous |= Evals == 0;
+        Faults.disarm();
+      },
+      [&](bench::JsonWriter &) {
+        if (!resilience::compiledIn() || !Vacuous)
+          return true;
+        std::fprintf(stderr, "fault_overhead: an armed round evaluated no "
+                             "fault points — the measurement is vacuous\n");
+        return false;
+      });
 }

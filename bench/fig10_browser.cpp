@@ -10,56 +10,42 @@
 /// overall overhead — about 1.5x the SPEC geomean — driven by the
 /// engine's temporary-object churn.
 ///
-/// Usage: fig10_browser [scale] [reps]   (defaults 6, 3)
+/// Each overhead is the median of seven order-alternating pairs of
+/// full and uninstrumented cells, each cell calibrated to >= 50 ms, as
+/// in fig8_timings.
+///
+/// Usage: fig10_browser [scale]   (default 48)
 ///
 //===----------------------------------------------------------------------===//
 
+#include "BenchUtil.h"
 #include "workloads/Harness.h"
-
-#include <cmath>
-#include <cstdlib>
 
 using namespace effective;
 using namespace effective::workloads;
 
 int main(int argc, char **argv) {
-  unsigned Scale = argc > 1 ? static_cast<unsigned>(std::atoi(argv[1])) : 48;
-  unsigned Reps = argc > 2 ? static_cast<unsigned>(std::atoi(argv[2])) : 3;
-  if (Scale == 0)
-    Scale = 1;
-  if (Reps == 0)
-    Reps = 1;
+  unsigned Scale = 48;
+  if (!bench::parseArgs(argc, argv, "[scale]", &Scale, nullptr))
+    return 2;
 
-  std::printf("==============================================================="
-              "=========\n");
-  std::printf("Figure 10: browser benchmarks, EffectiveSan (full) relative "
-              "overhead\n(scale=%u, best of %u)\n",
-              Scale, Reps);
-  std::printf("==============================================================="
-              "=========\n\n");
+  bench::banner("Figure 10: browser benchmarks, EffectiveSan (full) relative "
+                "overhead\n(scale=%u, medians of 7 paired cells of >= 50 ms)",
+                Scale);
   std::printf("%-14s %10s %10s %10s\n", "Benchmark", "Uninstr(s)",
               "Full(s)", "relative");
 
-  double LogSum = 0;
-  unsigned Counted = 0;
+  std::vector<double> Relatives;
   for (const Workload &W : browserWorkloads()) {
-    double None = 1e30, Full = 1e30;
-    for (unsigned Rep = 0; Rep < Reps; ++Rep) {
-      RunStats N = runWorkload(W, Variant::None, Scale);
-      RunStats F = runWorkload(W, Variant::Full, Scale);
-      if (N.Seconds < None)
-        None = N.Seconds;
-      if (F.Seconds < Full)
-        Full = F.Seconds;
-    }
-    double Relative = Full / None;
-    std::printf("%-14s %10.3f %10.3f %9.0f%%\n", W.Info.Name, None, Full,
-                Relative * 100);
-    LogSum += std::log(Relative);
-    ++Counted;
+    bench::Paired P =
+        bench::runPaired(7, bench::workloadCell(W, Variant::None, Scale, 0.05),
+                         bench::workloadCell(W, Variant::Full, Scale, 0.05));
+    Relatives.push_back(bench::median(P.Ratios));
+    std::printf("%-14s %10.3f %10.3f %9.0f%%\n", W.Info.Name,
+                bench::median(P.A), bench::median(P.B), Relatives.back() * 100);
   }
 
-  double Geo = std::exp(LogSum / Counted);
+  double Geo = bench::geomean(Relatives);
   std::printf("\nOverall relative performance: %.0f%% (paper: ~522%% = 422%% "
               "overhead).\nExpected shape: browser overhead exceeds the "
               "SPEC-like geomean\n(temporary-object churn; see [11]).\n",

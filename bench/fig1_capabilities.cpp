@@ -11,6 +11,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "BenchUtil.h"
 #include "baselines/ErrorSuite.h"
 
 #include <cstdio>
@@ -22,12 +23,8 @@ using namespace effective;
 using namespace effective::baselines;
 
 int main() {
-  std::printf("==============================================================="
-              "=====\n");
-  std::printf("Figure 1: Summary of sanitizers and capabilities against type\n"
-              "and memory errors (reproduction)\n");
-  std::printf("==============================================================="
-              "=====\n\n");
+  bench::banner("Figure 1: Summary of sanitizers and capabilities against "
+                "type\nand memory errors (reproduction)");
 
   std::printf("%-22s %-10s %-10s %-10s %-10s %-10s %s\n", "Sanitizer",
               "Types", "Bounds", "UAF", "Stack", "Global", "FalsePos");

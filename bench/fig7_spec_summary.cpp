@@ -13,29 +13,24 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "BenchUtil.h"
 #include "support/StringUtils.h"
 #include "workloads/Harness.h"
 
-#include <cstdlib>
 #include <cstring>
 
 using namespace effective;
 using namespace effective::workloads;
 
 int main(int argc, char **argv) {
-  unsigned Scale = argc > 1 ? static_cast<unsigned>(std::atoi(argv[1])) : 2;
-  if (Scale == 0)
-    Scale = 1;
+  unsigned Scale = 2;
+  if (!bench::parseArgs(argc, argv, "[scale]", &Scale, nullptr))
+    return 2;
 
-  std::printf("==============================================================="
-              "=========\n");
-  std::printf("Figure 7: SPEC2006 stand-in summary under EffectiveSan (full)"
-              "\n");
-  std::printf("scale=%u; checks in millions; kilo-sLOC column reproduces the"
-              "\npaper's values for the original programs\n",
-              Scale);
-  std::printf("==============================================================="
-              "=========\n\n");
+  bench::banner("Figure 7: SPEC2006 stand-in summary under EffectiveSan (full)"
+                "\nscale=%u; checks in millions; kilo-sLOC column reproduces "
+                "the\npaper's values for the original programs",
+                Scale);
 
   std::printf("%-12s %-5s %10s %12s %12s %8s %8s\n", "Benchmark", "Lang",
               "kilo-sLOC", "#Type (M)", "#Bounds (M)", "#Issues",

@@ -9,88 +9,101 @@
 /// plus geometric-mean overheads (paper: full 288%, bounds 115%,
 /// type 49%).
 ///
+/// Each overhead cell is the median of seven order-alternating pairs
+/// of variant and uninstrumented cells. A cell repeats the workload
+/// (fresh session per run, kernel time only) as often as calibration
+/// says it takes to last at least 50 ms, so no cell is timer noise.
+///
 /// Timings are SINGLE-THREADED (one session per run, like the paper's
 /// SPEC methodology). Multi-thread scaling of the runtime itself is
 /// bench/mt_throughput.cpp's job.
 ///
-/// Usage: fig8_timings [scale] [reps]   (defaults 4, 3)
+/// Usage: fig8_timings [scale] [--json=FILE]
+///
+///   scale        workload input scale (default 16)
+///   --json=FILE  emit the table and geomeans as JSON (BENCH_fig8)
 ///
 //===----------------------------------------------------------------------===//
 
+#include "BenchUtil.h"
 #include "workloads/Harness.h"
-
-#include <cmath>
-#include <cstdlib>
 
 using namespace effective;
 using namespace effective::workloads;
 
 namespace {
 
-/// Best-of-N timing for one (workload, policy) pair.
-double bestSeconds(const Workload &W, Variant Kind, unsigned Scale,
-                   unsigned Reps) {
-  double Best = 1e30;
-  for (unsigned Rep = 0; Rep < Reps; ++Rep) {
-    RunStats Stats = runWorkload(W, Kind, Scale);
-    if (Stats.Seconds < Best)
-      Best = Stats.Seconds;
-  }
-  return Best;
-}
+constexpr double MinCellSeconds = 0.05;
+constexpr unsigned Pairs = 7;
+constexpr Variant Checked[] = {Variant::Type, Variant::Bounds, Variant::Full};
+constexpr const char *Keys[] = {"type", "bounds", "full"};
 
 } // namespace
 
 int main(int argc, char **argv) {
-  unsigned Scale = argc > 1 ? static_cast<unsigned>(std::atoi(argv[1])) : 16;
-  unsigned Reps = argc > 2 ? static_cast<unsigned>(std::atoi(argv[2])) : 3;
-  if (Scale == 0)
-    Scale = 1;
-  if (Reps == 0)
-    Reps = 1;
+  unsigned Scale = 16;
+  const char *JsonPath = nullptr;
+  if (!bench::parseArgs(argc, argv, "[scale] [--json=FILE]", &Scale,
+                        &JsonPath))
+    return 2;
 
-  std::printf("==============================================================="
-              "=========\n");
-  std::printf("Figure 8: SPEC2006 stand-in timings (seconds; scale=%u, "
-              "best of %u; single-threaded —\nsee mt_throughput for "
-              "multi-thread scaling)\n",
-              Scale, Reps);
-  std::printf("==============================================================="
-              "=========\n\n");
+  bench::banner("Figure 8: SPEC2006 stand-in timings (seconds per run; "
+                "scale=%u; overheads are\nmedians of %u paired cells of >= "
+                "%.0f ms; single-threaded — see mt_throughput)",
+                Scale, Pairs, MinCellSeconds * 1e3);
   std::printf("%-12s %10s %10s %10s %10s | %8s %8s %8s\n", "Benchmark",
               "Uninstr", "Type", "Bounds", "Full", "ov.type", "ov.bnds",
               "ov.full");
 
-  double LogSum[3] = {0, 0, 0};
-  unsigned Counted = 0;
+  bench::JsonWriter Json;
+  Json.str("bench", "fig8_timings").count("scale", Scale).host();
+  Json.num("min_cell_s", MinCellSeconds).count("pairs", Pairs);
+  Json.array("workloads");
+  std::vector<double> Overheads[3];
   for (const Workload &W : specWorkloads()) {
-    double None = bestSeconds(W, Variant::None, Scale, Reps);
-    double Type = bestSeconds(W, Variant::Type, Scale, Reps);
-    double Bounds = bestSeconds(W, Variant::Bounds, Scale, Reps);
-    double Full = bestSeconds(W, Variant::Full, Scale, Reps);
-    double OvType = Type / None, OvBounds = Bounds / None,
-           OvFull = Full / None;
-    std::printf("%-12s %10.3f %10.3f %10.3f %10.3f | %7.2fx %7.2fx "
+    auto None = bench::workloadCell(W, Variant::None, Scale, MinCellSeconds);
+    std::vector<double> NoneRuns;
+    double Secs[4];
+    bench::Summary Ov[3];
+    for (int K = 0; K < 3; ++K) {
+      bench::Paired P = bench::runPaired(
+          Pairs, None,
+          bench::workloadCell(W, Checked[K], Scale, MinCellSeconds));
+      NoneRuns.insert(NoneRuns.end(), P.A.begin(), P.A.end());
+      Secs[K + 1] = bench::median(P.B);
+      Ov[K] = bench::summarize(P.Ratios);
+      Overheads[K].push_back(Ov[K].Median);
+    }
+    Secs[0] = bench::median(NoneRuns);
+    std::printf("%-12s %10.5f %10.5f %10.5f %10.5f | %7.2fx %7.2fx "
                 "%7.2fx\n",
-                W.Info.Name, None, Type, Bounds, Full, OvType, OvBounds,
-                OvFull);
-    LogSum[0] += std::log(OvType);
-    LogSum[1] += std::log(OvBounds);
-    LogSum[2] += std::log(OvFull);
-    ++Counted;
+                W.Info.Name, Secs[0], Secs[1], Secs[2], Secs[3],
+                Ov[0].Median, Ov[1].Median, Ov[2].Median);
+    Json.object().str("name", W.Info.Name).num("none_s", Secs[0], 6);
+    for (int K = 0; K < 3; ++K)
+      Json.object(Keys[K])
+          .num("run_s", Secs[K + 1], 6)
+          .num("overhead_x", Ov[K].Median)
+          .num("overhead_iqr_x", Ov[K].iqr())
+          .end();
+    Json.end();
   }
+  Json.end();
 
-  double GeoType = std::exp(LogSum[0] / Counted);
-  double GeoBounds = std::exp(LogSum[1] / Counted);
-  double GeoFull = std::exp(LogSum[2] / Counted);
+  const int PaperPct[] = {49, 115, 288};
   std::printf("\nGeometric-mean overheads (1.00x = baseline):\n");
-  std::printf("  EffectiveSan-type:   %5.2fx (+%4.0f%%)   paper: +49%%\n",
-              GeoType, (GeoType - 1) * 100);
-  std::printf("  EffectiveSan-bounds: %5.2fx (+%4.0f%%)   paper: +115%%\n",
-              GeoBounds, (GeoBounds - 1) * 100);
-  std::printf("  EffectiveSan (full): %5.2fx (+%4.0f%%)   paper: +288%%\n",
-              GeoFull, (GeoFull - 1) * 100);
+  Json.object("geomean_x");
+  for (int K = 0; K < 3; ++K) {
+    double Geo = bench::geomean(Overheads[K]);
+    Json.num(Keys[K], Geo);
+    std::printf("  %-20s %5.2fx (+%4.0f%%)   paper: +%d%%\n",
+                (std::string(variantName(Checked[K])) + ":").c_str(), Geo,
+                (Geo - 1) * 100, PaperPct[K]);
+  }
+  Json.end();
   std::printf("\nExpected shape: full > bounds > type > 1.0x, with full "
               "instrumentation\nroughly 2-4x and the ordering strict.\n");
+  if (JsonPath && !Json.write(JsonPath, "fig8_timings"))
+    return 1;
   return 0;
 }

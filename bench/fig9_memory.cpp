@@ -13,26 +13,21 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "BenchUtil.h"
 #include "support/StringUtils.h"
 #include "workloads/Harness.h"
-
-#include <cstdlib>
 
 using namespace effective;
 using namespace effective::workloads;
 
 int main(int argc, char **argv) {
-  unsigned Scale = argc > 1 ? static_cast<unsigned>(std::atoi(argv[1])) : 4;
-  if (Scale == 0)
-    Scale = 1;
+  unsigned Scale = 4;
+  if (!bench::parseArgs(argc, argv, "[scale]", &Scale, nullptr))
+    return 2;
 
-  std::printf("==============================================================="
-              "=========\n");
-  std::printf("Figure 9: peak memory, uninstrumented vs EffectiveSan (full); "
-              "scale=%u\n",
-              Scale);
-  std::printf("==============================================================="
-              "=========\n\n");
+  bench::banner("Figure 9: peak memory, uninstrumented vs EffectiveSan (full); "
+                "scale=%u",
+                Scale);
   std::printf("%-12s %14s %14s %10s\n", "Benchmark", "Uninstrumented",
               "EffectiveSan", "overhead");
 

@@ -33,6 +33,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "BenchUtil.h"
 #include "bytecode/VM.h"
 #include "core/Effective.h"
 #include "instrument/Pipeline.h"
@@ -41,7 +42,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <vector>
@@ -66,7 +66,7 @@ struct MicroState {
   int Local = 0;    // A legacy (host stack) location.
 
   MicroState()
-      : Session(countingOptions()), Ctx(Session.types()),
+      : Session(bench::countingSession()), Ctx(Session.types()),
         RT(Session.runtime()) {
     S = Ctx.createRecord(TypeKind::Struct, "S");
     FieldInfo SFields[] = {
@@ -84,12 +84,6 @@ struct MicroState {
     IntArray = RT.allocate(100 * sizeof(int), Ctx.getInt());
     TObject = RT.allocate(24, T);
     CharArray = RT.allocate(64, Ctx.getChar());
-  }
-
-  static SessionOptions countingOptions() {
-    SessionOptions Options;
-    Options.Reporter.Mode = ReportMode::Count;
-    return Options;
   }
 
   static MicroState &get() {
@@ -218,9 +212,7 @@ static void BM_SpecMix_TypeCheckHitRate(benchmark::State &State) {
   // fresh session; CheckedPtr input/cast events reach the runtime
   // through type-derived pseudo-sites. The hit_rate_pct counter is the
   // acceptance metric: fast-path hits / (hits + misses), in percent.
-  SessionOptions Options;
-  Options.Reporter.Mode = ReportMode::Count;
-  Sanitizer Session(TypeContext::global(), Options);
+  Sanitizer Session(TypeContext::global(), bench::countingSession());
   SanitizerScope Scope(Session);
   Runtime &RT = Session.runtime();
   uint64_t Sink = 0;
@@ -428,7 +420,7 @@ struct EngineState {
   Sanitizer Session;
   instrument::CompileResult Compiled;
 
-  EngineState() : Session(MicroState::countingOptions()) {
+  EngineState() : Session(bench::countingSession()) {
     DiagnosticEngine Diags;
     Compiled = instrument::compileMiniC(MiniCSpecMix, Session.types(), Diags,
                                         instrument::InstrumentOptions());
@@ -473,17 +465,14 @@ void BM_MiniCSpecMix_EngineSpeedup(benchmark::State &State) {
     // buffer, and timing a cold loop would charge the engine for the
     // other engine's predictor pollution rather than its own cost.
     interp::RunResult W0 = interp::run(*E.Compiled.M, E.Session);
-    auto T0 = std::chrono::steady_clock::now();
-    interp::RunResult RT = interp::run(*E.Compiled.M, E.Session);
-    auto T1 = std::chrono::steady_clock::now();
+    interp::RunResult RT, RB;
+    TreeSec += bench::timeSeconds(
+        [&] { RT = interp::run(*E.Compiled.M, E.Session); });
     interp::RunResult W1 = bytecode::run(*E.Compiled.BC, E.Session);
-    auto T2 = std::chrono::steady_clock::now();
-    interp::RunResult RB = bytecode::run(*E.Compiled.BC, E.Session);
-    auto T3 = std::chrono::steady_clock::now();
+    BcSec += bench::timeSeconds(
+        [&] { RB = bytecode::run(*E.Compiled.BC, E.Session); });
     benchmark::DoNotOptimize(W0.ExitCode + RT.ExitCode + W1.ExitCode +
                              RB.ExitCode);
-    TreeSec += std::chrono::duration<double>(T1 - T0).count();
-    BcSec += std::chrono::duration<double>(T3 - T2).count();
   }
   State.counters["bytecode_speedup_x"] = BcSec ? TreeSec / BcSec : 0.0;
 }

@@ -36,26 +36,14 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "BenchUtil.h"
 #include "concurrent/SessionPool.h"
 
 #include <atomic>
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <string>
-#include <thread>
-#include <vector>
 
 using namespace effective;
 
 namespace {
-
-SessionOptions countingSession() {
-  SessionOptions Options;
-  Options.Reporter.Mode = ReportMode::Count;
-  return Options;
-}
 
 concurrent::PoolOptions countingPool(unsigned Shards) {
   concurrent::PoolOptions Options;
@@ -97,19 +85,6 @@ struct MixResult {
   double PoolOpsPerSec = 0;
 };
 
-template <typename Fn>
-double timeThreads(unsigned Threads, Fn &&Body) {
-  std::vector<std::thread> Workers;
-  Workers.reserve(Threads);
-  auto Start = std::chrono::steady_clock::now();
-  for (unsigned T = 0; T < Threads; ++T)
-    Workers.emplace_back([&Body, T] { Body(T); });
-  for (std::thread &W : Workers)
-    W.join();
-  auto End = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(End - Start).count();
-}
-
 MixResult runAllocCheckMix(unsigned Threads, unsigned Iters) {
   // Ten runtime operations per iteration (1 alloc, 1 free, 1 type
   // check, 8 bounds checks counts as 10ish; keep it simple and report
@@ -118,9 +93,9 @@ MixResult runAllocCheckMix(unsigned Threads, unsigned Iters) {
   MixResult R;
   {
     // One session, all threads hammer it.
-    Sanitizer S(countingSession());
+    Sanitizer S(bench::countingSession());
     const TypeInfo *IntTy = S.types().getInt();
-    double Secs = timeThreads(Threads, [&](unsigned) {
+    double Secs = bench::timeThreads(Threads, [&](unsigned) {
       allocCheckWorker(S, IntTy, Iters);
     });
     R.SharedOpsPerSec = Ops / Secs;
@@ -129,7 +104,7 @@ MixResult runAllocCheckMix(unsigned Threads, unsigned Iters) {
     // One pool, one shard per thread.
     concurrent::SessionPool Pool(countingPool(Threads));
     const TypeInfo *IntTy = Pool.types().getInt();
-    double Secs = timeThreads(Threads, [&](unsigned T) {
+    double Secs = bench::timeThreads(Threads, [&](unsigned T) {
       allocCheckWorker(Pool.shard(T), IntTy, Iters);
     });
     R.PoolOpsPerSec = Ops / Secs;
@@ -141,12 +116,12 @@ MixResult runReportMix(unsigned Threads, unsigned Iters) {
   const double Ops = static_cast<double>(Threads) * Iters;
   MixResult R;
   {
-    Sanitizer S(countingSession());
+    Sanitizer S(bench::countingSession());
     // Unlimited per-bucket events so every iteration exercises the
     // full locked bucketing path, like an error storm would.
     S.reporter().options().MaxReportsPerBucket = 0;
     const TypeInfo *IntTy = S.types().getInt();
-    double Secs = timeThreads(Threads, [&](unsigned) {
+    double Secs = bench::timeThreads(Threads, [&](unsigned) {
       reportWorker(S, IntTy, Iters);
     });
     R.SharedOpsPerSec = Ops / Secs;
@@ -167,7 +142,7 @@ MixResult runReportMix(unsigned Threads, unsigned Iters) {
       }
       Pool.drain();
     });
-    double Secs = timeThreads(Threads, [&](unsigned T) {
+    double Secs = bench::timeThreads(Threads, [&](unsigned T) {
       reportWorker(Pool.shard(T), IntTy, Iters);
     });
     Done.store(true, std::memory_order_release);
@@ -177,44 +152,19 @@ MixResult runReportMix(unsigned Threads, unsigned Iters) {
   return R;
 }
 
-void printRow(unsigned Threads, const MixResult &R) {
+/// Prints one (mix, thread count) row and adds it to the JSON samples.
+void record(const char *Mix, unsigned Threads, const MixResult &R,
+            bench::JsonWriter &Json) {
+  double Speedup = R.PoolOpsPerSec / R.SharedOpsPerSec;
   std::printf("%7u %14.2f %14.2f %9.2fx\n", Threads,
-              R.SharedOpsPerSec / 1e6, R.PoolOpsPerSec / 1e6,
-              R.PoolOpsPerSec / R.SharedOpsPerSec);
-}
-
-/// One measured (mix, thread count) sample for the JSON artifact.
-struct Sample {
-  const char *Mix;
-  unsigned Threads;
-  MixResult R;
-};
-
-void writeJson(const char *Path, unsigned Iters,
-               const std::vector<Sample> &Samples) {
-  std::FILE *F = std::fopen(Path, "w");
-  if (!F) {
-    std::fprintf(stderr, "mt_throughput: cannot write %s\n", Path);
-    return;
-  }
-  std::fprintf(F,
-               "{\n  \"bench\": \"mt_throughput\",\n"
-               "  \"iters_per_thread\": %u,\n"
-               "  \"hardware_threads\": %u,\n  \"samples\": [\n",
-               Iters, std::thread::hardware_concurrency());
-  for (size_t I = 0; I < Samples.size(); ++I) {
-    const Sample &S = Samples[I];
-    std::fprintf(F,
-                 "    {\"mix\": \"%s\", \"threads\": %u, "
-                 "\"shared_ops_per_sec\": %.2f, "
-                 "\"pool_ops_per_sec\": %.2f, \"speedup\": %.3f}%s\n",
-                 S.Mix, S.Threads, S.R.SharedOpsPerSec,
-                 S.R.PoolOpsPerSec,
-                 S.R.PoolOpsPerSec / S.R.SharedOpsPerSec,
-                 I + 1 < Samples.size() ? "," : "");
-  }
-  std::fprintf(F, "  ]\n}\n");
-  std::fclose(F);
+              R.SharedOpsPerSec / 1e6, R.PoolOpsPerSec / 1e6, Speedup);
+  Json.object()
+      .str("mix", Mix)
+      .count("threads", Threads)
+      .num("shared_ops_per_sec", R.SharedOpsPerSec, 2)
+      .num("pool_ops_per_sec", R.PoolOpsPerSec, 2)
+      .num("speedup", Speedup)
+      .end();
 }
 
 } // namespace
@@ -222,49 +172,36 @@ void writeJson(const char *Path, unsigned Iters,
 int main(int argc, char **argv) {
   unsigned Iters = 300000;
   const char *JsonPath = nullptr;
-  for (int I = 1; I < argc; ++I) {
-    if (std::strncmp(argv[I], "--json=", 7) == 0)
-      JsonPath = argv[I] + 7;
-    else
-      Iters = static_cast<unsigned>(std::atoi(argv[I]));
-  }
-  if (Iters == 0)
-    Iters = 1;
+  if (!bench::parseArgs(argc, argv, "[iters_per_thread] [--json=FILE]",
+                        &Iters, &JsonPath))
+    return 2;
   const unsigned ThreadCounts[] = {1, 2, 4, 8};
-  std::vector<Sample> Samples;
+  bench::JsonWriter Json;
+  Json.str("bench", "mt_throughput").count("iters_per_thread", Iters);
+  Json.host().array("samples");
 
-  std::printf("==============================================================="
-              "=========\n");
-  std::printf("Concurrent runtime throughput: sharded SessionPool vs one "
-              "shared session\n");
-  std::printf("(%u iterations/thread; %u hardware threads; M iters/s, "
-              "higher is better)\n",
-              Iters, std::thread::hardware_concurrency());
-  std::printf("==============================================================="
-              "=========\n\n");
+  bench::banner("Concurrent runtime throughput: sharded SessionPool vs one "
+                "shared session\n(%u iterations/thread; %u hardware threads; "
+                "M iters/s, higher is better)",
+                Iters, std::thread::hardware_concurrency());
 
   std::printf("alloc+check mix (1 typed malloc/free + 1 type_check + 8 "
               "bounds_checks per iter)\n");
   std::printf("%7s %14s %14s %10s\n", "threads", "shared M/s", "pool M/s",
               "speedup");
-  for (unsigned Threads : ThreadCounts) {
-    MixResult R = runAllocCheckMix(Threads, Iters);
-    printRow(Threads, R);
-    Samples.push_back(Sample{"alloc+check", Threads, R});
-  }
+  for (unsigned Threads : ThreadCounts)
+    record("alloc+check", Threads, runAllocCheckMix(Threads, Iters), Json);
 
   std::printf("\nreport mix (1 error event per iter; pool pushes a "
               "lock-free ring, shared takes a mutex)\n");
   std::printf("%7s %14s %14s %10s\n", "threads", "shared M/s", "pool M/s",
               "speedup");
-  for (unsigned Threads : ThreadCounts) {
-    MixResult R = runReportMix(Threads, Iters / 4 ? Iters / 4 : 1);
-    printRow(Threads, R);
-    Samples.push_back(Sample{"report", Threads, R});
-  }
-
-  if (JsonPath)
-    writeJson(JsonPath, Iters, Samples);
+  for (unsigned Threads : ThreadCounts)
+    record("report", Threads,
+           runReportMix(Threads, Iters / 4 ? Iters / 4 : 1), Json);
+  Json.end();
+  if (JsonPath && !Json.write(JsonPath, "mt_throughput"))
+    return 1;
 
   std::printf("\nSingle-thread per-check nanoseconds live in "
               "bench/micro_runtime and fig8_timings;\nthis bench is the "

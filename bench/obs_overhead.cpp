@@ -4,20 +4,12 @@
 //
 //===----------------------------------------------------------------------===//
 ///
-/// What arming the observability layer costs on the check hot path.
-///
-/// One measurement, run twice over the same session: the full SPEC
-/// workload mix (all 19 stand-in kernels under the Full policy) with
-/// observability disarmed (flags clear — the shipped default) and
-/// armed (tracing + metrics + profiling all on: every type check pays
-/// the decimation test, every 1024th check runs timed, every 16th
-/// cache hit bumps a profiler slot, and allocator slow paths record
-/// trace events).
-/// Measurement is paired: the run alternates off/on passes and reports
-/// the MEDIAN of the per-pair throughput ratios — pairing cancels the
-/// slow drift (frequency scaling, noisy neighbours) that makes
-/// absolute best-of-N numbers flap in CI, and the median discards the
-/// outlier pairs a shared runner produces.
+/// What arming the observability layer costs on the check hot path:
+/// the SPEC mix (bench/BenchUtil.h) with observability disarmed
+/// (flags clear — the shipped default) and armed (tracing + metrics +
+/// profiling all on: every type check pays the decimation test, every
+/// 1024th check runs timed, every 16th cache hit bumps a profiler
+/// slot, and allocator slow paths record trace events).
 ///
 /// The contract this bench gates (docs/OBSERVABILITY.md#overhead):
 /// armed observability costs <= 3% on the check-bound mix, and an
@@ -26,150 +18,41 @@
 /// reports compiled_out so CI knows not to read an overhead into the
 /// noise).
 ///
-/// Usage: obs_overhead [reps] [--json=FILE]
+/// Usage: obs_overhead [--json=FILE]
 ///
-///   reps         SPEC-mix iterations per timed pass (default 10;
-///                seven off/on pairs are timed either way)
 ///   --json=FILE  emit the measurements as JSON (the BENCH_obs
 ///                artifact; the CI bench job gates .overhead_pct)
 ///
 //===----------------------------------------------------------------------===//
 
-#include "core/Effective.h"
+#include "BenchUtil.h"
 #include "obs/Trace.h"
-#include "workloads/Workload.h"
-
-#include <algorithm>
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <string>
 
 using namespace effective;
 
-namespace {
-
-double secondsSince(std::chrono::steady_clock::time_point Start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       Start)
-      .count();
-}
-
-/// One timed pass: \p Reps rounds of the full SPEC mix. Returns
-/// checks per second (all check kinds, from the runtime's counters).
-double runPass(Runtime &RT, unsigned Reps, uint64_t &Sink) {
-  auto Before = RT.counters().snapshot();
-  auto Start = std::chrono::steady_clock::now();
-  for (unsigned R = 0; R < Reps; ++R)
-    for (const workloads::Workload &W : workloads::specWorkloads())
-      Sink += W.RunFull(RT, /*Scale=*/1);
-  double Secs = secondsSince(Start);
-  auto After = RT.counters().snapshot();
-  double Checks =
-      double((After.TypeChecks - Before.TypeChecks) +
-             (After.BoundsChecks - Before.BoundsChecks) +
-             (After.BoundsNarrows - Before.BoundsNarrows) +
-             (After.BoundsGets - Before.BoundsGets));
-  return Checks / Secs;
-}
-
-void arm() {
-  obs::Tracer::instance().start();
-  obs::setFlags(obs::TraceFlag | obs::MetricsFlag | obs::ProfileFlag);
-}
-
-void disarm() {
-  obs::Tracer::instance().stop();
-  obs::setFlags(0);
-}
-
-} // namespace
-
 int main(int argc, char **argv) {
-  unsigned Reps = 10;
-  const char *JsonPath = nullptr;
-  for (int I = 1; I < argc; ++I) {
-    if (std::strncmp(argv[I], "--json=", 7) == 0)
-      JsonPath = argv[I] + 7;
-    else
-      Reps = static_cast<unsigned>(std::atoi(argv[I]));
-  }
-  if (Reps == 0)
-    Reps = 1;
-
-  SessionOptions Options;
-  Options.Reporter.Mode = ReportMode::Count;
-  Sanitizer Session(TypeContext::global(), Options);
-  SanitizerScope Scope(Session);
-  Runtime &RT = Session.runtime();
-
-  std::printf("================================================================"
-              "========\n");
-  std::printf("Observability overhead: SPEC mix, disarmed vs armed "
-              "(%u reps/pass, median of 7 pairs)\n",
-              Reps);
-  std::printf("compiled in: %s\n", obs::compiledIn() ? "yes" : "no "
-              "(EFFSAN_OBS_OFF - both passes run identical code)");
-  std::printf("================================================================"
-              "========\n\n");
-
-  uint64_t Sink = 0;
-  // Warm both configurations once: layout tables, site caches and the
-  // profiler/histogram allocations all settle before timing starts.
-  runPass(RT, 1, Sink);
-  arm();
-  runPass(RT, 1, Sink);
-  disarm();
-
-  constexpr int Pairs = 7;
-  double BestOff = 0, BestOn = 0;
-  double Ratios[Pairs];
-  for (int Pair = 0; Pair < Pairs; ++Pair) {
-    double Off = runPass(RT, Reps, Sink);
-    arm();
-    double On = runPass(RT, Reps, Sink);
-    disarm();
-    BestOff = std::max(BestOff, Off);
-    BestOn = std::max(BestOn, On);
-    Ratios[Pair] = Off / On;
-  }
-  if (Sink == uint64_t(-1))
-    std::printf("impossible\n"); // Keep the sink alive.
-
-  obs::Tracer::instance().collect(); // Rings -> buffer so the count is real.
-  uint64_t Events = obs::Tracer::instance().collectedSize();
-  uint64_t Dropped = obs::Tracer::instance().dropped();
-  std::sort(Ratios, Ratios + Pairs);
-  double OverheadPct = (Ratios[Pairs / 2] - 1.0) * 100.0;
-
-  std::printf("%18s %14.2f M checks/s\n", "obs disarmed", BestOff / 1e6);
-  std::printf("%18s %14.2f M checks/s\n", "obs armed", BestOn / 1e6);
-  std::printf("%18s %14.2f %%   (CI gate: <= 3%%)\n", "overhead",
-              OverheadPct);
-  std::printf("%18s %14llu collected, %llu dropped\n", "trace events",
-              static_cast<unsigned long long>(Events),
-              static_cast<unsigned long long>(Dropped));
-
-  if (JsonPath) {
-    std::FILE *F = std::fopen(JsonPath, "w");
-    if (!F) {
-      std::fprintf(stderr, "obs_overhead: cannot write %s\n", JsonPath);
-      return 1;
-    }
-    std::fprintf(F,
-                 "{\n  \"bench\": \"obs_overhead\",\n  \"reps\": %u,\n"
-                 "  \"compiled_out\": %s,\n"
-                 "  \"obs_off_checks_per_sec\": %.2f,\n"
-                 "  \"obs_on_checks_per_sec\": %.2f,\n"
-                 "  \"overhead_pct\": %.3f,\n"
-                 "  \"events_collected\": %llu,\n"
-                 "  \"events_dropped\": %llu\n}\n",
-                 Reps, obs::compiledIn() ? "false" : "true", BestOff,
-                 BestOn, OverheadPct,
-                 static_cast<unsigned long long>(Events),
-                 static_cast<unsigned long long>(Dropped));
-    std::fclose(F);
-  }
-  return 0;
+  // The rings are set up once and drained after every armed round, so
+  // neither ring allocation nor a full ring lands in a timed round.
+  obs::Tracer &Tracer = obs::Tracer::instance();
+  Tracer.start();
+  obs::setFlags(0);
+  return bench::runArmedOverhead(
+      argc, argv,
+      {"obs_overhead", "Observability overhead: SPEC mix, disarmed vs armed",
+       "obs", 3, obs::compiledIn() ? nullptr : "EFFSAN_OBS_OFF"},
+      [] {
+        obs::setFlags(obs::TraceFlag | obs::MetricsFlag | obs::ProfileFlag);
+      },
+      [&] {
+        obs::setFlags(0);
+        Tracer.collect();
+      },
+      [&](bench::JsonWriter &Json) {
+        std::printf("%18s %14llu collected, %llu dropped\n", "trace events",
+                    static_cast<unsigned long long>(Tracer.collectedSize()),
+                    static_cast<unsigned long long>(Tracer.dropped()));
+        Json.count("events_collected", Tracer.collectedSize())
+            .count("events_dropped", Tracer.dropped());
+        return true;
+      });
 }

@@ -43,16 +43,9 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "BenchUtil.h"
 #include "obs/Trace.h"
 #include "service/Supervisor.h"
-
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <string>
-#include <thread>
-#include <vector>
 
 using namespace effective;
 using namespace effective::service;
@@ -66,12 +59,6 @@ ServiceOptions countingService(unsigned Shards, bool Governor) {
   Options.DrainIntervalMicros = 60'000'000; // Ticks only when forced.
   Options.EnableGovernor = Governor;
   return Options;
-}
-
-double secondsSince(std::chrono::steady_clock::time_point Start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       Start)
-      .count();
 }
 
 /// The check-heavy overload mix: 1 type_check + 8 bounds_checks per
@@ -125,9 +112,9 @@ double runOverload(bool Degrade, unsigned Iters) {
     }
   }
 
-  auto Start = std::chrono::steady_clock::now();
-  uint64_t Sink = overloadWork(L.session(), IntTy, Iters);
-  double Secs = secondsSince(Start);
+  uint64_t Sink = 0;
+  double Secs = bench::timeSeconds(
+      [&] { Sink = overloadWork(L.session(), IntTy, Iters); });
   if (Sink == uint64_t(-1))
     std::printf("impossible\n"); // Keep the sink alive.
 
@@ -160,63 +147,9 @@ void churnWorker(Supervisor &Sup, unsigned Cycles) {
 double runChurn(unsigned Threads, bool Governor, unsigned Cycles) {
   // One spare shard so a close mid-recycle never starves an open.
   Supervisor Sup(countingService(Threads + 1, Governor));
-  auto Start = std::chrono::steady_clock::now();
-  std::vector<std::thread> Workers;
-  for (unsigned W = 0; W < Threads; ++W)
-    Workers.emplace_back([&] { churnWorker(Sup, Cycles); });
-  for (std::thread &W : Workers)
-    W.join();
-  double Secs = secondsSince(Start);
+  double Secs =
+      bench::timeThreads(Threads, [&](unsigned) { churnWorker(Sup, Cycles); });
   return double(Threads) * Cycles / Secs;
-}
-
-struct ChurnSample {
-  unsigned Threads;
-  bool Governor;
-  double CyclesPerSec;
-};
-
-void writeJson(const char *Path, unsigned Iters, double FullChecks,
-               double DegradedChecks,
-               const std::vector<ChurnSample> &Churn) {
-  std::FILE *F = std::fopen(Path, "w");
-  if (!F) {
-    std::fprintf(stderr, "service_throughput: cannot write %s\n", Path);
-    return;
-  }
-  std::fprintf(F,
-               "{\n  \"bench\": \"service_throughput\",\n"
-               "  \"iters\": %u,\n  \"hardware_threads\": %u,\n"
-               "  \"overload\": {\n"
-               "    \"full_checks_per_sec\": %.2f,\n"
-               "    \"degraded_checks_per_sec\": %.2f,\n"
-               "    \"degraded_policy\": \"count\",\n"
-               "    \"speedup\": %.3f\n  },\n  \"churn\": [\n",
-               Iters, std::thread::hardware_concurrency(), FullChecks,
-               DegradedChecks, DegradedChecks / FullChecks);
-  for (size_t I = 0; I < Churn.size(); ++I) {
-    const ChurnSample &S = Churn[I];
-    std::fprintf(F,
-                 "    {\"threads\": %u, \"governor\": %s, "
-                 "\"cycles_per_sec\": %.2f}%s\n",
-                 S.Threads, S.Governor ? "true" : "false",
-                 S.CyclesPerSec, I + 1 < Churn.size() ? "," : "");
-  }
-  std::fprintf(F, "  ]\n}\n");
-  std::fclose(F);
-}
-
-bool writeFile(const char *Path, const std::string &Data,
-               const char *What) {
-  std::FILE *F = std::fopen(Path, "w");
-  if (!F) {
-    std::fprintf(stderr, "service_throughput: cannot write %s %s\n", What,
-                 Path);
-    return false;
-  }
-  std::fwrite(Data.data(), 1, Data.size(), F);
-  std::fclose(F);
-  return true;
 }
 
 /// One fully-observed pass: tracing + metrics + profiling armed, the
@@ -270,7 +203,7 @@ void runObserved(const char *TracePath, const char *MetricsPath,
   if (TracePath) {
     std::string Json;
     uint64_t Events = obs::Tracer::instance().exportChromeJson(Json);
-    if (writeFile(TracePath, Json, "trace"))
+    if (bench::writeFile(TracePath, Json, "service_throughput"))
       std::printf("\nobserved pass: %llu trace events -> %s "
                   "(%llu dropped)\n",
                   static_cast<unsigned long long>(Events), TracePath,
@@ -279,7 +212,7 @@ void runObserved(const char *TracePath, const char *MetricsPath,
   }
   if (MetricsPath) {
     std::string Text = Sup.metricsText();
-    if (writeFile(MetricsPath, Text, "metrics"))
+    if (bench::writeFile(MetricsPath, Text, "service_throughput"))
       std::printf("observed pass: metrics -> %s\n", MetricsPath);
   }
   obs::setFlags(0);
@@ -292,27 +225,18 @@ int main(int argc, char **argv) {
   const char *JsonPath = nullptr;
   const char *TracePath = nullptr;
   const char *MetricsPath = nullptr;
-  for (int I = 1; I < argc; ++I) {
-    if (std::strncmp(argv[I], "--json=", 7) == 0)
-      JsonPath = argv[I] + 7;
-    else if (std::strncmp(argv[I], "--trace=", 8) == 0)
-      TracePath = argv[I] + 8;
-    else if (std::strncmp(argv[I], "--metrics=", 10) == 0)
-      MetricsPath = argv[I] + 10;
-    else
-      Iters = static_cast<unsigned>(std::atoi(argv[I]));
-  }
-  if (Iters == 0)
-    Iters = 1;
+  if (!bench::parseArgs(argc, argv,
+                        "[iters] [--json=FILE] [--trace=FILE] "
+                        "[--metrics=FILE]",
+                        &Iters, &JsonPath,
+                        {{"--trace=", &TracePath},
+                         {"--metrics=", &MetricsPath}}))
+    return 2;
   unsigned ChurnCycles = Iters / 100 ? Iters / 100 : 1;
 
-  std::printf("==============================================================="
-              "=========\n");
-  std::printf("Service mode: degradation payoff and tenant-churn overhead\n");
-  std::printf("(%u overload iterations; %u hardware threads)\n", Iters,
-              std::thread::hardware_concurrency());
-  std::printf("==============================================================="
-              "=========\n\n");
+  bench::banner("Service mode: degradation payoff and tenant-churn overhead\n"
+                "(%u overload iterations; %u hardware threads)",
+                Iters, std::thread::hardware_concurrency());
 
   std::printf("overload mix (1 type_check + 8 bounds_checks per iter, "
               "typed realloc every 64)\n");
@@ -324,21 +248,35 @@ int main(int argc, char **argv) {
               DegradedChecks / 1e6);
   std::printf("%24s %14.2fx   (CI gate: >= 1.5x)\n", "shed factor",
               DegradedChecks / FullChecks);
+  bench::JsonWriter Json;
+  Json.str("bench", "service_throughput").count("iters", Iters).host();
+  Json.object("overload")
+      .num("full_checks_per_sec", FullChecks, 2)
+      .num("degraded_checks_per_sec", DegradedChecks, 2)
+      .str("degraded_policy", "count")
+      .num("speedup", DegradedChecks / FullChecks)
+      .end();
 
   std::printf("\ntenant churn (open -> lease -> work -> release -> close "
               "cycles/s)\n");
   std::printf("%7s %16s %16s\n", "threads", "governor off", "governor on");
-  std::vector<ChurnSample> Churn;
+  Json.array("churn");
   for (unsigned Threads : {1u, 2u, 4u, 8u}) {
-    double Off = runChurn(Threads, false, ChurnCycles);
-    double On = runChurn(Threads, true, ChurnCycles);
-    std::printf("%7u %16.0f %16.0f\n", Threads, Off, On);
-    Churn.push_back(ChurnSample{Threads, false, Off});
-    Churn.push_back(ChurnSample{Threads, true, On});
+    double PerSec[2];
+    for (bool Governor : {false, true}) {
+      PerSec[Governor] = runChurn(Threads, Governor, ChurnCycles);
+      Json.object()
+          .count("threads", Threads)
+          .flag("governor", Governor)
+          .num("cycles_per_sec", PerSec[Governor], 2)
+          .end();
+    }
+    std::printf("%7u %16.0f %16.0f\n", Threads, PerSec[0], PerSec[1]);
   }
+  Json.end();
 
-  if (JsonPath)
-    writeJson(JsonPath, Iters, FullChecks, DegradedChecks, Churn);
+  if (JsonPath && !Json.write(JsonPath, "service_throughput"))
+    return 1;
   if (TracePath || MetricsPath)
     runObserved(TracePath, MetricsPath, Iters);
 

@@ -99,7 +99,7 @@ public:
     }
   }
 
-  void cast(const CastInfo &Info) override {} // Not instrumented.
+  void cast(const CastInfo &) override {} // Not instrumented.
 
 private:
   struct BlockInfo {
@@ -161,7 +161,7 @@ public:
     return Allocation{P, ++NextToken};
   }
 
-  void deallocate(void *Ptr) override {
+  void deallocate(void *) override {
     // Bounds metadata persists after free (these tools are not
     // temporal); the memory itself is kept so scenarios stay valid.
   }
@@ -184,7 +184,7 @@ public:
       flagError();
   }
 
-  void cast(const CastInfo &Info) override {} // Not instrumented.
+  void cast(const CastInfo &) override {} // Not instrumented.
 
 private:
   size_t paddedSize(size_t Size) const {

@@ -63,7 +63,7 @@ public:
       flagError();
   }
 
-  void cast(const CastInfo &Info) override {} // Not instrumented.
+  void cast(const CastInfo &) override {} // Not instrumented.
 
 protected:
   std::unordered_set<uint64_t> LiveKeys;

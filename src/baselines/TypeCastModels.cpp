@@ -80,12 +80,12 @@ public:
     return Allocation{P, ++NextToken};
   }
 
-  void deallocate(void *Ptr) override {
+  void deallocate(void *) override {
     // These tools keep their type metadata until reallocation; freeing
     // is not instrumented.
   }
 
-  void access(const AccessInfo &Info) override {} // Not instrumented.
+  void access(const AccessInfo &) override {} // Not instrumented.
 
   void cast(const CastInfo &Info) override {
     if (!shouldCheck(Info))

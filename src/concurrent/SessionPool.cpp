@@ -7,6 +7,7 @@
 #include "concurrent/SessionPool.h"
 
 #include "obs/Trace.h"
+#include "support/UniqueStamp.h"
 
 #include <algorithm>
 #include <thread>
@@ -14,13 +15,6 @@
 
 using namespace effective;
 using namespace effective::concurrent;
-
-/// Monotone stamp distinguishing pool instances that reuse an address
-/// (see SessionPool::Epoch).
-static uint64_t nextPoolEpoch() {
-  static std::atomic<uint64_t> Counter{0};
-  return Counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
 
 bool SessionPool::enqueueToRing(const ErrorInfo &Info, void *UserData) {
   auto *S = static_cast<RingSink *>(UserData);
@@ -57,7 +51,7 @@ SessionPool::SessionPool(const PoolOptions &Options)
       Central(Options.Reporter),
       Sink{&Ring, &Central, Options.RingRetryAttempts,
            Options.DropOnRingFull},
-      Epoch(nextPoolEpoch()) {
+      Epoch(nextUniqueStamp()) {
   // Shard runtimes never emit through their own reporter: every event
   // is intercepted lock-free and funneled to the central drain.
   RuntimeOptions RTOpts;
@@ -83,7 +77,7 @@ SessionPool::SessionPool(TypeContext &SharedTypes,
       Central(Options.Reporter),
       Sink{&Ring, &Central, Options.RingRetryAttempts,
            Options.DropOnRingFull},
-      Epoch(nextPoolEpoch()) {
+      Epoch(nextUniqueStamp()) {
   RuntimeOptions RTOpts;
   RTOpts.Reporter.Mode = ReportMode::Count;
   RTOpts.Reporter.Stream = nullptr;

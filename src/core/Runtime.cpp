@@ -9,6 +9,7 @@
 #include "core/Layout.h"
 #include "obs/Metrics.h"
 #include "resilience/Fault.h"
+#include "support/UniqueStamp.h"
 
 #include <cassert>
 #include <cstring>
@@ -17,17 +18,10 @@
 
 using namespace effective;
 
-/// Monotone stamp distinguishing runtime instances that reuse an
-/// address (see Runtime::Epoch).
-static uint64_t nextRuntimeEpoch() {
-  static std::atomic<uint64_t> Counter{0};
-  return Counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
 Runtime::Runtime(TypeContext &Ctx, const RuntimeOptions &Options)
     : Ctx(Ctx),
       OwnedHeap(std::make_unique<lowfat::LowFatHeap>(Options.Heap)),
-      Heap(*OwnedHeap), Shard(0), Epoch(nextRuntimeEpoch()),
+      Heap(*OwnedHeap), Shard(0), Epoch(nextUniqueStamp()),
       Globals(Heap, Shard), Reporter(Options.Reporter),
       StackQuarantineBytes(Options.StackQuarantineBytes),
       VoidPtrType(Ctx.getPointer(Ctx.getVoid())),
@@ -40,7 +34,7 @@ Runtime::Runtime(TypeContext &Ctx, const RuntimeOptions &Options)
 Runtime::Runtime(TypeContext &Ctx, lowfat::LowFatHeap &SharedHeap,
                  unsigned Shard, const RuntimeOptions &Options)
     : Ctx(Ctx), Heap(SharedHeap), Shard(Shard),
-      Epoch(nextRuntimeEpoch()), Globals(Heap, Shard),
+      Epoch(nextUniqueStamp()), Globals(Heap, Shard),
       Reporter(Options.Reporter),
       StackQuarantineBytes(Options.StackQuarantineBytes),
       VoidPtrType(Ctx.getPointer(Ctx.getVoid())),
@@ -193,7 +187,7 @@ void Runtime::reset() {
   // New epoch: every thread's cached stack pool for this runtime is
   // abandoned on next use instead of replaying pointers into the
   // recycled arena.
-  Epoch = nextRuntimeEpoch();
+  Epoch = nextUniqueStamp();
   // Hot-site counts name the previous tenant's sites; start fresh.
   Prof.reset();
 }

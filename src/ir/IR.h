@@ -33,8 +33,8 @@
 #include "core/SiteTable.h"
 #include "core/TypeContext.h"
 #include "support/Diagnostics.h"
+#include "support/UniqueStamp.h"
 
-#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -339,15 +339,10 @@ public:
   std::vector<std::string> Strings;
 
 private:
-  static uint64_t nextUid() {
-    static std::atomic<uint64_t> Counter{0};
-    return Counter.fetch_add(1, std::memory_order_relaxed) + 1;
-  }
-
   TypeContext *Types;
   uint32_t NumCheckSites = 0;
   SiteTable Sites{/*File=*/"<minic>", /*Entries=*/{}};
-  uint64_t Uid = nextUid();
+  uint64_t Uid = nextUniqueStamp();
 };
 
 } // namespace ir

@@ -9,6 +9,7 @@
 #include "obs/Trace.h"
 #include "resilience/Fault.h"
 #include "support/Compiler.h"
+#include "support/UniqueStamp.h"
 
 #include <bit>
 #include <cassert>
@@ -68,11 +69,6 @@ std::mutex &heapRegistryLock() {
 std::unordered_map<const void *, uint64_t> &liveHeapRegistry() {
   static auto *Map = new std::unordered_map<const void *, uint64_t>;
   return *Map;
-}
-
-uint64_t nextHeapStamp() {
-  static std::atomic<uint64_t> Counter{0};
-  return Counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
 /// One-entry hot cache of the most recent (heap -> thread cache)
@@ -207,7 +203,7 @@ LowFatHeap::LowFatHeap(const HeapOptions &Options) {
   MagSize = Options.MagazineSize > MaxMagazineSize ? MaxMagazineSize
                                                    : Options.MagazineSize;
   WorkStealing = Options.EnableWorkStealing;
-  Stamp = nextHeapStamp();
+  Stamp = nextUniqueStamp();
 
   // Reserve the arena; retry with smaller regions if the reservation is
   // refused. MAP_NORESERVE keeps untouched pages free of charge. With

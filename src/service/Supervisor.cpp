@@ -10,6 +10,7 @@
 #include "lowfat/SizeClass.h"
 #include "obs/Trace.h"
 #include "resilience/Fault.h"
+#include "support/StringUtils.h"
 
 #include <cassert>
 #include <chrono>
@@ -715,35 +716,6 @@ static const char *reasonName(EvictReason R) {
   return "?";
 }
 
-static void appendJsonString(std::string &Out, const std::string &S) {
-  Out += '"';
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  Out += '"';
-}
-
 static void appendField(std::string &Out, const char *Key, uint64_t V,
                         bool Comma = true) {
   char Buf[96];
@@ -786,8 +758,7 @@ std::string Supervisor::snapshotJson() {
     if (!First)
       Out += ',';
     First = false;
-    Out += "{\"name\":";
-    appendJsonString(Out, Snap.Name);
+    Out += "{\"name\":\"" + jsonEscape(Snap.Name) + '"';
     appendField(Out, "shard", Snap.Shard);
     Out += ",\"status\":\"";
     Out += statusName(Snap.Status);

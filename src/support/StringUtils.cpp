@@ -57,3 +57,20 @@ std::string effective::formatBytes(uint64_t Bytes) {
     return formatString("%llu B", (unsigned long long)Bytes);
   return formatString("%.1f %s", Value, Units[Unit]);
 }
+
+std::string effective::jsonEscape(std::string_view S) {
+  std::string Out;
+  for (char C : S) {
+    if (C == '"' || C == '\\')
+      Out.append(1, '\\').append(1, C);
+    else if (C == '\n')
+      Out += "\\n";
+    else if (C == '\t')
+      Out += "\\t";
+    else if (static_cast<unsigned char>(C) < 0x20)
+      Out += formatString("\\u%04x", static_cast<unsigned>(C));
+    else
+      Out += C;
+  }
+  return Out;
+}

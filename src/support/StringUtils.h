@@ -6,8 +6,8 @@
 ///
 /// \file
 /// Small string helpers used by diagnostics, the IR printer and the
-/// benchmark tables: printf-style formatting into std::string and
-/// human-readable number rendering.
+/// benchmark tables: printf-style formatting into std::string,
+/// human-readable number rendering, and JSON string escaping.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,6 +33,10 @@ std::string withThousandsSep(uint64_t Value);
 
 /// Renders a byte count as "1.5 KB" / "3.2 MB" / ...
 std::string formatBytes(uint64_t Bytes);
+
+/// \p S with the characters a JSON string may not hold raw escaped
+/// (quote, backslash, newline and tab by name, other controls as \uXXXX).
+std::string jsonEscape(std::string_view S);
 
 /// Returns true if \p S starts with \p Prefix.
 inline bool startsWith(std::string_view S, std::string_view Prefix) {
