@@ -12,8 +12,8 @@
 ///  * alloc+check — per iteration: one typed malloc/free pair, one
 ///    type_check, eight bounds_checks (roughly the paper's dynamic
 ///    check densities). The shared session serializes allocation on one
-///    size-class lock and ping-pongs one counter cache line; the pool
-///    gives every thread its own sub-arena and counter block.
+///    size-class lock (check counters are per-thread blocks in both
+///    configurations); the pool gives every thread its own sub-arena.
 ///
 ///  * report — per iteration: one out-of-bounds error event (counting
 ///    mode). The shared session takes the reporter mutex per event; the

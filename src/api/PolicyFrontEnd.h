@@ -34,15 +34,15 @@
 namespace effective {
 
 /// One policy's check entry points. All functions are stateless — the
-/// session passes its runtime explicitly — so the five tables are
-/// immutable process-wide constants.
+/// session passes the calling thread's check context, which names its
+/// runtime — so the five tables are immutable process-wide constants.
 struct CheckDispatch {
-  Bounds (*TypeCheck)(Runtime &RT, const void *Ptr,
+  Bounds (*TypeCheck)(CheckContext &CC, const void *Ptr,
                       const TypeInfo *StaticType, SiteId Site);
-  Bounds (*BoundsGet)(Runtime &RT, const void *Ptr, SiteId Site);
-  void (*BoundsCheck)(Runtime &RT, const void *Ptr, size_t Size, Bounds B,
-                      SiteId Site);
-  Bounds (*BoundsNarrow)(Runtime &RT, Bounds B, const void *Field,
+  Bounds (*BoundsGet)(CheckContext &CC, const void *Ptr, SiteId Site);
+  void (*BoundsCheck)(CheckContext &CC, const void *Ptr, size_t Size,
+                      Bounds B, SiteId Site);
+  Bounds (*BoundsNarrow)(CheckContext &CC, Bounds B, const void *Field,
                          size_t Size);
 };
 

@@ -19,48 +19,48 @@ namespace {
 /// arm the old per-check switch would have selected — no runtime
 /// branching on the policy remains anywhere in a check.
 template <CheckPolicy P> struct FrontEnd {
-  static Bounds typeCheck(Runtime &RT, const void *Ptr,
+  static Bounds typeCheck(CheckContext &CC, const void *Ptr,
                           const TypeInfo *StaticType, SiteId Site) {
     if constexpr (P == CheckPolicy::Full || P == CheckPolicy::TypeOnly) {
-      return RT.typeCheck(Ptr, StaticType, Site);
+      return CC.RT->typeCheck(CC, Ptr, StaticType, Site);
     } else if constexpr (P == CheckPolicy::BoundsOnly) {
       // Section 6.2: the -bounds variant replaces type_check by
       // bounds_get.
-      return RT.boundsGet(Ptr, Site);
+      return CC.RT->boundsGet(CC, Ptr, Site);
     } else if constexpr (P == CheckPolicy::CountOnly) {
-      CheckCounters::bump(RT.counters().TypeChecks);
+      CheckContext::bump(CC.TypeChecks);
       return Bounds::wide();
     } else {
       return Bounds::wide();
     }
   }
 
-  static Bounds boundsGet(Runtime &RT, const void *Ptr, SiteId Site) {
+  static Bounds boundsGet(CheckContext &CC, const void *Ptr, SiteId Site) {
     if constexpr (P == CheckPolicy::Full || P == CheckPolicy::BoundsOnly) {
-      return RT.boundsGet(Ptr, Site);
+      return CC.RT->boundsGet(CC, Ptr, Site);
     } else if constexpr (P == CheckPolicy::CountOnly) {
-      CheckCounters::bump(RT.counters().BoundsGets);
+      CheckContext::bump(CC.BoundsGets);
       return Bounds::wide();
     } else {
       return Bounds::wide();
     }
   }
 
-  static void boundsCheck(Runtime &RT, const void *Ptr, size_t Size,
+  static void boundsCheck(CheckContext &CC, const void *Ptr, size_t Size,
                           Bounds B, SiteId Site) {
     if constexpr (P == CheckPolicy::Full || P == CheckPolicy::BoundsOnly) {
-      RT.boundsCheck(Ptr, Size, B, Site);
+      Runtime::boundsCheck(CC, Ptr, Size, B, Site);
     } else if constexpr (P == CheckPolicy::CountOnly) {
-      CheckCounters::bump(RT.counters().BoundsChecks);
+      CheckContext::bump(CC.BoundsChecks);
     }
   }
 
-  static Bounds boundsNarrow(Runtime &RT, Bounds B, const void *Field,
+  static Bounds boundsNarrow(CheckContext &CC, Bounds B, const void *Field,
                              size_t Size) {
     if constexpr (P == CheckPolicy::Full) {
-      return RT.boundsNarrow(B, Field, Size);
+      return Runtime::boundsNarrow(CC, B, Field, Size);
     } else if constexpr (P == CheckPolicy::CountOnly) {
-      CheckCounters::bump(RT.counters().BoundsNarrows);
+      CheckContext::bump(CC.BoundsNarrows);
       return B;
     } else {
       // BoundsOnly "protects object bounds only": rule-(e) narrowing

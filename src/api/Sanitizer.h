@@ -140,26 +140,45 @@ public:
   /// Runtime::typeCheck for the inline-cache contract).
   Bounds typeCheck(const void *Ptr, const TypeInfo *StaticType,
                    SiteId Site) {
-    return dispatch().TypeCheck(*RT, Ptr, StaticType, Site);
+    return typeCheck(RT->threadContext(), Ptr, StaticType, Site);
   }
 
   /// type_check at the static type's pseudo-site.
   Bounds typeCheck(const void *Ptr, const TypeInfo *StaticType) {
-    return dispatch().TypeCheck(*RT, Ptr, StaticType,
-                                siteForType(StaticType));
+    return typeCheck(Ptr, StaticType, siteForType(StaticType));
   }
 
   Bounds boundsGet(const void *Ptr, SiteId Site = NoSite) {
-    return dispatch().BoundsGet(*RT, Ptr, Site);
+    return boundsGet(RT->threadContext(), Ptr, Site);
   }
 
   void boundsCheck(const void *Ptr, size_t Size, Bounds B,
                    SiteId Site = NoSite) {
-    dispatch().BoundsCheck(*RT, Ptr, Size, B, Site);
+    boundsCheck(RT->threadContext(), Ptr, Size, B, Site);
   }
 
   Bounds boundsNarrow(Bounds B, const void *Field, size_t Size) {
-    return dispatch().BoundsNarrow(*RT, B, Field, Size);
+    return boundsNarrow(RT->threadContext(), B, Field, Size);
+  }
+
+  /// The same checks counted into \p CC, the calling thread's context
+  /// of this session's runtime (runtime().threadContext()), resolved
+  /// once by callers that check in a loop — the interpreter and the VM
+  /// resolve it once per run.
+  Bounds typeCheck(CheckContext &CC, const void *Ptr,
+                   const TypeInfo *StaticType, SiteId Site) {
+    return dispatch().TypeCheck(CC, Ptr, StaticType, Site);
+  }
+  Bounds boundsGet(CheckContext &CC, const void *Ptr, SiteId Site) {
+    return dispatch().BoundsGet(CC, Ptr, Site);
+  }
+  void boundsCheck(CheckContext &CC, const void *Ptr, size_t Size, Bounds B,
+                   SiteId Site) {
+    dispatch().BoundsCheck(CC, Ptr, Size, B, Site);
+  }
+  Bounds boundsNarrow(CheckContext &CC, Bounds B, const void *Field,
+                      size_t Size) {
+    return dispatch().BoundsNarrow(CC, B, Field, Size);
   }
   /// @}
 

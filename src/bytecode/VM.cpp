@@ -98,7 +98,8 @@ class VM {
 public:
   VM(const Program &Prog, Runtime &RT, const RunOptions &Opts,
      Sanitizer *Session = nullptr)
-      : Prog(Prog), RT(RT), Session(Session), Opts(Opts), Guard(RT) {}
+      : Prog(Prog), RT(RT), CC(RT.threadContext()), Session(Session),
+        Opts(Opts), Guard(RT) {}
 
   RunResult run(std::string_view Entry) {
     RunResult R;
@@ -168,23 +169,24 @@ private:
   }
   Bounds vmTypeCheck(const void *P, const TypeInfo *Type, SiteId Site) {
     Site = Site == NoSite ? siteForType(Type) : rebase(Site);
-    return Session ? Session->typeCheck(P, Type, Site)
-                   : RT.typeCheck(P, Type, Site);
+    return Session ? Session->typeCheck(CC, P, Type, Site)
+                   : RT.typeCheck(CC, P, Type, Site);
   }
   Bounds vmBoundsGet(const void *P, SiteId Site) {
     Site = rebase(Site);
-    return Session ? Session->boundsGet(P, Site) : RT.boundsGet(P, Site);
+    return Session ? Session->boundsGet(CC, P, Site)
+                   : RT.boundsGet(CC, P, Site);
   }
   void vmBoundsCheck(const void *P, size_t Size, Bounds B, SiteId Site) {
     Site = rebase(Site);
     if (Session)
-      Session->boundsCheck(P, Size, B, Site);
+      Session->boundsCheck(CC, P, Size, B, Site);
     else
-      RT.boundsCheck(P, Size, B, Site);
+      RT.boundsCheck(CC, P, Size, B, Site);
   }
   Bounds vmBoundsNarrow(Bounds B, const void *Field, size_t Size) {
-    return Session ? Session->boundsNarrow(B, Field, Size)
-                   : RT.boundsNarrow(B, Field, Size);
+    return Session ? Session->boundsNarrow(CC, B, Field, Size)
+                   : Runtime::boundsNarrow(CC, B, Field, Size);
   }
 
   //===--------------------------------------------------------------------===//
@@ -245,6 +247,8 @@ private:
 
   const Program &Prog;
   Runtime &RT;
+  /// The running thread's check context, resolved once per run.
+  CheckContext &CC;
   Sanitizer *Session;
   const RunOptions &Opts;
   SiteId SiteBase = NoSite;

@@ -37,51 +37,32 @@
 namespace effective {
 
 /// \name Current-runtime binding.
-/// CheckedPtr operations report through the thread's current runtime.
-/// Resolution order: the thread-local binding (RuntimeScope /
-/// SanitizerScope), then the injected process default
-/// (setDefaultRuntime — how a test or embedder swaps the fallback for a
-/// private instance), then Runtime::global().
+/// CheckedPtr operations count into and report through the thread's
+/// current check context (core/Runtime.h): the one a RuntimeScope /
+/// SanitizerScope bound, else the fallback runtime's.
 /// @{
-inline Runtime *&currentRuntimeSlot() {
-  thread_local Runtime *Slot = nullptr;
-  return Slot;
-}
-
-/// The injected process-wide fallback (null = Runtime::global()).
-inline std::atomic<Runtime *> &defaultRuntimeSlot() {
-  static std::atomic<Runtime *> Slot{nullptr};
-  return Slot;
-}
-
-/// Injects \p RT as the process-wide fallback runtime for threads with
-/// no scope binding; pass null to restore Runtime::global(). Returns
-/// the previous injection.
-inline Runtime *setDefaultRuntime(Runtime *RT) {
-  return defaultRuntimeSlot().exchange(RT, std::memory_order_acq_rel);
-}
-
 inline Runtime &currentRuntime() {
-  if (Runtime *RT = currentRuntimeSlot())
-    return *RT;
+  if (CheckContext *C = currentContextSlot())
+    return *C->RT;
   if (Runtime *RT = defaultRuntimeSlot().load(std::memory_order_acquire))
     return *RT;
   return Runtime::global();
 }
 
-/// RAII binder for the current runtime.
+/// RAII binder for the current runtime: publishes the thread's block of
+/// \p RT in the context slot.
 class RuntimeScope {
 public:
-  explicit RuntimeScope(Runtime &RT) : Saved(currentRuntimeSlot()) {
-    currentRuntimeSlot() = &RT;
+  explicit RuntimeScope(Runtime &RT) : Saved(currentContextSlot()) {
+    currentContextSlot() = &RT.threadContext();
   }
-  ~RuntimeScope() { currentRuntimeSlot() = Saved; }
+  ~RuntimeScope() { currentContextSlot() = Saved; }
 
   RuntimeScope(const RuntimeScope &) = delete;
   RuntimeScope &operator=(const RuntimeScope &) = delete;
 
 private:
-  Runtime *Saved;
+  CheckContext *Saved;
 };
 /// @}
 
@@ -131,21 +112,33 @@ public:
   /// return, or pointer loaded from memory. Runs type_check (full) /
   /// bounds_get (bounds-only).
   static CheckedPtr input(T *Ptr, Runtime &RT) {
+    if constexpr (Policy::CheckInputs)
+      return input(Ptr, RT.threadContext());
+    else
+      return withBounds(Ptr, BoundsT::wide());
+  }
+
+  /// Input event counted into \p CC and checked against its runtime.
+  static CheckedPtr input(T *Ptr, CheckContext &CC) {
     CheckedPtr P;
     P.Raw = Ptr;
     if constexpr (Policy::CheckInputs && Policy::CheckCasts) {
       if (Ptr)
-        P.B = RT.typeCheck(
-            Ptr, TypeOf<std::remove_cv_t<T>>::get(RT.typeContext()));
+        P.B = typeCheck(CC, Ptr);
     } else if constexpr (Policy::CheckInputs) {
       if (Ptr)
-        P.B = RT.boundsGet(Ptr);
+        P.B = CC.RT->boundsGet(CC, Ptr);
     }
     return P;
   }
 
   /// Input event against the thread's current runtime.
-  static CheckedPtr input(T *Ptr) { return input(Ptr, currentRuntime()); }
+  static CheckedPtr input(T *Ptr) {
+    if constexpr (Policy::CheckInputs)
+      return input(Ptr, currentContext());
+    else
+      return withBounds(Ptr, BoundsT::wide());
+  }
 
   /// Cast event (Figure 3 rule (d)): (T *)q for a source pointer of a
   /// different static type. Under TypePolicy this is the only
@@ -157,25 +150,35 @@ public:
 
   /// Cast event from a raw pointer against an explicit runtime.
   static CheckedPtr fromCast(T *Ptr, Runtime &RT) {
+    if constexpr (Policy::CheckCasts || Policy::CheckInputs)
+      return fromCast(Ptr, RT.threadContext());
+    else
+      return withBounds(Ptr, BoundsT::wide());
+  }
+
+  /// Cast event counted into \p CC and checked against its runtime.
+  static CheckedPtr fromCast(T *Ptr, CheckContext &CC) {
     CheckedPtr P;
     P.Raw = Ptr;
     if constexpr (Policy::CheckCasts) {
       Bounds Checked = Bounds::wide();
       if (Ptr)
-        Checked = RT.typeCheck(
-            Ptr, TypeOf<std::remove_cv_t<T>>::get(RT.typeContext()));
+        Checked = typeCheck(CC, Ptr);
       if constexpr (Policy::StoresBounds)
         P.B = Checked;
     } else if constexpr (Policy::CheckInputs) {
       if (Ptr)
-        P.B = RT.boundsGet(Ptr);
+        P.B = CC.RT->boundsGet(CC, Ptr);
     }
     return P;
   }
 
   /// Cast event against the thread's current runtime.
   static CheckedPtr fromCast(T *Ptr) {
-    return fromCast(Ptr, currentRuntime());
+    if constexpr (Policy::CheckCasts || Policy::CheckInputs)
+      return fromCast(Ptr, currentContext());
+    else
+      return withBounds(Ptr, BoundsT::wide());
   }
 
   /// Wraps a pointer with explicitly known bounds (used by field
@@ -188,18 +191,21 @@ public:
   }
 
   /// \name Dereference (rule (g): bounds_check before use).
+  /// Always inlined, as a compiler pass inlines the check it inserts:
+  /// left to the inliner's size heuristics, a recursive kernel can end
+  /// up calling a dereference per access.
   /// @{
-  T &operator*() const {
+  EFFSAN_ALWAYS_INLINE T &operator*() const {
     check(Raw, sizeof(T));
     return *Raw;
   }
 
-  T *operator->() const {
+  EFFSAN_ALWAYS_INLINE T *operator->() const {
     check(Raw, sizeof(T));
     return Raw;
   }
 
-  T &operator[](ptrdiff_t Index) const {
+  EFFSAN_ALWAYS_INLINE T &operator[](ptrdiff_t Index) const {
     T *P = Raw + Index;
     check(P, sizeof(T));
     return *P;
@@ -207,7 +213,7 @@ public:
 
   /// Reads through the pointer with an explicit access size (sub-word
   /// accesses).
-  T &at(ptrdiff_t Index, size_t AccessSize) const {
+  EFFSAN_ALWAYS_INLINE T &at(ptrdiff_t Index, size_t AccessSize) const {
     T *P = Raw + Index;
     check(P, AccessSize);
     return *P;
@@ -264,8 +270,7 @@ public:
   /// Escape event (rule (g)): the pointer is stored to memory or passed
   /// to uninstrumented code; its value must be in bounds.
   T *escape() const {
-    if constexpr (Policy::CheckBounds)
-      currentRuntime().boundsCheck(Raw, 0, B);
+    check(Raw, 0);
     return Raw;
   }
 
@@ -285,14 +290,24 @@ public:
 private:
   template <typename, typename> friend class CheckedPtr;
 
+  /// type_check of \p Ptr against T at T's pseudo-site.
+  static Bounds typeCheck(CheckContext &CC, T *Ptr) {
+    const TypeInfo *Type =
+        TypeOf<std::remove_cv_t<T>>::get(CC.RT->typeContext());
+    return CC.RT->typeCheck(CC, Ptr, Type, siteForType(Type));
+  }
+
+  /// bounds_check through the current context: one TLS load and a bump
+  /// on the thread's own counter line; the runtime pointer is read only
+  /// on the failing path.
   EFFSAN_ALWAYS_INLINE void check(const void *P, size_t Size) const {
     if constexpr (Policy::CheckBounds)
-      currentRuntime().boundsCheck(P, Size, B);
+      Runtime::boundsCheck(currentContext(), P, Size, B);
   }
 
   BoundsT narrowed(const void *Field, size_t Size) const {
     if constexpr (Policy::NarrowFields)
-      return currentRuntime().boundsNarrow(B, Field, Size);
+      return Runtime::boundsNarrow(currentContext(), B, Field, Size);
     else if constexpr (Policy::StoresBounds)
       return B; // Rule (f)-style propagation: allocation bounds only.
     else

@@ -15,6 +15,8 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <vector>
 
 using namespace effective;
 
@@ -49,6 +51,135 @@ Runtime::Runtime(TypeContext &Ctx, lowfat::LowFatHeap &SharedHeap,
 Runtime &Runtime::global() {
   static Runtime RT(TypeContext::global());
   return RT;
+}
+
+//===----------------------------------------------------------------------===//
+// Per-thread check counters
+//===----------------------------------------------------------------------===//
+
+namespace {
+/// Blocks of destroyed runtimes, zeroed and free, for the next runtime
+/// to reuse. Never destroyed, so it outlives every static runtime.
+struct BlockPool {
+  std::mutex Lock;
+  std::vector<CheckContext *> Free;
+
+  static BlockPool &get() {
+    static BlockPool *Pool = new BlockPool;
+    return *Pool;
+  }
+};
+
+/// The calling thread's token and the blocks it holds, freed for
+/// adoption when the thread exits. A block whose runtime died meanwhile
+/// went back to the pool and no longer carries the token, so the
+/// release leaves it alone.
+struct HeldBlocks {
+  uint64_t Token = nextUniqueStamp();
+  std::vector<CheckContext *> Blocks;
+
+  ~HeldBlocks() {
+    for (CheckContext *C : Blocks) {
+      uint64_t Mine = Token;
+      C->Owner.compare_exchange_strong(Mine, 0, std::memory_order_release,
+                                       std::memory_order_relaxed);
+    }
+  }
+};
+} // namespace
+
+CheckCounters::CheckCounters() : Stamp(nextUniqueStamp()) {}
+
+CheckCounters::~CheckCounters() {
+  reset();
+  BlockPool &Pool = BlockPool::get();
+  std::lock_guard<std::mutex> Guard(Pool.Lock);
+  for (CheckContext *C = Head.load(std::memory_order_acquire); C;
+       C = C->Next) {
+    C->Owner.store(0, std::memory_order_relaxed);
+    Pool.Free.push_back(C);
+  }
+}
+
+CheckCounters::Snapshot CheckCounters::snapshot() const {
+  Snapshot Sum;
+  for (const CheckContext *C = Head.load(std::memory_order_acquire); C;
+       C = C->Next) {
+    const CheckContext &In = *C;
+    Snapshot Out;
+    EFFSAN_CHECK_COUNTERS(EFFSAN_FIELD_LOAD)
+    Sum += Out;
+  }
+  return Sum;
+}
+
+void CheckCounters::reset() {
+  for (CheckContext *C = Head.load(std::memory_order_acquire); C;
+       C = C->Next) {
+    CheckContext &Out = *C;
+    EFFSAN_CHECK_COUNTERS(EFFSAN_FIELD_CLEAR)
+  }
+}
+
+size_t CheckCounters::numBlocks() const {
+  size_t N = 0;
+  for (const CheckContext *C = Head.load(std::memory_order_acquire); C;
+       C = C->Next)
+    ++N;
+  return N;
+}
+
+CheckContext &CheckCounters::lookup(Runtime &RT) {
+  thread_local HeldBlocks Held;
+  CheckContext *First = Head.load(std::memory_order_acquire);
+  CheckContext *Block = First;
+  while (Block &&
+         Block->Owner.load(std::memory_order_relaxed) != Held.Token)
+    Block = Block->Next;
+  if (Block) {
+    recentBlock() = {Stamp, Block};
+    return *Block;
+  }
+  // Adopt an exited thread's block: the acquire pairs with its release,
+  // so its last counts are in the block before this thread adds more.
+  for (CheckContext *C = First; !Block && C; C = C->Next) {
+    uint64_t Free = 0;
+    if (C->Owner.compare_exchange_strong(Free, Held.Token,
+                                         std::memory_order_acquire,
+                                         std::memory_order_relaxed))
+      Block = C;
+  }
+  if (!Block) {
+    {
+      BlockPool &Pool = BlockPool::get();
+      std::lock_guard<std::mutex> Guard(Pool.Lock);
+      if (!Pool.Free.empty()) {
+        Block = Pool.Free.back();
+        Pool.Free.pop_back();
+      }
+    }
+    if (!Block)
+      Block = new CheckContext;
+    Block->RT = &RT;
+    Block->Owner.store(Held.Token, std::memory_order_relaxed);
+    Block->Next = First;
+    while (!Head.compare_exchange_weak(Block->Next, Block,
+                                       std::memory_order_release,
+                                       std::memory_order_acquire)) {
+    }
+  }
+  // Forget blocks that dead runtimes took back, then hold this one.
+  std::erase_if(Held.Blocks, [&](const CheckContext *C) {
+    return C->Owner.load(std::memory_order_relaxed) != Held.Token;
+  });
+  Held.Blocks.push_back(Block);
+  recentBlock() = {Stamp, Block};
+  return *Block;
+}
+
+CheckContext &effective::unscopedContext() {
+  Runtime *RT = defaultRuntimeSlot().load(std::memory_order_acquire);
+  return (RT ? *RT : Runtime::global()).threadContext();
 }
 
 //===----------------------------------------------------------------------===//
@@ -401,9 +532,10 @@ Bounds Runtime::typeCheckImpl(const void *Ptr, const TypeInfo *StaticType,
   return Bounds::wide();
 }
 
-Bounds Runtime::typeCheckSlow(const void *Ptr, const TypeInfo *StaticType,
-                              SiteId Site, const MetaHeader *Meta) {
-  CheckCounters::bump(Counters.TypeCheckCacheMisses);
+Bounds Runtime::typeCheckSlow(CheckContext &CC, const void *Ptr,
+                              const TypeInfo *StaticType, SiteId Site,
+                              const MetaHeader *Meta) {
+  CheckContext::bump(CC.TypeCheckCacheMisses);
   if (EFFSAN_UNLIKELY(obs::profileActive()))
     Prof.noteMiss(Site);
   EFFSAN_OBS_EVENT(CheckSlowPath, Shard, Site);
@@ -412,20 +544,20 @@ Bounds Runtime::typeCheckSlow(const void *Ptr, const TypeInfo *StaticType,
   return typeCheckImpl(Ptr, StaticType, Meta, Fill, Site);
 }
 
-Bounds Runtime::typeCheckTimed(const void *Ptr, const TypeInfo *StaticType,
-                               SiteId Site) {
+Bounds Runtime::typeCheckTimed(CheckContext &CC, const void *Ptr,
+                               const TypeInfo *StaticType, SiteId Site) {
   // Classify the sampled check by whether it stayed on the inline-cache
   // hit path: any miss or legacy resolution bumps one of these two
-  // counters. Same-thread reads of the relaxed counters see the bump.
+  // counters of the thread's own block.
   uint64_t SlowBefore =
-      Counters.TypeCheckCacheMisses.load(std::memory_order_relaxed) +
-      Counters.LegacyTypeChecks.load(std::memory_order_relaxed);
+      CC.TypeCheckCacheMisses.load(std::memory_order_relaxed) +
+      CC.LegacyTypeChecks.load(std::memory_order_relaxed);
   uint64_t Start = obs::now();
-  Bounds B = typeCheckBody(Ptr, StaticType, Site);
+  Bounds B = typeCheckBody(CC, Ptr, StaticType, Site);
   uint64_t Ticks = obs::now() - Start;
   uint64_t SlowAfter =
-      Counters.TypeCheckCacheMisses.load(std::memory_order_relaxed) +
-      Counters.LegacyTypeChecks.load(std::memory_order_relaxed);
+      CC.TypeCheckCacheMisses.load(std::memory_order_relaxed) +
+      CC.LegacyTypeChecks.load(std::memory_order_relaxed);
   if (SlowAfter != SlowBefore)
     obs::checkSlowLatency().observe(Ticks);
   else
@@ -435,10 +567,11 @@ Bounds Runtime::typeCheckTimed(const void *Ptr, const TypeInfo *StaticType,
 
 Bounds Runtime::typeCheckUncached(const void *Ptr,
                                   const TypeInfo *StaticType) {
-  CheckCounters::bump(Counters.TypeChecks);
+  CheckContext &CC = threadContext();
+  CheckContext::bump(CC.TypeChecks);
   void *Base = Heap.allocationBase(Ptr);
   if (!Base) {
-    CheckCounters::bump(Counters.LegacyTypeChecks);
+    CheckContext::bump(CC.LegacyTypeChecks);
     return Bounds::wide();
   }
   return typeCheckImpl(Ptr, StaticType,
@@ -446,8 +579,9 @@ Bounds Runtime::typeCheckUncached(const void *Ptr,
                        /*Fill=*/nullptr, siteForType(StaticType));
 }
 
-Bounds Runtime::boundsGet(const void *Ptr, SiteId Site) {
-  CheckCounters::bump(Counters.BoundsGets);
+Bounds Runtime::boundsGet(CheckContext &CC, const void *Ptr, SiteId Site) {
+  assert(CC.RT == this && "check context of another runtime");
+  CheckContext::bump(CC.BoundsGets);
   const MetaHeader *Meta = metaOf(Ptr);
   if (!Meta || !Meta->Type)
     return Bounds::wide();
@@ -464,8 +598,9 @@ Bounds Runtime::boundsGet(const void *Ptr, SiteId Site) {
   return Bounds::forObject(Meta + 1, Meta->Size);
 }
 
-void Runtime::boundsCheckFail(const void *Ptr, size_t, Bounds B,
-                              SiteId Site) {
+void Runtime::boundsCheckFail(CheckContext &CC, const void *Ptr, size_t,
+                              Bounds B, SiteId Site) {
+  Runtime &RT = *CC.RT;
   // Attribute the failure to the object the *bounds* came from, not to
   // whatever allocation the stray pointer happens to land in: B.Lo is
   // inside (a sub-object of) the checked object, so its META names the
@@ -474,24 +609,26 @@ void Runtime::boundsCheckFail(const void *Ptr, size_t, Bounds B,
   // arena's stale) header — a nondeterministic misattribution. Wide
   // bounds carry no originating object; only then probe the pointer.
   const MetaHeader *Meta =
-      B.isWide() ? metaOf(Ptr)
-                 : metaOf(reinterpret_cast<const void *>(B.Lo));
+      B.isWide() ? RT.metaOf(Ptr)
+                 : RT.metaOf(reinterpret_cast<const void *>(B.Lo));
   const TypeInfo *Alloc = Meta ? Meta->Type : nullptr;
   int64_t Offset = 0;
   if (Meta)
     Offset = static_cast<int64_t>(reinterpret_cast<uintptr_t>(Ptr)) -
              static_cast<int64_t>(reinterpret_cast<uintptr_t>(Meta + 1));
-  const SiteInfo *Where = Sites.resolve(Site);
+  const SiteInfo *Where = RT.Sites.resolve(Site);
   if (Alloc && Alloc->isFree()) {
     bool Stack = Alloc->isStackFree();
-    Reporter.report(ErrorInfo{Stack ? ErrorKind::StackUseAfterReturn
-                                    : ErrorKind::UseAfterFree,
-                              nullptr, Alloc, Offset, Ptr,
-                              Stack ? "access to stack object after frame return"
-                                    : "access to freed object",
-                              Site, Where});
+    RT.Reporter.report(
+        ErrorInfo{Stack ? ErrorKind::StackUseAfterReturn
+                        : ErrorKind::UseAfterFree,
+                  nullptr, Alloc, Offset, Ptr,
+                  Stack ? "access to stack object after frame return"
+                        : "access to freed object",
+                  Site, Where});
     return;
   }
-  Reporter.report(ErrorInfo{ErrorKind::BoundsError, nullptr, Alloc, Offset,
-                            Ptr, "out-of-bounds access", Site, Where});
+  RT.Reporter.report(ErrorInfo{ErrorKind::BoundsError, nullptr, Alloc,
+                               Offset, Ptr, "out-of-bounds access", Site,
+                               Where});
 }

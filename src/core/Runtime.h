@@ -43,6 +43,8 @@
 #include "support/FieldTable.h"
 
 #include <atomic>
+#include <cassert>
+#include <cstddef>
 #include <memory>
 
 namespace effective {
@@ -75,30 +77,58 @@ namespace effective {
   X(TypeCheckCacheMisses, type_check_cache_misses, 0, 6,                       \
     "effsan_check_cache_misses_total", "", "Type-check inline-cache misses")
 
-/// Dynamic check counters (the paper's Figure 7 "#Type" and "#Bounds"
-/// columns, plus the Section 6.1 legacy-pointer ratio). Relaxed atomics;
-/// negligible overhead on the benchmark machines this targets.
-struct CheckCounters {
+class Runtime;
+
+/// One thread's check counters for one runtime: the paper's Figure 7
+/// "#Type" and "#Bounds" columns plus the Section 6.1 legacy-pointer
+/// ratio, counted by the only thread that owns this block. The counters
+/// fill the first cache line together with the runtime they belong to,
+/// so a check resolves the runtime and bumps its counter on one line no
+/// other thread writes.
+struct alignas(64) CheckContext {
   EFFSAN_CHECK_COUNTERS(EFFSAN_FIELD_ATOMIC)
+  /// The runtime this block counts for (and reports through).
+  Runtime *RT = nullptr;
+  /// The owning thread's token, 0 while the block is free. A thread
+  /// frees its blocks when it exits; a later thread of the same
+  /// runtime adopts one, counts included (see CheckCounters::lookup).
+  std::atomic<uint64_t> Owner{0};
+  /// Next block of the runtime's list; immutable while on the list.
+  CheckContext *Next = nullptr;
 
-  /// Statistical increment: a relaxed non-RMW load+store instead of an
-  /// atomic RMW. bounds_check sits on every memory access, and a lock-
-  /// prefixed xadd there dominates the whole check (Figure 8 timings);
-  /// a plain add keeps it at a couple of cycles. Under concurrent
-  /// mutators an update can be lost, which only skews the statistics
-  /// by a negligible amount (error *detection* never depends on the
-  /// counters).
-  static EFFSAN_ALWAYS_INLINE void bump(std::atomic<uint64_t> &C) {
-    C.store(C.load(std::memory_order_relaxed) + 1,
-            std::memory_order_relaxed);
+  /// One increment by the block's owning thread: a relaxed load and
+  /// store instead of a lock-prefixed RMW, which would dominate a
+  /// bounds check. It is exact because no other thread writes the
+  /// block; snapshots only read it. Returns the count before the
+  /// increment, which the samplers decimate on.
+  static EFFSAN_ALWAYS_INLINE uint64_t bump(std::atomic<uint64_t> &C) {
+    uint64_t N = C.load(std::memory_order_relaxed);
+    C.store(N + 1, std::memory_order_relaxed);
+    return N;
   }
+};
 
+static_assert(offsetof(CheckContext, RT) + sizeof(Runtime *) <= 64,
+              "a check resolves its runtime and bumps on one cache line");
+
+/// A runtime's dynamic check counters: one CheckContext per thread
+/// checking through the runtime, kept on an append-only lock-free list.
+/// snapshot() and reset() walk the list, so counts from threads that
+/// have exited stay until reset(). An exited thread's block is adopted
+/// by the runtime's next new thread, so the list is as long as the most
+/// threads that ever used the runtime at once. Blocks are never freed:
+/// a destroyed runtime returns its blocks to a process-wide pool, so a
+/// thread may release a block at exit without knowing whether the
+/// runtime still lives.
+class CheckCounters {
+public:
   /// Plain-value snapshot.
   struct Snapshot {
     EFFSAN_CHECK_COUNTERS(EFFSAN_FIELD_U64)
 
-    /// Field-wise accumulation — how the session pool and the
-    /// multi-threaded harness merge per-shard counters.
+    /// Field-wise accumulation — how snapshot() merges the per-thread
+    /// blocks, and how the session pool and the multi-threaded harness
+    /// merge per-shard counters.
     Snapshot &operator+=(const Snapshot &In) {
       Snapshot &Out = *this;
       EFFSAN_CHECK_COUNTERS(EFFSAN_FIELD_ADD)
@@ -111,18 +141,89 @@ struct CheckCounters {
     }
   };
 
-  Snapshot snapshot() const {
-    const CheckCounters &In = *this;
-    Snapshot Out;
-    EFFSAN_CHECK_COUNTERS(EFFSAN_FIELD_LOAD)
-    return Out;
+  CheckCounters();
+  ~CheckCounters();
+  CheckCounters(const CheckCounters &) = delete;
+  CheckCounters &operator=(const CheckCounters &) = delete;
+
+  /// The sum over every thread's block.
+  Snapshot snapshot() const;
+
+  /// Zeroes every block. \pre No thread checks through the runtime
+  /// concurrently (see Runtime::reset).
+  void reset();
+
+  /// Blocks on the list, held or free.
+  size_t numBlocks() const;
+
+  /// The calling thread's block, if it is the one the thread found
+  /// last. The memory is keyed by this registry's process-unique stamp,
+  /// so a registry built at a dead one's address never sees the dead
+  /// one's block.
+  EFFSAN_ALWAYS_INLINE CheckContext *recent() const {
+    const RecentBlock &R = recentBlock();
+    return R.Stamp == Stamp ? R.Block : nullptr;
   }
 
-  void reset() {
-    CheckCounters &Out = *this;
-    EFFSAN_CHECK_COUNTERS(EFFSAN_FIELD_CLEAR)
+  /// The calling thread's block for \p RT (whose counters these are):
+  /// found on the list, else adopted from an exited thread, else added.
+  /// The thread remembers it for recent().
+  EFFSAN_NOINLINE CheckContext &lookup(Runtime &RT);
+
+private:
+  struct RecentBlock {
+    uint64_t Stamp;
+    CheckContext *Block;
+  };
+  static RecentBlock &recentBlock() {
+    constinit thread_local RecentBlock R{};
+    return R;
   }
+
+  const uint64_t Stamp;
+  std::atomic<CheckContext *> Head{nullptr};
 };
+
+/// \name Current-runtime binding.
+/// The thread's check context slot: RuntimeScope / SanitizerScope bind
+/// it to the thread's block of a runtime, so code holding no runtime
+/// (CheckedPtr) reaches its runtime and its counters with one TLS load.
+/// Null when no scope is bound; checks then count into and report
+/// through the injected process default (setDefaultRuntime — how a
+/// test or embedder swaps the fallback for a private instance), else
+/// Runtime::global().
+/// @{
+inline CheckContext *&currentContextSlot() {
+  thread_local CheckContext *Slot = nullptr;
+  return Slot;
+}
+
+/// The injected process-wide fallback (null = Runtime::global()).
+inline std::atomic<Runtime *> &defaultRuntimeSlot() {
+  static std::atomic<Runtime *> Slot{nullptr};
+  return Slot;
+}
+
+/// Injects \p RT as the process-wide fallback runtime for threads with
+/// no scope binding; pass null to restore Runtime::global(). Returns
+/// the previous injection.
+inline Runtime *setDefaultRuntime(Runtime *RT) {
+  return defaultRuntimeSlot().exchange(RT, std::memory_order_acq_rel);
+}
+
+/// The calling thread's block of the fallback runtime, for checks made
+/// with no scope bound. Out of line so the inlined check carries only
+/// the call.
+EFFSAN_NOINLINE CheckContext &unscopedContext();
+
+/// The thread's current check context: the bound one, else the
+/// fallback runtime's.
+EFFSAN_ALWAYS_INLINE CheckContext &currentContext() {
+  if (CheckContext *C = currentContextSlot(); EFFSAN_LIKELY(C != nullptr))
+    return *C;
+  return unscopedContext();
+}
+/// @}
 
 /// Construction options for a Runtime.
 struct RuntimeOptions {
@@ -147,8 +248,9 @@ struct RuntimeOptions {
 
 /// Typed stack/global object counters (the ABI's effsan_object_stats
 /// surface). Exact relaxed fetch_adds at the Runtime entry points,
-/// aggregated across every thread's stack pool; these paths are off
-/// the check path, so they skip CheckCounters::bump's lossy store.
+/// aggregated across every thread's stack pool. These paths are off
+/// the check path, so one shared atomic RMW per event is cheap enough
+/// and they need no per-thread CheckContext block.
 struct ObjectCounters {
   /// Typed stack slots ever allocated (stackAllocate calls).
   std::atomic<uint64_t> StackAllocs{0};
@@ -192,6 +294,15 @@ public:
   unsigned heapShard() const { return Shard; }
   ErrorReporter &reporter() { return Reporter; }
   CheckCounters &counters() { return Counters; }
+  /// The calling thread's check context for this runtime: the block the
+  /// thread used last when it is this runtime's, else the thread's
+  /// block looked up (and created on first use) out of line. Hot loops
+  /// resolve it once and pass it to the check entry points below.
+  EFFSAN_ALWAYS_INLINE CheckContext &threadContext() {
+    if (CheckContext *C = Counters.recent(); EFFSAN_LIKELY(C != nullptr))
+      return *C;
+    return Counters.lookup(*this);
+  }
   ObjectCounters &objectCounters() { return ObjCounters; }
   const ObjectCounters &objectCounters() const { return ObjCounters; }
   /// The global-object registration pool (module loaders and the ABI's
@@ -247,6 +358,9 @@ public:
   /// @}
 
   /// \name Dynamic checks.
+  /// Each check counts into a CheckContext, the calling thread's block
+  /// of this runtime (threadContext()). The overloads without one
+  /// resolve it per call.
   /// @{
 
   /// The paper's type_check (Figure 6 lines 9-24): verifies that \p Ptr
@@ -262,37 +376,41 @@ public:
   /// without touching the layout hash table. Misses fall into the
   /// EFFSAN_NOINLINE slow path, which performs the full Figure 6 probe
   /// and refills the cache. Results are bit-identical either way.
-  EFFSAN_ALWAYS_INLINE Bounds typeCheck(const void *Ptr,
+  EFFSAN_ALWAYS_INLINE Bounds typeCheck(CheckContext &CC, const void *Ptr,
                                         const TypeInfo *StaticType,
                                         SiteId Site) {
-    // The bump is the usual non-RMW relaxed idiom, open-coded so the
-    // pre-increment count doubles as the latency sampler's decimator:
-    // with metrics armed, every 1024th check diverts through the timed
-    // (noinline) wrapper that feeds the latency histograms. The
-    // decimator tests BEFORE the flag — the mask test is on a value
-    // already in a register and is false 1023 times in 1024 whether or
-    // not metrics are armed, so arming changes the executed
-    // instruction stream only on the sampled checks (the flag load
-    // moves off the common path entirely). With observability compiled
-    // out the whole test folds to nothing.
-    uint64_t NChecks = Counters.TypeChecks.load(std::memory_order_relaxed);
-    Counters.TypeChecks.store(NChecks + 1, std::memory_order_relaxed);
+    assert(CC.RT == this && "check context of another runtime");
+    // The pre-increment count doubles as the latency sampler's
+    // decimator: with metrics armed, every 1024th check of a thread
+    // diverts through the timed (noinline) wrapper that feeds the
+    // latency histograms. The decimator tests BEFORE the flag — the
+    // mask test is on a value already in a register and is false 1023
+    // times in 1024 whether or not metrics are armed, so arming changes
+    // the executed instruction stream only on the sampled checks. With
+    // observability compiled out the whole test folds to nothing.
+    uint64_t NChecks = CheckContext::bump(CC.TypeChecks);
     if (EFFSAN_UNLIKELY((NChecks & obs::CheckSampleMask) == 0 &&
                         obs::metricsActive()))
-      return typeCheckTimed(Ptr, StaticType, Site);
-    return typeCheckBody(Ptr, StaticType, Site);
+      return typeCheckTimed(CC, Ptr, StaticType, Site);
+    return typeCheckBody(CC, Ptr, StaticType, Site);
+  }
+
+  Bounds typeCheck(const void *Ptr, const TypeInfo *StaticType,
+                   SiteId Site) {
+    return typeCheck(threadContext(), Ptr, StaticType, Site);
   }
 
   /// typeCheck minus the TypeChecks bump and the sampling decimator:
   /// the inline-cache probe and the slow-path dispatch. Private in
   /// spirit; public so the timed wrapper's definition stays out of
   /// line without friend gymnastics.
-  EFFSAN_ALWAYS_INLINE Bounds typeCheckBody(const void *Ptr,
+  EFFSAN_ALWAYS_INLINE Bounds typeCheckBody(CheckContext &CC,
+                                            const void *Ptr,
                                             const TypeInfo *StaticType,
                                             SiteId Site) {
     void *Base = Heap.allocationBase(Ptr);
     if (EFFSAN_UNLIKELY(!Base)) {
-      CheckCounters::bump(Counters.LegacyTypeChecks);
+      CheckContext::bump(CC.LegacyTypeChecks);
       return Bounds::wide();
     }
     const auto *Meta = static_cast<const MetaHeader *>(Base);
@@ -335,16 +453,12 @@ public:
                      LayoutTable::normalizeOffsetRaw(P - ObjBase,
                                                      AllocSize, SzT,
                                                      Fam) == NK))) {
-              // Open-coded bump so the hit count doubles as the
-              // profiler's decimator (see ProfileSampleMask). The
-              // mask tests before the flag for the same reason as the
-              // latency sampler above: 15 hits in 16 skip both the
-              // flag load and the profiler whether or not profiling
-              // is armed.
-              uint64_t NHits = Counters.TypeCheckCacheHits.load(
-                  std::memory_order_relaxed);
-              Counters.TypeCheckCacheHits.store(
-                  NHits + 1, std::memory_order_relaxed);
+              // The hit count doubles as the profiler's decimator
+              // (see ProfileSampleMask). The mask tests before the
+              // flag for the same reason as the latency sampler
+              // above: 15 hits in 16 skip both the flag load and the
+              // profiler whether or not profiling is armed.
+              uint64_t NHits = CheckContext::bump(CC.TypeCheckCacheHits);
               if (EFFSAN_UNLIKELY(
                       (NHits & obs::ProfileSampleMask) == 0 &&
                       obs::profileActive()))
@@ -357,7 +471,7 @@ public:
         }
       }
     }
-    return typeCheckSlow(Ptr, StaticType, Site, Meta);
+    return typeCheckSlow(CC, Ptr, StaticType, Site, Meta);
   }
 
   /// type_check without an explicit site: probes the inline cache at
@@ -378,26 +492,40 @@ public:
   /// \p Site attributes any use-after-free it detects (the
   /// instrumentation-assigned id for interpreted checks, NoSite for
   /// unsited API paths).
-  Bounds boundsGet(const void *Ptr, SiteId Site = NoSite);
+  Bounds boundsGet(CheckContext &CC, const void *Ptr, SiteId Site = NoSite);
+  Bounds boundsGet(const void *Ptr, SiteId Site = NoSite) {
+    return boundsGet(threadContext(), Ptr, Site);
+  }
 
   /// The paper's bounds_check (Figure 3 rule (g)): verifies the \p Size
   /// byte access at \p Ptr lies within \p B; reports otherwise. \p Site
   /// is the check's identity — it rides the register-passed arguments
   /// for free and is only touched on the failing (noinline) path, so
-  /// attribution costs the hot path nothing.
-  EFFSAN_ALWAYS_INLINE void boundsCheck(const void *Ptr, size_t Size,
-                                        Bounds B, SiteId Site = NoSite) {
-    CheckCounters::bump(Counters.BoundsChecks);
+  /// attribution costs the hot path nothing. Static, so the runtime
+  /// pointer is read from \p CC only on that path.
+  static EFFSAN_ALWAYS_INLINE void boundsCheck(CheckContext &CC,
+                                               const void *Ptr, size_t Size,
+                                               Bounds B,
+                                               SiteId Site = NoSite) {
+    CheckContext::bump(CC.BoundsChecks);
     if (EFFSAN_UNLIKELY(!B.contains(Ptr, Size)))
-      boundsCheckFail(Ptr, Size, B, Site);
+      boundsCheckFail(CC, Ptr, Size, B, Site);
+  }
+  void boundsCheck(const void *Ptr, size_t Size, Bounds B,
+                   SiteId Site = NoSite) {
+    boundsCheck(threadContext(), Ptr, Size, B, Site);
   }
 
   /// The paper's bounds_narrow (Figure 3 rule (e)): narrows \p B to the
   /// field at [\p Field, \p Field + \p Size).
-  EFFSAN_ALWAYS_INLINE Bounds boundsNarrow(Bounds B, const void *Field,
-                                           size_t Size) {
-    CheckCounters::bump(Counters.BoundsNarrows);
+  static EFFSAN_ALWAYS_INLINE Bounds boundsNarrow(CheckContext &CC, Bounds B,
+                                                  const void *Field,
+                                                  size_t Size) {
+    CheckContext::bump(CC.BoundsNarrows);
     return B.intersect(Bounds::forObject(Field, Size));
+  }
+  Bounds boundsNarrow(Bounds B, const void *Field, size_t Size) {
+    return boundsNarrow(threadContext(), B, Field, Size);
   }
   /// @}
 
@@ -441,12 +569,13 @@ public:
   SiteTableRegistry &siteTables() { return Sites; }
 
 private:
-  EFFSAN_NOINLINE void boundsCheckFail(const void *Ptr, size_t Size,
-                                       Bounds B, SiteId Site);
+  static EFFSAN_NOINLINE void boundsCheckFail(CheckContext &CC,
+                                              const void *Ptr, size_t Size,
+                                              Bounds B, SiteId Site);
   /// The Figure 6 slow path: full layout probe (with the coercion
   /// fallbacks), error reporting, and cache refill. \p Meta is the
   /// non-null META header typeCheck already resolved.
-  EFFSAN_NOINLINE Bounds typeCheckSlow(const void *Ptr,
+  EFFSAN_NOINLINE Bounds typeCheckSlow(CheckContext &CC, const void *Ptr,
                                        const TypeInfo *StaticType,
                                        SiteId Site, const MetaHeader *Meta);
   /// The latency sampler's landing pad: runs typeCheckBody under an
@@ -454,7 +583,7 @@ private:
   /// (classified by whether the check left the inline-cache fast
   /// path). Noinline so the sampling machinery never bloats the
   /// inlined check.
-  EFFSAN_NOINLINE Bounds typeCheckTimed(const void *Ptr,
+  EFFSAN_NOINLINE Bounds typeCheckTimed(CheckContext &CC, const void *Ptr,
                                         const TypeInfo *StaticType,
                                         SiteId Site);
   /// Shared core of typeCheckSlow/typeCheckUncached; publishes the

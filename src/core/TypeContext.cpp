@@ -160,10 +160,34 @@ TypeContext::TypeContext() {
   }
 }
 
+/// Deletes \p T as the class its kind names. TypeInfo has no virtual
+/// destructor (the hierarchy dispatches on kind()), so deleting through
+/// the base would be undefined.
+static void deleteType(TypeInfo *T) {
+  switch (T->kind()) {
+  case TypeKind::Pointer:
+    delete cast<PointerType>(T);
+    return;
+  case TypeKind::Array:
+    delete cast<ArrayType>(T);
+    return;
+  case TypeKind::Function:
+    delete cast<FunctionType>(T);
+    return;
+  case TypeKind::Struct:
+  case TypeKind::Union:
+    delete cast<RecordType>(T);
+    return;
+  default:
+    delete cast<PrimitiveType>(T);
+    return;
+  }
+}
+
 TypeContext::~TypeContext() {
   for (TypeInfo *T : AllTypes) {
     delete T->Layout.load(std::memory_order_relaxed);
-    delete T;
+    deleteType(T);
   }
 }
 
@@ -340,7 +364,8 @@ RecordBuilder &RecordBuilder::addField(std::string_view Name,
   assert(!FamElement && "no fields may follow a flexible array member");
   assert(Type->size() > 0 && "field of incomplete type");
   FieldInfo Field;
-  Field.Name = Name;
+  // Interned now: the caller's name may die before finish().
+  Field.Name = Ctx.internString(Name);
   Field.Type = Type;
   Field.IsBase = IsBase;
   if (IsUnion) {

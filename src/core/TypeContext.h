@@ -158,7 +158,7 @@ public:
                 std::string_view Tag);
 
   /// Appends a member; computes its offset per C layout rules (union
-  /// members are all at offset zero).
+  /// members are all at offset zero). \p Name is copied.
   RecordBuilder &addField(std::string_view Name, const TypeInfo *Type,
                           bool IsBase = false);
 

@@ -41,7 +41,8 @@ public:
   /// policy-independent).
   Interpreter(const Module &M, Runtime &RT, const RunOptions &Opts,
               Sanitizer *Session = nullptr)
-      : M(M), RT(RT), Session(Session), Opts(Opts), Guard(RT) {}
+      : M(M), RT(RT), CC(RT.threadContext()), Session(Session), Opts(Opts),
+        Guard(RT) {}
 
   RunResult run(std::string_view Entry) {
     RunResult R;
@@ -363,28 +364,30 @@ private:
     // the session's registry); hand-built IR has none and takes the
     // type-derived pseudo-site instead.
     Site = Site == NoSite ? siteForType(Type) : rebase(Site);
-    return Session ? Session->typeCheck(P, Type, Site)
-                   : RT.typeCheck(P, Type, Site);
+    return Session ? Session->typeCheck(CC, P, Type, Site)
+                   : RT.typeCheck(CC, P, Type, Site);
   }
   Bounds vmBoundsGet(const void *P, SiteId Site) {
     Site = rebase(Site);
-    return Session ? Session->boundsGet(P, Site)
-                   : RT.boundsGet(P, Site);
+    return Session ? Session->boundsGet(CC, P, Site)
+                   : RT.boundsGet(CC, P, Site);
   }
   void vmBoundsCheck(const void *P, size_t Size, Bounds B, SiteId Site) {
     Site = rebase(Site);
     if (Session)
-      Session->boundsCheck(P, Size, B, Site);
+      Session->boundsCheck(CC, P, Size, B, Site);
     else
-      RT.boundsCheck(P, Size, B, Site);
+      RT.boundsCheck(CC, P, Size, B, Site);
   }
   Bounds vmBoundsNarrow(Bounds B, const void *Field, size_t Size) {
-    return Session ? Session->boundsNarrow(B, Field, Size)
-                   : RT.boundsNarrow(B, Field, Size);
+    return Session ? Session->boundsNarrow(CC, B, Field, Size)
+                   : Runtime::boundsNarrow(CC, B, Field, Size);
   }
   /// @}
 
   Runtime &RT;
+  /// The running thread's check context, resolved once per run.
+  CheckContext &CC;
   Sanitizer *Session;
   const RunOptions &Opts;
   /// Base the module's site table was rebased to at load (NoSite when

@@ -76,10 +76,11 @@ struct MetricSlot {
 
 /// Log2-bucketed histogram: sample N lands in bucket bit_width(N),
 /// i.e. bucket i counts samples in [2^(i-1), 2^i - 1] (bucket 0 = the
-/// value 0). observe() uses the CheckCounters::bump idiom — relaxed
-/// non-RMW load+store instead of lock-prefixed xadd, so a sampled
-/// check path pays a handful of cycles, not three serialized RMWs.
-/// Concurrent observers can lose an update, which only skews the
+/// value 0). observe() uses statBump — a relaxed non-RMW load+store
+/// instead of lock-prefixed xadd, so a sampled check path pays a
+/// handful of cycles, not three serialized RMWs. Unlike the check
+/// counters, which are per-thread and exact, a histogram is shared:
+/// concurrent observers can lose an update, which only skews the
 /// statistics (the latency sampler is already 1-in-1024); nothing
 /// correctness-bearing reads histograms.
 class Histogram {

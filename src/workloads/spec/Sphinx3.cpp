@@ -79,8 +79,11 @@ template <typename P> uint64_t runSphinx3(Runtime &RT, unsigned Scale) {
   auto BestGauss = allocArray<int, P>(RT, NumStates);
 
   unsigned Frames = 30 * Scale;
+  // Frame F writes half F % 2 from the other half, so frame 0 reads
+  // the upper half: that is where the initial state goes. The lower
+  // half is written before it is first read.
   for (int S = 0; S < NumStates; ++S)
-    Trellis[S] = S == 0 ? 0 : -1e30f;
+    Trellis[NumStates + S] = S == 0 ? 0 : -1e30f;
 
   for (unsigned F = 0; F < Frames; ++F) {
     for (int D = 0; D < FeatDim; ++D)

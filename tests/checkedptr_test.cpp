@@ -6,13 +6,20 @@
 ///
 /// Exercises CheckedPtr as the Figure 3 instrumentation schema: the
 /// paper's Figure 4 length/sum functions, the account sub-object
-/// overflow, cast checking, and the per-policy check counts.
+/// overflow, cast checking, the per-policy check counts, and exact
+/// counts from threads sharing one session.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "api/Sanitizer.h"
 #include "core/CheckedPtr.h"
+#include "workloads/Workload.h"
 
 #include <gtest/gtest.h>
+
+#include <cstring>
+#include <thread>
+#include <vector>
 
 using namespace effective;
 
@@ -244,4 +251,95 @@ TEST_F(CheckedPtrTest, RuntimeScopeBindsCurrentRuntime) {
     EXPECT_EQ(&currentRuntime(), &Other);
   }
   EXPECT_EQ(&currentRuntime(), &RT);
+}
+
+namespace {
+
+/// The counts a run is deterministic in. Cache hits and misses are not:
+/// threads sharing a session share its site cache.
+struct KernelCounts {
+  uint64_t TypeChecks, BoundsChecks, BoundsNarrows, BoundsGets,
+      LegacyTypeChecks, CacheProbes;
+
+  explicit KernelCounts(const CheckCounters::Snapshot &C)
+      : TypeChecks(C.TypeChecks), BoundsChecks(C.BoundsChecks),
+        BoundsNarrows(C.BoundsNarrows), BoundsGets(C.BoundsGets),
+        LegacyTypeChecks(C.LegacyTypeChecks),
+        CacheProbes(C.TypeCheckCacheHits + C.TypeCheckCacheMisses) {}
+};
+
+const workloads::Workload &specKernel(const char *Name) {
+  for (const workloads::Workload &W : workloads::specWorkloads())
+    if (std::strcmp(W.Info.Name, Name) == 0)
+      return W;
+  ADD_FAILURE() << "no spec kernel " << Name;
+  return workloads::specWorkloads().front();
+}
+
+SessionOptions quietSession() {
+  SessionOptions Options;
+  Options.Reporter.Mode = ReportMode::Count;
+  return Options;
+}
+
+} // namespace
+
+TEST(CheckedPtrSharedSessionTest, ThreadCountsMergeExactly) {
+  constexpr unsigned NumThreads = 4;
+  const workloads::Workload &W = specKernel("mcf");
+
+  Sanitizer Single(TypeContext::global(), quietSession());
+  uint64_t Sum;
+  {
+    SanitizerScope Scope(Single);
+    Sum = W.RunFull(Single.runtime(), 1);
+  }
+  KernelCounts One(Single.counters().snapshot());
+  ASSERT_GT(One.BoundsChecks, 0u);
+  ASSERT_GT(One.TypeChecks, 0u);
+
+  Sanitizer Shared(TypeContext::global(), quietSession());
+  Runtime &RT = Shared.runtime();
+  std::vector<uint64_t> Sums(NumThreads, 0);
+  std::vector<std::thread> Threads;
+  for (unsigned I = 0; I < NumThreads; ++I)
+    Threads.emplace_back([&, I] {
+      RuntimeScope Scope(RT);
+      Sums[I] = W.RunFull(RT, 1);
+    });
+  for (std::thread &T : Threads)
+    T.join();
+
+  for (uint64_t S : Sums)
+    EXPECT_EQ(S, Sum);
+  KernelCounts All(RT.counters().snapshot());
+  EXPECT_EQ(All.TypeChecks, NumThreads * One.TypeChecks);
+  EXPECT_EQ(All.BoundsChecks, NumThreads * One.BoundsChecks);
+  EXPECT_EQ(All.BoundsNarrows, NumThreads * One.BoundsNarrows);
+  EXPECT_EQ(All.BoundsGets, NumThreads * One.BoundsGets);
+  EXPECT_EQ(All.LegacyTypeChecks, NumThreads * One.LegacyTypeChecks);
+  EXPECT_EQ(All.CacheProbes, NumThreads * One.CacheProbes);
+  EXPECT_EQ(Shared.issuesFound(), Single.issuesFound());
+}
+
+TEST(CheckedPtrSharedSessionTest, UnscopedChecksCountIntoTheDefault) {
+  TypeContext Ctx;
+  RuntimeOptions Options;
+  Options.Reporter.Mode = ReportMode::Count;
+  Runtime RT(Ctx, Options);
+  auto A = allocateChecked<int, FullPolicy>(RT, 4);
+  Runtime *Prev = setDefaultRuntime(&RT);
+  std::thread Worker([&] {
+    // No scope on this thread: the checks count into the injected
+    // default runtime, in this thread's own block.
+    auto P = CheckedPtr<int, FullPolicy>::input(A.raw());
+    P[0] = 1;
+    P[3] = 2;
+  });
+  Worker.join();
+  setDefaultRuntime(Prev);
+  CheckCounters::Snapshot C = RT.counters().snapshot();
+  EXPECT_EQ(C.TypeChecks, 1u);
+  EXPECT_EQ(C.BoundsChecks, 2u);
+  deallocateChecked(RT, A);
 }

@@ -16,7 +16,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -696,12 +698,21 @@ TEST_F(RuntimeTest, PseudoSiteOverloadCachesByStaticType) {
   RT.deallocate(P);
 }
 
-TEST_F(RuntimeTest, ConcurrentChecksAreSafe) {
+/// Threads sharing one runtime: every check lands in the calling
+/// thread's own counter block, so the merged counts are exact at any
+/// thread count and the cache invariant holds under concurrency.
+class ConcurrentChecksTest : public RuntimeTest,
+                             public ::testing::WithParamInterface<unsigned> {
+};
+
+TEST_P(ConcurrentChecksTest, ConcurrentChecksAreSafe) {
+  constexpr unsigned PerThread = 5000;
+  const unsigned NumThreads = GetParam();
   char *P = static_cast<char *>(RT.allocate(100 * 24, T));
   std::vector<std::thread> Threads;
-  for (int W = 0; W < 4; ++W) {
+  for (unsigned W = 0; W < NumThreads; ++W) {
     Threads.emplace_back([&] {
-      for (int I = 0; I < 5000; ++I) {
+      for (unsigned I = 0; I < PerThread; ++I) {
         Bounds B = RT.typeCheck(P + (I % 100) * 24, T);
         RT.boundsCheck(P + (I % 100) * 24, 4, B);
       }
@@ -710,6 +721,97 @@ TEST_F(RuntimeTest, ConcurrentChecksAreSafe) {
   for (std::thread &Th : Threads)
     Th.join();
   EXPECT_EQ(RT.reporter().numIssues(), 0u);
-  EXPECT_EQ(RT.counters().snapshot().TypeChecks, 4u * 5000u);
+  CheckCounters::Snapshot C = RT.counters().snapshot();
+  EXPECT_EQ(C.TypeChecks, NumThreads * PerThread);
+  EXPECT_EQ(C.BoundsChecks, NumThreads * PerThread);
+  EXPECT_EQ(C.TypeCheckCacheHits + C.TypeCheckCacheMisses +
+                C.LegacyTypeChecks,
+            C.TypeChecks);
   RT.deallocate(P);
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, ConcurrentChecksTest,
+                         ::testing::Values(1u, 2u, 4u, 16u, 64u));
+
+TEST_F(RuntimeTest, ExitedThreadCountsStayUntilReset) {
+  char *P = static_cast<char *>(RT.allocate(24, T));
+  std::thread Worker([&] {
+    Bounds B = RT.typeCheck(P, T);
+    RT.boundsCheck(P, 4, B);
+    RT.boundsCheck(P + 4, 4, B);
+  });
+  Worker.join();
+  CheckCounters::Snapshot C = RT.counters().snapshot();
+  EXPECT_EQ(C.TypeChecks, 1u);
+  EXPECT_EQ(C.BoundsChecks, 2u);
+
+  // This thread's block adds to the exited thread's.
+  RT.boundsCheck(P, 4, Bounds::forObject(P, 24));
+  EXPECT_EQ(RT.counters().snapshot().BoundsChecks, 3u);
+
+  RT.counters().reset();
+  C = RT.counters().snapshot();
+  EXPECT_EQ(C.TypeChecks, 0u);
+  EXPECT_EQ(C.BoundsChecks, 0u);
+  RT.deallocate(P);
+}
+
+TEST_F(RuntimeTest, ThreadContextNamesItsRuntimeAndIsStable) {
+  CheckContext &C = RT.threadContext();
+  EXPECT_EQ(C.RT, &RT);
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(&C) % 64, 0u);
+  // A scope bound to another runtime does not capture this one's
+  // checks; the thread keeps one block per runtime.
+  Runtime Other(Ctx, quietOptions());
+  CheckContext &O = Other.threadContext();
+  EXPECT_NE(&O, &C);
+  EXPECT_EQ(O.RT, &Other);
+  EXPECT_EQ(&RT.threadContext(), &C);
+  EXPECT_EQ(&Other.threadContext(), &O);
+}
+
+TEST_F(RuntimeTest, ThreadFindsItsBlockAfterCacheEviction) {
+  CheckContext &C = RT.threadContext();
+  // Checking through other runtimes makes the thread forget the block
+  // it found last; it must find the same block again on the list
+  // rather than start a second one.
+  std::vector<std::unique_ptr<Runtime>> Others;
+  for (int I = 0; I < 16; ++I) {
+    Others.push_back(std::make_unique<Runtime>(Ctx, quietOptions()));
+    Others.back()->boundsGet(nullptr);
+  }
+  EXPECT_EQ(&RT.threadContext(), &C);
+  for (auto &O : Others)
+    EXPECT_EQ(O->counters().snapshot().BoundsGets, 1u);
+}
+
+TEST_F(RuntimeTest, ExitedThreadsBlocksAreAdopted) {
+  for (int I = 0; I < 50; ++I)
+    std::thread([&] { RT.boundsGet(nullptr); }).join();
+  EXPECT_EQ(RT.counters().snapshot().BoundsGets, 50u);
+  EXPECT_EQ(RT.counters().numBlocks(), 1u)
+      << "each thread adopts the block its exited predecessor freed";
+}
+
+TEST_F(RuntimeTest, ThreadMayOutliveARuntimeItChecked) {
+  auto Short = std::make_unique<Runtime>(Ctx, quietOptions());
+  std::atomic<int> Phase{0};
+  std::thread Worker([&] {
+    Short->boundsGet(nullptr);
+    Phase = 1;
+    while (Phase != 2)
+      std::this_thread::yield();
+  });
+  while (Phase != 1)
+    std::this_thread::yield();
+  // The dead runtime's block goes back to the pool and is reused here,
+  // while the worker still holds it.
+  Short.reset();
+  Runtime Next(Ctx, quietOptions());
+  Next.boundsGet(nullptr);
+  Phase = 2;
+  Worker.join(); // Its exit must not free the block it no longer owns.
+  std::thread([&] { Next.boundsGet(nullptr); }).join();
+  EXPECT_EQ(Next.counters().snapshot().BoundsGets, 2u);
+  EXPECT_EQ(Next.counters().numBlocks(), 2u);
 }

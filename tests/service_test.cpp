@@ -284,6 +284,47 @@ TEST(ServiceQuotaTest, CheckBudgetCountsFromOpen) {
   EXPECT_LT(Snap.Checks, 500u) << "warmup checks are not billed";
 }
 
+TEST(ServiceQuotaTest, CheckBudgetRefusesAtExactlyItsLimit) {
+  constexpr unsigned Limit = 4000, NumThreads = 4;
+  Supervisor Sup(quietService(1));
+  TenantQuota Quota;
+  Quota.MaxChecks = Limit;
+  TenantId T = Sup.openTenant("metered", Quota);
+  ASSERT_NE(T, NoTenant);
+
+  // Spend exactly the budget from several threads at once: every check
+  // must be billed, or the tenant would get more than its budget.
+  {
+    Supervisor::Lease Held = Sup.lease(T);
+    ASSERT_TRUE(static_cast<bool>(Held));
+    Sanitizer &S = Held.session();
+    auto *P = static_cast<int *>(S.malloc(sizeof(int), S.types().getInt()));
+    Bounds B = Bounds::forObject(P, sizeof(int));
+    std::vector<std::thread> Threads;
+    for (unsigned I = 0; I < NumThreads; ++I)
+      Threads.emplace_back([&] {
+        for (unsigned K = 0; K < Limit / NumThreads; ++K)
+          S.boundsCheck(P, sizeof(int), B);
+      });
+    for (std::thread &Th : Threads)
+      Th.join();
+    S.free(P);
+  }
+
+  // At the limit the budget is spent, not exceeded.
+  {
+    Supervisor::Lease AtLimit = Sup.lease(T);
+    ASSERT_TRUE(static_cast<bool>(AtLimit)) << "a spent budget still leases";
+    TenantSnapshot Snap;
+    ASSERT_TRUE(Sup.tenantSnapshot(T, Snap));
+    EXPECT_EQ(Snap.Checks, Limit);
+    AtLimit->boundsGet(nullptr); // One check past the limit.
+  }
+  Supervisor::Lease Refused = Sup.lease(T);
+  EXPECT_FALSE(static_cast<bool>(Refused));
+  EXPECT_EQ(Sup.stats().LeasesRefused, 1u);
+}
+
 TEST(ServiceQuotaTest, ErrorBudgetUsesDrainerAttribution) {
   Supervisor Sup(quietService(2));
   TenantQuota Quota;

@@ -19,6 +19,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <malloc.h>
+
 using namespace effective;
 using namespace effective::workloads;
 
@@ -97,6 +100,43 @@ INSTANTIATE_TEST_SUITE_P(AllSpec, SpecWorkloadTest,
                          ::testing::Range<size_t>(0,
                                                   specWorkloads().size()),
                          specName);
+
+//===----------------------------------------------------------------------===//
+// Kernels whose result must not depend on what malloc returns
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+const Workload &specNamed(const char *Name) {
+  for (const Workload &W : specWorkloads())
+    if (std::strcmp(W.Info.Name, Name) == 0)
+      return W;
+  ADD_FAILURE() << "no spec kernel " << Name;
+  return specWorkloads().front();
+}
+
+} // namespace
+
+TEST(Sphinx3Test, UninstrumentedChecksumIgnoresMallocContents) {
+  const Workload &W = specNamed("sphinx3");
+  RunStats Full = runWorkload(W, Variant::Full, 1);
+  SessionOptions Options;
+  Options.Reporter.Mode = ReportMode::Count;
+  Sanitizer Session(TypeContext::global(), Options);
+  // glibc fills each malloc block with the complement of the perturb
+  // byte: 0x42 bytes, so a float read before it is written is 48.56.
+  mallopt(M_PERTURB, 0xbd);
+  uint64_t None = W.RunNone(Session.runtime(), 1);
+  mallopt(M_PERTURB, 0);
+  EXPECT_EQ(None, Full.Checksum);
+}
+
+TEST(Sphinx3Test, UninstrumentedMultiThreadedRunCompletes) {
+  // runWorkloadMT aborts when the threads' checksums differ.
+  RunStats None = runWorkloadMT(specNamed("sphinx3"), Variant::None, 1, 4);
+  RunStats Full = runWorkload(specNamed("sphinx3"), Variant::Full, 1);
+  EXPECT_EQ(None.Checksum, Full.Checksum);
+}
 
 //===----------------------------------------------------------------------===//
 // Figure 7 aggregate shape
