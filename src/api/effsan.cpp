@@ -345,10 +345,10 @@ void effsan_get_object_stats(const effsan_session *session,
                              effsan_object_stats *out) {
   Runtime &RT = session->S->runtime();
   auto Full = effsan_detail::zeroed<effsan_object_stats>();
-  const ObjectCounters &C = RT.objectCounters();
-  Full.stack_allocs = C.StackAllocs.load(std::memory_order_relaxed);
-  Full.stack_frames = C.StackFrames.load(std::memory_order_relaxed);
-  Full.stack_retired = C.StackRetired.load(std::memory_order_relaxed);
+  CheckCounters::StackTotals Stack = RT.counters().stackTotals();
+  Full.stack_allocs = Stack.Allocs;
+  Full.stack_frames = Stack.Frames;
+  Full.stack_retired = Stack.Retired;
   // The pool's byte tally counts whole blocks; the ABI stat is payload
   // bytes, so strip the per-global META header the runtime prepends.
   size_t NumGlobals = RT.globals().size();

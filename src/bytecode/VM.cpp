@@ -221,12 +221,12 @@ private:
       RegStack[RegBase + F.ParamRegs[I]] = ArgStack[ArgBase + I];
     ArgStack.resize(ArgBase);
 
-    size_t Mark = RT.stackMark();
+    size_t Mark = RT.stackMark(CC);
     for (const SlotDesc &S : F.Slots) {
       // Null on exhaustion (real OOM or an induced fault) — already
       // reported RESOURCE-EXHAUSTED; the slot stays null and accesses
       // through it fault as null derefs instead of memset crashing.
-      void *P = RT.stackAllocate(S.Size, S.ElemType, S.Escapes);
+      void *P = RT.stackAllocate(CC, S.Size, S.ElemType, S.Escapes);
       if (P)
         std::memset(P, 0, S.Size);
       SlotStack.push_back(P);
@@ -234,7 +234,7 @@ private:
 
     Ret = execute(F, RegBase, BndBase, SlotBase);
 
-    RT.stackRelease(Mark);
+    RT.stackRelease(CC, Mark);
     SlotStack.resize(SlotBase);
     RegStack.resize(RegBase);
     BndStack.resize(BndBase);

@@ -13,7 +13,6 @@
 
 #include <cassert>
 #include <cstring>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -23,9 +22,8 @@ using namespace effective;
 Runtime::Runtime(TypeContext &Ctx, const RuntimeOptions &Options)
     : Ctx(Ctx),
       OwnedHeap(std::make_unique<lowfat::LowFatHeap>(Options.Heap)),
-      Heap(*OwnedHeap), Shard(0), Epoch(nextUniqueStamp()),
-      Globals(Heap, Shard), Reporter(Options.Reporter),
-      StackQuarantineBytes(Options.StackQuarantineBytes),
+      Heap(*OwnedHeap), Shard(0), Globals(Heap, Shard),
+      Reporter(Options.Reporter),
       VoidPtrType(Ctx.getPointer(Ctx.getVoid())),
       Cache(Options.SiteCacheEntries),
       OwnedSites(Options.SharedSites
@@ -35,10 +33,8 @@ Runtime::Runtime(TypeContext &Ctx, const RuntimeOptions &Options)
 
 Runtime::Runtime(TypeContext &Ctx, lowfat::LowFatHeap &SharedHeap,
                  unsigned Shard, const RuntimeOptions &Options)
-    : Ctx(Ctx), Heap(SharedHeap), Shard(Shard),
-      Epoch(nextUniqueStamp()), Globals(Heap, Shard),
+    : Ctx(Ctx), Heap(SharedHeap), Shard(Shard), Globals(Heap, Shard),
       Reporter(Options.Reporter),
-      StackQuarantineBytes(Options.StackQuarantineBytes),
       VoidPtrType(Ctx.getPointer(Ctx.getVoid())),
       Cache(Options.SiteCacheEntries),
       OwnedSites(Options.SharedSites
@@ -96,6 +92,9 @@ CheckCounters::~CheckCounters() {
   std::lock_guard<std::mutex> Guard(Pool.Lock);
   for (CheckContext *C = Head.load(std::memory_order_acquire); C;
        C = C->Next) {
+    // Frees the pool's live and quarantined blocks into the runtime's
+    // heap, which outlives this registry (see Runtime::Counters).
+    delete C->Stack.exchange(nullptr, std::memory_order_acquire);
     C->Owner.store(0, std::memory_order_relaxed);
     Pool.Free.push_back(C);
   }
@@ -127,6 +126,29 @@ size_t CheckCounters::numBlocks() const {
        C = C->Next)
     ++N;
   return N;
+}
+
+CheckCounters::StackTotals CheckCounters::stackTotals() const {
+  StackTotals Sum;
+  for (const CheckContext *C = Head.load(std::memory_order_acquire); C;
+       C = C->Next)
+    if (const lowfat::StackPool *Pool =
+            C->Stack.load(std::memory_order_acquire)) {
+      Sum.Allocs += Pool->totalAllocs();
+      Sum.Frames += Pool->framesReleased();
+      Sum.Retired += Pool->retiredBlocks();
+    }
+  return Sum;
+}
+
+void CheckCounters::abandonStacks() {
+  for (CheckContext *C = Head.load(std::memory_order_acquire); C;
+       C = C->Next)
+    if (lowfat::StackPool *Pool =
+            C->Stack.exchange(nullptr, std::memory_order_acquire)) {
+      Pool->abandonAll();
+      delete Pool;
+    }
 }
 
 CheckContext &CheckCounters::lookup(Runtime &RT) {
@@ -281,51 +303,27 @@ void Runtime::deallocate(void *Ptr) {
 // Typed stack and globals
 //===----------------------------------------------------------------------===//
 
-lowfat::StackPool &Runtime::stackPool() {
-  // One pool per (thread, runtime); pools die with the thread. The
-  // epoch stamp guards against a new runtime constructed at a dead
-  // runtime's address inheriting the dead one's pool, whose heap
-  // reference dangles.
-  struct Slot {
-    uint64_t Epoch = 0;
-    std::unique_ptr<lowfat::StackPool> Pool;
-  };
-  thread_local std::map<Runtime *, Slot> Pools;
-  Slot &S = Pools[this];
-  if (!S.Pool || S.Epoch != Epoch) {
-    if (S.Pool)
-      S.Pool->abandonAll(); // Its blocks died with the old heap.
-    lowfat::StackPool::Options PoolOpts;
-    PoolOpts.QuarantineBytes = StackQuarantineBytes;
-    S.Pool = std::make_unique<lowfat::StackPool>(Heap, Shard, PoolOpts);
-    S.Epoch = Epoch;
-  }
-  return *S.Pool;
-}
-
 void Runtime::reset() {
   // Rewind the shard's sub-arenas first; the registries that pointed
   // into them are then cleared without touching the recycled memory.
   Heap.resetShard(Shard);
   Globals.reset();
   Counters.reset();
-  ObjCounters.reset();
+  // Every thread's stack pool recorded slots in the rewound arena: drop
+  // them unfreed. Each thread starts a fresh pool on its next frame.
+  Counters.abandonStacks();
   Reporter.clear();
   // Every cached layout resolution named recycled addresses' META
   // state; drop them all rather than trusting revalidation across a
   // wholesale arena rewind.
   Cache.clear();
-  // New epoch: every thread's cached stack pool for this runtime is
-  // abandoned on next use instead of replaying pointers into the
-  // recycled arena.
-  Epoch = nextUniqueStamp();
   // Hot-site counts name the previous tenant's sites; start fresh.
   Prof.reset();
 }
 
-void *Runtime::stackAllocate(size_t Size, const TypeInfo *Type,
-                             bool Escapes) {
-  void *Block = stackPool().allocate(Size + sizeof(MetaHeader), Escapes);
+void *Runtime::stackAllocate(CheckContext &CC, size_t Size,
+                             const TypeInfo *Type, bool Escapes) {
+  void *Block = threadStack(CC).allocate(Size + sizeof(MetaHeader), Escapes);
   if (EFFSAN_UNLIKELY(!Block)) {
     Reporter.report(ErrorInfo{ErrorKind::ResourceExhausted, Type, nullptr,
                               0, nullptr,
@@ -333,7 +331,6 @@ void *Runtime::stackAllocate(size_t Size, const TypeInfo *Type,
                               "resources exhausted"});
     return nullptr;
   }
-  ObjCounters.StackAllocs.fetch_add(1, std::memory_order_relaxed);
   if (EFFSAN_UNLIKELY(!Heap.isLowFat(Block)))
     return Block;
   auto *Meta = static_cast<MetaHeader *>(Block);
@@ -342,24 +339,19 @@ void *Runtime::stackAllocate(size_t Size, const TypeInfo *Type,
   return Meta + 1;
 }
 
-size_t Runtime::stackMark() { return stackPool().mark(); }
-
-void Runtime::stackRelease(size_t Mark) {
-  lowfat::StackPool &Pool = stackPool();
+void Runtime::stackRelease(CheckContext &CC, size_t Mark) {
+  lowfat::StackPool &Pool = threadStack(CC);
   // Rebind BEFORE retirement: quarantined (escaping) blocks keep their
   // addresses out of circulation with a STACK-FREE META in place, so a
   // dangling pointer into the popped frame faults as a stack
   // use-after-return for as long as the quarantine delays reuse.
   for (const lowfat::StackPool::Record &R : Pool.blocksSince(Mark)) {
-    if (R.Retire)
-      ObjCounters.StackRetired.fetch_add(1, std::memory_order_relaxed);
     if (!Heap.isLowFat(R.Ptr))
       continue;
     auto *Meta = static_cast<MetaHeader *>(R.Ptr);
     Meta->Type = Ctx.getStackFree();
   }
   Pool.release(Mark);
-  ObjCounters.StackFrames.fetch_add(1, std::memory_order_relaxed);
 }
 
 void *Runtime::globalAllocate(size_t Size, const TypeInfo *Type,

@@ -79,12 +79,12 @@ namespace effective {
 
 class Runtime;
 
-/// One thread's check counters for one runtime: the paper's Figure 7
-/// "#Type" and "#Bounds" columns plus the Section 6.1 legacy-pointer
-/// ratio, counted by the only thread that owns this block. The counters
-/// fill the first cache line together with the runtime they belong to,
-/// so a check resolves the runtime and bumps its counter on one line no
-/// other thread writes.
+/// One thread's state for one runtime, written only by the thread that
+/// owns the block: the check counters (the paper's Figure 7 "#Type" and
+/// "#Bounds" columns plus the Section 6.1 legacy-pointer ratio) and the
+/// thread's typed stack pool. The counters fill the first cache line
+/// together with the runtime they belong to, so a check resolves the
+/// runtime and bumps its counter on one line no other thread writes.
 struct alignas(64) CheckContext {
   EFFSAN_CHECK_COUNTERS(EFFSAN_FIELD_ATOMIC)
   /// The runtime this block counts for (and reports through).
@@ -95,6 +95,12 @@ struct alignas(64) CheckContext {
   std::atomic<uint64_t> Owner{0};
   /// Next block of the runtime's list; immutable while on the list.
   CheckContext *Next = nullptr;
+  /// The thread's stack pool over the runtime's heap shard, created on
+  /// its first stack operation (Runtime::stackMark and friends). It
+  /// stays with the block: an adopting thread inherits it, and the
+  /// runtime tears it down in reset() and on destruction. Atomic so a
+  /// stats reader walking the list sees null or a whole pool.
+  std::atomic<lowfat::StackPool *> Stack{nullptr};
 
   /// One increment by the block's owning thread: a relaxed load and
   /// store instead of a lock-prefixed RMW, which would dominate a
@@ -111,15 +117,16 @@ struct alignas(64) CheckContext {
 static_assert(offsetof(CheckContext, RT) + sizeof(Runtime *) <= 64,
               "a check resolves its runtime and bumps on one cache line");
 
-/// A runtime's dynamic check counters: one CheckContext per thread
-/// checking through the runtime, kept on an append-only lock-free list.
-/// snapshot() and reset() walk the list, so counts from threads that
-/// have exited stay until reset(). An exited thread's block is adopted
-/// by the runtime's next new thread, so the list is as long as the most
-/// threads that ever used the runtime at once. Blocks are never freed:
-/// a destroyed runtime returns its blocks to a process-wide pool, so a
-/// thread may release a block at exit without knowing whether the
-/// runtime still lives.
+/// A runtime's per-thread blocks: one CheckContext per thread checking
+/// or allocating stack objects through the runtime, kept on an
+/// append-only lock-free list. snapshot(), stackTotals() and reset()
+/// walk the list, so counts from threads that have exited stay until
+/// reset(). An exited thread's block is adopted by the runtime's next
+/// new thread, so the list is as long as the most threads that ever
+/// used the runtime at once. Blocks are never freed: a destroyed
+/// runtime tears down their stack pools (its heap still lives) and
+/// returns them to a process-wide pool, so a thread may release a
+/// block at exit without knowing whether the runtime still lives.
 class CheckCounters {
 public:
   /// Plain-value snapshot.
@@ -155,6 +162,20 @@ public:
 
   /// Blocks on the list, held or free.
   size_t numBlocks() const;
+
+  /// Typed stack events summed over every block's stack pool (the
+  /// stack fields of the ABI's effsan_object_stats).
+  struct StackTotals {
+    uint64_t Allocs = 0;  ///< Stack slots allocated.
+    uint64_t Frames = 0;  ///< Frames released.
+    uint64_t Retired = 0; ///< Escaping slots whose frame was released.
+  };
+  StackTotals stackTotals() const;
+
+  /// Drops every block's stack pool without freeing its blocks, for a
+  /// runtime whose arena was rewound. \pre No thread holds a frame or
+  /// uses the runtime concurrently (see Runtime::reset).
+  void abandonStacks();
 
   /// The calling thread's block, if it is the one the thread found
   /// last. The memory is keyed by this registry's process-unique stamp,
@@ -239,31 +260,6 @@ struct RuntimeOptions {
   /// space, so the central drainer attributes any shard's errors. The
   /// registry must outlive the runtime.
   SiteTableRegistry *SharedSites = nullptr;
-  /// Byte budget of each thread's stack use-after-return quarantine:
-  /// escaping (address-taken) stack slots are held back from reuse up
-  /// to this many bytes per pool, so dangling frame pointers keep
-  /// faulting on their STACK-FREE META. 0 disables the reuse delay.
-  size_t StackQuarantineBytes = 64 * 1024;
-};
-
-/// Typed stack/global object counters (the ABI's effsan_object_stats
-/// surface). Exact relaxed fetch_adds at the Runtime entry points,
-/// aggregated across every thread's stack pool. These paths are off
-/// the check path, so one shared atomic RMW per event is cheap enough
-/// and they need no per-thread CheckContext block.
-struct ObjectCounters {
-  /// Typed stack slots ever allocated (stackAllocate calls).
-  std::atomic<uint64_t> StackAllocs{0};
-  /// Frames released (stackRelease calls).
-  std::atomic<uint64_t> StackFrames{0};
-  /// Escaping slots retired through a use-after-return quarantine.
-  std::atomic<uint64_t> StackRetired{0};
-
-  void reset() {
-    StackAllocs.store(0, std::memory_order_relaxed);
-    StackFrames.store(0, std::memory_order_relaxed);
-    StackRetired.store(0, std::memory_order_relaxed);
-  }
 };
 
 /// One EffectiveSan runtime instance: a low-fat heap plus type meta data
@@ -303,8 +299,6 @@ public:
       return *C;
     return Counters.lookup(*this);
   }
-  ObjectCounters &objectCounters() { return ObjCounters; }
-  const ObjectCounters &objectCounters() const { return ObjCounters; }
   /// The global-object registration pool (module loaders and the ABI's
   /// effsan_globals_register; reflection for tests).
   lowfat::GlobalPool &globals() { return Globals; }
@@ -338,21 +332,30 @@ public:
 
   /// \name Typed stack and global allocation.
   /// Stand-ins for the instrumented low-fat stack/global allocators
-  /// ([7,8]); see lowfat/StackPool.h for the simulation notes.
+  /// ([7,8]); see lowfat/StackPool.h for the simulation notes. Stack
+  /// operations use the stack pool of \p CC, the calling thread's
+  /// block of this runtime; the overloads without one resolve it per
+  /// call, like the checks below.
   /// @{
 
   /// Allocates one typed stack slot with a full META header.
   /// \p Escapes marks an address-taken/escaping slot (instrumentation's
   /// escape analysis): its release is delayed through the thread's
-  /// use-after-return quarantine so dangling pointers into the popped
-  /// frame fault as stack use-after-return.
-  void *stackAllocate(size_t Size, const TypeInfo *Type,
+  /// use-after-return quarantine (64 KiB) so dangling pointers into
+  /// the popped frame fault as stack use-after-return.
+  void *stackAllocate(CheckContext &CC, size_t Size, const TypeInfo *Type,
                       bool Escapes = false);
-  size_t stackMark();
+  void *stackAllocate(size_t Size, const TypeInfo *Type,
+                      bool Escapes = false) {
+    return stackAllocate(threadContext(), Size, Type, Escapes);
+  }
+  size_t stackMark(CheckContext &CC) { return threadStack(CC).mark(); }
+  size_t stackMark() { return stackMark(threadContext()); }
   /// Rebinds all stack objects allocated after \p Mark to the
   /// STACK-FREE type and retires them (function epilogue): escaping
   /// slots park in the quarantine, the rest free immediately.
-  void stackRelease(size_t Mark);
+  void stackRelease(CheckContext &CC, size_t Mark);
+  void stackRelease(size_t Mark) { stackRelease(threadContext(), Mark); }
   void *globalAllocate(size_t Size, const TypeInfo *Type,
                        std::string_view Name);
   /// @}
@@ -593,7 +596,17 @@ private:
   Bounds typeCheckImpl(const void *Ptr, const TypeInfo *StaticType,
                        const MetaHeader *Meta, SiteCacheEntry *Fill,
                        SiteId Site);
-  lowfat::StackPool &stackPool();
+  /// \p CC's stack pool, created over this runtime's heap shard on the
+  /// thread's first stack operation.
+  lowfat::StackPool &threadStack(CheckContext &CC) {
+    assert(CC.RT == this && "check context of another runtime");
+    lowfat::StackPool *Pool = CC.Stack.load(std::memory_order_relaxed);
+    if (EFFSAN_UNLIKELY(!Pool)) {
+      Pool = new lowfat::StackPool(Heap, Shard);
+      CC.Stack.store(Pool, std::memory_order_release);
+    }
+    return *Pool;
+  }
 
   /// allocate() targeting an explicit heap shard (realloc's owning-
   /// shard affinity; everything else allocates on this runtime's own
@@ -605,17 +618,11 @@ private:
   std::unique_ptr<lowfat::LowFatHeap> OwnedHeap;
   lowfat::LowFatHeap &Heap;
   unsigned Shard;
-  /// Process-unique instance stamp. The per-thread stack pools are
-  /// cached by Runtime address; the stamp detects a new runtime reusing
-  /// a dead one's address so no thread ever resurrects a stale pool
-  /// (whose heap reference would dangle).
-  uint64_t Epoch;
   lowfat::GlobalPool Globals;
   ErrorReporter Reporter;
+  /// Declared after the heap, so its destructor tears the threads'
+  /// stack pools down while the heap they free into still lives.
   CheckCounters Counters;
-  ObjectCounters ObjCounters;
-  /// Per-thread stack pools are created with this quarantine budget.
-  size_t StackQuarantineBytes;
   /// Cached (void *) type for the pointer-coercion fallback probe.
   const TypeInfo *VoidPtrType;
   /// The site-indexed type-check inline cache (see core/SiteCache.h).

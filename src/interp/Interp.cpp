@@ -113,7 +113,7 @@ private:
     // Typed stack slots through the low-fat stack allocator; released
     // (rebound to FREE) on every exit path — dangling-stack uses after
     // this frame returns are caught as use-after-free.
-    size_t Mark = RT.stackMark();
+    size_t Mark = RT.stackMark(CC);
     std::vector<void *> Slots;
     Slots.reserve(F.Slots.size());
     for (const StackSlot &S : F.Slots) {
@@ -121,14 +121,14 @@ private:
       // already reported as RESOURCE-EXHAUSTED by the runtime; the
       // slot stays null and any access through it faults cleanly as a
       // null deref instead of memset scribbling through a null.
-      void *P = RT.stackAllocate(S.Size, S.ElemType, S.Escapes);
+      void *P = RT.stackAllocate(CC, S.Size, S.ElemType, S.Escapes);
       if (P)
         std::memset(P, 0, S.Size);
       Slots.push_back(P);
     }
 
     Ret = execute(F, Regs, BRegs, Slots);
-    RT.stackRelease(Mark);
+    RT.stackRelease(CC, Mark);
     --CallDepth;
     return Ret;
   }

@@ -24,6 +24,8 @@
 ///
 /// The typed runtime wraps this class: before release() it walks
 /// blocksSince(Mark) to rebind each META header to the STACK-FREE type.
+/// Its pools live in the runtime's per-thread check context blocks
+/// (core/Runtime.h), one per (thread, runtime).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,7 +35,7 @@
 #include "lowfat/LowFatHeap.h"
 #include "support/Compiler.h"
 
-#include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -44,10 +46,11 @@
 namespace effective {
 namespace lowfat {
 
-/// Per-thread LIFO allocator over a LowFatHeap. Not thread-safe; create
-/// one per thread (the EffectiveSan runtime keeps one in TLS). When the
-/// heap is sharded, \p Shard selects the sub-arena stack objects come
-/// from, so a pooled session's stack allocations stay on its shard.
+/// Per-thread LIFO allocator over a LowFatHeap. Only its owning thread
+/// may allocate and release; other threads may read the lifetime
+/// counters. When the heap is sharded, \p Shard selects the sub-arena
+/// stack objects come from, so a pooled session's stack allocations
+/// stay on its shard.
 class StackPool {
 public:
   /// Pool tuning knobs.
@@ -62,9 +65,6 @@ public:
   /// One live stack allocation.
   struct Record {
     void *Ptr;
-    /// Owning Frame's identity (0 when allocated outside any RAII
-    /// Frame, under raw mark/release discipline).
-    uint64_t Frame;
     /// Escaping slot: retire through the quarantine at release.
     bool Retire;
   };
@@ -77,10 +77,8 @@ public:
   explicit StackPool(LowFatHeap &Heap, unsigned Shard = 0)
       : StackPool(Heap, Shard, Options()) {}
 
-  ~StackPool() {
-    release(0);
-    drainQuarantine();
-  }
+  /// Frees every live block and drains the quarantine (release(0)).
+  ~StackPool() { release(0); }
 
   StackPool(const StackPool &) = delete;
   StackPool &operator=(const StackPool &) = delete;
@@ -96,8 +94,8 @@ public:
     void *Ptr = Heap.allocateOnShard(Size, Shard);
     if (EFFSAN_UNLIKELY(!Ptr))
       return nullptr; // OOM: nothing to record; caller reports.
-    Live.push_back(Record{Ptr, CurrentFrame, Retire});
-    ++TotalAllocs;
+    Live.push_back(Record{Ptr, Retire});
+    bump(TotalAllocs);
     return Ptr;
   }
 
@@ -108,14 +106,13 @@ public:
 
   /// Retires all blocks allocated after \p Mark (newest first):
   /// escaping slots enter the quarantine, the rest return to the heap.
-  /// This is the engine epilogue path — engines have strict LIFO frame
-  /// discipline, so a mark fully identifies the frame.
+  /// Frames are strictly LIFO, so a mark fully identifies the frame.
   void release(size_t Mark) {
     while (Live.size() > Mark) {
       retire(Live.back());
       Live.pop_back();
     }
-    ++FramesReleased;
+    bump(FramesReleased);
     if (Live.empty())
       drainQuarantine();
   }
@@ -127,29 +124,36 @@ public:
   size_t quarantinedBlocks() const { return Quarantine.size(); }
   size_t quarantinedBytes() const { return QuarantineInUse; }
 
-  /// Lifetime counters (tests and the ABI object-stats surface).
-  uint64_t totalAllocs() const { return TotalAllocs; }
-  uint64_t framesReleased() const { return FramesReleased; }
-  /// Escaping slots ever retired through the quarantine.
-  uint64_t retiredBlocks() const { return TotalRetired; }
+  /// Lifetime counters (tests and the ABI object-stats surface); any
+  /// thread may read them.
+  uint64_t totalAllocs() const {
+    return TotalAllocs.load(std::memory_order_relaxed);
+  }
+  uint64_t framesReleased() const {
+    return FramesReleased.load(std::memory_order_relaxed);
+  }
+  /// Escaping slots ever released, whether or not the quarantine held
+  /// them (it cannot hold legacy blocks, nor anything at budget 0).
+  uint64_t retiredBlocks() const {
+    return TotalRetired.load(std::memory_order_relaxed);
+  }
 
   /// Forgets every live block *and* the quarantine *without* freeing —
-  /// used when the backing heap no longer exists (or was recycled) and
-  /// the recorded addresses must not be touched. After this the
-  /// destructor is a safe no-op.
+  /// used when the backing arena was recycled and the recorded
+  /// addresses must not be touched. After this the destructor does not
+  /// touch the heap.
   void abandonAll() {
     Live.clear();
     Quarantine.clear();
     QuarantineInUse = 0;
   }
 
-  /// Returns every quarantined block to the heap. Runs automatically
-  /// whenever the last live object is released (the outermost frame
-  /// popped — no frame is left for a pointer to dangle out of) and at
-  /// pool teardown, so a balanced program leaves the pool empty and the
-  /// heap's alloc/free counts level. This is also what keeps the
-  /// runtime's TLS pools safe to destroy after their runtime: an empty
-  /// pool's destructor never touches the (possibly dead) heap.
+private:
+  /// Returns every quarantined block to the heap. Runs whenever the
+  /// last live object is released (the outermost frame popped — no
+  /// frame is left for a pointer to dangle out of) and at pool
+  /// teardown, so a balanced program leaves the pool empty and the
+  /// heap's alloc/free counts level.
   void drainQuarantine() {
     for (const auto &[Ptr, Size] : Quarantine)
       Heap.deallocate(Ptr);
@@ -157,57 +161,15 @@ public:
     QuarantineInUse = 0;
   }
 
-  /// RAII frame: releases its own allocations on scope exit, by frame
-  /// *identity*, not by mark — so frames whose lifetimes interleave
-  /// (moved-from scopes, out-of-order teardown) never free a sibling
-  /// frame's live blocks.
-  class Frame {
-  public:
-    explicit Frame(StackPool &Pool)
-        : Pool(Pool), Id(++Pool.NextFrame), Prev(Pool.CurrentFrame) {
-      Pool.CurrentFrame = Id;
-    }
-    ~Frame() {
-      Pool.releaseFrame(Id);
-      if (Pool.CurrentFrame == Id)
-        Pool.CurrentFrame = Prev;
-    }
-
-    Frame(const Frame &) = delete;
-    Frame &operator=(const Frame &) = delete;
-
-  private:
-    StackPool &Pool;
-    uint64_t Id;
-    uint64_t Prev;
-  };
-
-private:
-  friend class Frame;
-
-  /// Retires exactly the blocks frame \p Id allocated (newest first),
-  /// keeping every other frame's records in order.
-  void releaseFrame(uint64_t Id) {
-    for (size_t I = Live.size(); I-- > 0;)
-      if (Live[I].Frame == Id)
-        retire(Live[I]);
-    Live.erase(std::remove_if(
-                   Live.begin(), Live.end(),
-                   [Id](const Record &R) { return R.Frame == Id; }),
-               Live.end());
-    ++FramesReleased;
-    if (Live.empty())
-      drainQuarantine();
-  }
-
   /// Escaping slots park in the FIFO quarantine (evicting oldest past
   /// the byte budget); everything else goes straight back to the heap.
   void retire(const Record &R) {
+    if (R.Retire)
+      bump(TotalRetired);
     if (R.Retire && Opts.QuarantineBytes != 0 && Heap.isLowFat(R.Ptr)) {
       size_t Size = Heap.allocationSize(R.Ptr);
       Quarantine.emplace_back(R.Ptr, Size);
       QuarantineInUse += Size;
-      ++TotalRetired;
       while (QuarantineInUse > Opts.QuarantineBytes &&
              !Quarantine.empty()) {
         auto [Ptr, Sz] = Quarantine.front();
@@ -227,11 +189,16 @@ private:
   /// FIFO of (block, size) pairs awaiting delayed reuse.
   std::deque<std::pair<void *, size_t>> Quarantine;
   size_t QuarantineInUse = 0;
-  uint64_t CurrentFrame = 0;
-  uint64_t NextFrame = 0;
-  uint64_t TotalAllocs = 0;
-  uint64_t TotalRetired = 0;
-  uint64_t FramesReleased = 0;
+  std::atomic<uint64_t> TotalAllocs{0};
+  std::atomic<uint64_t> TotalRetired{0};
+  std::atomic<uint64_t> FramesReleased{0};
+
+  /// The owner-written relaxed load+store of CheckContext::bump: exact,
+  /// because only the owning thread writes, and no lock-prefixed RMW.
+  static void bump(std::atomic<uint64_t> &C) {
+    C.store(C.load(std::memory_order_relaxed) + 1,
+            std::memory_order_relaxed);
+  }
 };
 
 } // namespace lowfat

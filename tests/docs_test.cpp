@@ -107,7 +107,7 @@ TEST(Docs, StackGlobalSectionsArePinned) {
   std::string Arch = slurp(Root / "docs" / "ARCHITECTURE.md");
   EXPECT_NE(Arch.find("## Stack & global objects"), std::string::npos);
   EXPECT_NE(Arch.find("use-after-return quarantine"), std::string::npos);
-  EXPECT_NE(Arch.find("Epoch-guarded TLS pools"), std::string::npos);
+  EXPECT_NE(Arch.find("Block-owned stack pools"), std::string::npos);
   EXPECT_NE(Arch.find("effsan_globals_register"), std::string::npos);
 
   std::string Abi = slurp(Root / "docs" / "ABI.md");

