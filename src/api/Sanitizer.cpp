@@ -28,7 +28,7 @@ template <CheckPolicy P> struct FrontEnd {
       // bounds_get.
       return CC.RT->boundsGet(CC, Ptr, Site);
     } else if constexpr (P == CheckPolicy::CountOnly) {
-      CheckContext::bump(CC.TypeChecks);
+      ownerBump(CC.TypeChecks);
       return Bounds::wide();
     } else {
       return Bounds::wide();
@@ -39,7 +39,7 @@ template <CheckPolicy P> struct FrontEnd {
     if constexpr (P == CheckPolicy::Full || P == CheckPolicy::BoundsOnly) {
       return CC.RT->boundsGet(CC, Ptr, Site);
     } else if constexpr (P == CheckPolicy::CountOnly) {
-      CheckContext::bump(CC.BoundsGets);
+      ownerBump(CC.BoundsGets);
       return Bounds::wide();
     } else {
       return Bounds::wide();
@@ -51,7 +51,7 @@ template <CheckPolicy P> struct FrontEnd {
     if constexpr (P == CheckPolicy::Full || P == CheckPolicy::BoundsOnly) {
       Runtime::boundsCheck(CC, Ptr, Size, B, Site);
     } else if constexpr (P == CheckPolicy::CountOnly) {
-      CheckContext::bump(CC.BoundsChecks);
+      ownerBump(CC.BoundsChecks);
     }
   }
 
@@ -60,7 +60,7 @@ template <CheckPolicy P> struct FrontEnd {
     if constexpr (P == CheckPolicy::Full) {
       return Runtime::boundsNarrow(CC, B, Field, Size);
     } else if constexpr (P == CheckPolicy::CountOnly) {
-      CheckContext::bump(CC.BoundsNarrows);
+      ownerBump(CC.BoundsNarrows);
       return B;
     } else {
       // BoundsOnly "protects object bounds only": rule-(e) narrowing

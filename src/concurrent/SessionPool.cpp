@@ -43,9 +43,19 @@ bool SessionPool::enqueueToRing(const ErrorInfo &Info, void *UserData) {
   return true;
 }
 
+/// The pool's heap options: one heap shard per session, Shards = 0
+/// meaning one per hardware thread (the heap clamps the count).
+static lowfat::HeapOptions poolHeapOptions(const PoolOptions &Options) {
+  lowfat::HeapOptions Heap = Options.Heap;
+  Heap.NumShards = Options.Shards
+                       ? Options.Shards
+                       : std::max(1u, std::thread::hardware_concurrency());
+  return Heap;
+}
+
 SessionPool::SessionPool(const PoolOptions &Options)
     : OwnedTypes(std::make_unique<TypeContext>()), Types(OwnedTypes.get()),
-      Heap(Options.Shards, Options.Heap),
+      Heap(poolHeapOptions(Options)),
       Ring(Options.ErrorRingCapacity ? Options.ErrorRingCapacity
                                      : ErrorRing::DefaultCapacity),
       Central(Options.Reporter),
@@ -63,7 +73,7 @@ SessionPool::SessionPool(const PoolOptions &Options)
   RTOpts.SharedSites = &SiteTables;
   for (unsigned I = 0; I < Heap.numShards(); ++I) {
     Runtimes.push_back(
-        std::make_unique<Runtime>(*Types, Heap.heap(), I, RTOpts));
+        std::make_unique<Runtime>(*Types, Heap, I, RTOpts));
     Shards.push_back(
         std::make_unique<Sanitizer>(*Runtimes.back(), Options.Policy));
   }
@@ -71,7 +81,7 @@ SessionPool::SessionPool(const PoolOptions &Options)
 
 SessionPool::SessionPool(TypeContext &SharedTypes,
                          const PoolOptions &Options)
-    : Types(&SharedTypes), Heap(Options.Shards, Options.Heap),
+    : Types(&SharedTypes), Heap(poolHeapOptions(Options)),
       Ring(Options.ErrorRingCapacity ? Options.ErrorRingCapacity
                                      : ErrorRing::DefaultCapacity),
       Central(Options.Reporter),
@@ -87,7 +97,7 @@ SessionPool::SessionPool(TypeContext &SharedTypes,
   RTOpts.SharedSites = &SiteTables;
   for (unsigned I = 0; I < Heap.numShards(); ++I) {
     Runtimes.push_back(
-        std::make_unique<Runtime>(*Types, Heap.heap(), I, RTOpts));
+        std::make_unique<Runtime>(*Types, Heap, I, RTOpts));
     Shards.push_back(
         std::make_unique<Sanitizer>(*Runtimes.back(), Options.Policy));
   }

@@ -9,9 +9,10 @@
 /// serving N worker threads without shared locks on any hot path.
 ///
 ///   * Allocation   — each shard's Runtime owns one slice of a single
-///                    shared low-fat arena (ShardedHeap), so shards
-///                    never contend on a heap lock while base(p)/size(p)
-///                    stay O(1) arithmetic for *any* shard's pointers.
+///                    shared low-fat arena (a LowFatHeap with one
+///                    shard per session), so shards never contend on a
+///                    heap lock while base(p)/size(p) stay O(1)
+///                    arithmetic for *any* shard's pointers.
 ///   * Checks       — always lock-free; per-shard counters avoid the
 ///                    cache-line ping-pong a shared counter block
 ///                    suffers under concurrent mutators.
@@ -48,7 +49,7 @@
 
 #include "api/Sanitizer.h"
 #include "concurrent/ErrorRing.h"
-#include "concurrent/ShardedHeap.h"
+#include "lowfat/LowFatHeap.h"
 #include "obs/SiteProfiler.h"
 
 #include <atomic>
@@ -167,8 +168,8 @@ public:
   /// (or observability is compiled out).
   std::vector<obs::SiteProfile> mergedHotSites(size_t N) const;
 
-  /// The shared sharded heap.
-  ShardedHeap &heap() { return Heap; }
+  /// The shared sharded heap: shard I is session I's slice.
+  lowfat::LowFatHeap &heap() { return Heap; }
 
   TypeContext &types() { return *Types; }
 
@@ -209,7 +210,7 @@ private:
 
   std::unique_ptr<TypeContext> OwnedTypes; ///< Null when sharing.
   TypeContext *Types;
-  ShardedHeap Heap;
+  lowfat::LowFatHeap Heap;
   ErrorRing Ring;
   ErrorReporter Central;
   /// One site space for all shards (see siteTables()). Declared before

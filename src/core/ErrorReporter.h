@@ -19,6 +19,7 @@
 #include "core/SiteTable.h"
 #include "core/TypeInfo.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <map>
 #include <mutex>
@@ -84,6 +85,16 @@ struct ErrorInfo {
   /// time (null for pseudo-sites and unregistered ids). Points into
   /// the session's SiteTableRegistry — stable across ring drains.
   const SiteInfo *Where = nullptr;
+
+  /// An address inside the object the report names: Pointer less its
+  /// Offset within the allocation. That is the checked object, or for a
+  /// failed bounds check the object its bounds came from, while Pointer
+  /// may lie in a neighbouring or never-allocated block. Pointer itself
+  /// when no META names an object (Offset 0), e.g. a legacy pointer.
+  const void *object() const {
+    return reinterpret_cast<const void *>(
+        reinterpret_cast<uintptr_t>(Pointer) - static_cast<uintptr_t>(Offset));
+  }
 };
 
 /// One deduplicated issue (the paper's Figure 7 "#Issues-found" counts

@@ -9,13 +9,10 @@
 #include "core/Layout.h"
 #include "obs/Metrics.h"
 #include "resilience/Fault.h"
-#include "support/UniqueStamp.h"
 
 #include <cassert>
 #include <cstring>
 #include <memory>
-#include <mutex>
-#include <vector>
 
 using namespace effective;
 
@@ -53,57 +50,17 @@ Runtime &Runtime::global() {
 // Per-thread check counters
 //===----------------------------------------------------------------------===//
 
-namespace {
-/// Blocks of destroyed runtimes, zeroed and free, for the next runtime
-/// to reuse. Never destroyed, so it outlives every static runtime.
-struct BlockPool {
-  std::mutex Lock;
-  std::vector<CheckContext *> Free;
-
-  static BlockPool &get() {
-    static BlockPool *Pool = new BlockPool;
-    return *Pool;
-  }
-};
-
-/// The calling thread's token and the blocks it holds, freed for
-/// adoption when the thread exits. A block whose runtime died meanwhile
-/// went back to the pool and no longer carries the token, so the
-/// release leaves it alone.
-struct HeldBlocks {
-  uint64_t Token = nextUniqueStamp();
-  std::vector<CheckContext *> Blocks;
-
-  ~HeldBlocks() {
-    for (CheckContext *C : Blocks) {
-      uint64_t Mine = Token;
-      C->Owner.compare_exchange_strong(Mine, 0, std::memory_order_release,
-                                       std::memory_order_relaxed);
-    }
-  }
-};
-} // namespace
-
-CheckCounters::CheckCounters() : Stamp(nextUniqueStamp()) {}
-
 CheckCounters::~CheckCounters() {
-  reset();
-  BlockPool &Pool = BlockPool::get();
-  std::lock_guard<std::mutex> Guard(Pool.Lock);
-  for (CheckContext *C = Head.load(std::memory_order_acquire); C;
-       C = C->Next) {
-    // Frees the pool's live and quarantined blocks into the runtime's
-    // heap, which outlives this registry (see Runtime::Counters).
+  // Free each pool's live and quarantined blocks into the runtime's
+  // heap, which outlives this registry (see Runtime::Counters); the
+  // blocks return to the process pool when Blocks is destroyed.
+  for (CheckContext *C = Blocks.first(); C; C = C->Next)
     delete C->Stack.exchange(nullptr, std::memory_order_acquire);
-    C->Owner.store(0, std::memory_order_relaxed);
-    Pool.Free.push_back(C);
-  }
 }
 
 CheckCounters::Snapshot CheckCounters::snapshot() const {
   Snapshot Sum;
-  for (const CheckContext *C = Head.load(std::memory_order_acquire); C;
-       C = C->Next) {
+  for (const CheckContext *C = Blocks.first(); C; C = C->Next) {
     const CheckContext &In = *C;
     Snapshot Out;
     EFFSAN_CHECK_COUNTERS(EFFSAN_FIELD_LOAD)
@@ -113,25 +70,15 @@ CheckCounters::Snapshot CheckCounters::snapshot() const {
 }
 
 void CheckCounters::reset() {
-  for (CheckContext *C = Head.load(std::memory_order_acquire); C;
-       C = C->Next) {
+  for (CheckContext *C = Blocks.first(); C; C = C->Next) {
     CheckContext &Out = *C;
     EFFSAN_CHECK_COUNTERS(EFFSAN_FIELD_CLEAR)
   }
 }
 
-size_t CheckCounters::numBlocks() const {
-  size_t N = 0;
-  for (const CheckContext *C = Head.load(std::memory_order_acquire); C;
-       C = C->Next)
-    ++N;
-  return N;
-}
-
 CheckCounters::StackTotals CheckCounters::stackTotals() const {
   StackTotals Sum;
-  for (const CheckContext *C = Head.load(std::memory_order_acquire); C;
-       C = C->Next)
+  for (const CheckContext *C = Blocks.first(); C; C = C->Next)
     if (const lowfat::StackPool *Pool =
             C->Stack.load(std::memory_order_acquire)) {
       Sum.Allocs += Pool->totalAllocs();
@@ -142,61 +89,12 @@ CheckCounters::StackTotals CheckCounters::stackTotals() const {
 }
 
 void CheckCounters::abandonStacks() {
-  for (CheckContext *C = Head.load(std::memory_order_acquire); C;
-       C = C->Next)
+  for (CheckContext *C = Blocks.first(); C; C = C->Next)
     if (lowfat::StackPool *Pool =
             C->Stack.exchange(nullptr, std::memory_order_acquire)) {
       Pool->abandonAll();
       delete Pool;
     }
-}
-
-CheckContext &CheckCounters::lookup(Runtime &RT) {
-  thread_local HeldBlocks Held;
-  CheckContext *First = Head.load(std::memory_order_acquire);
-  CheckContext *Block = First;
-  while (Block &&
-         Block->Owner.load(std::memory_order_relaxed) != Held.Token)
-    Block = Block->Next;
-  if (Block) {
-    recentBlock() = {Stamp, Block};
-    return *Block;
-  }
-  // Adopt an exited thread's block: the acquire pairs with its release,
-  // so its last counts are in the block before this thread adds more.
-  for (CheckContext *C = First; !Block && C; C = C->Next) {
-    uint64_t Free = 0;
-    if (C->Owner.compare_exchange_strong(Free, Held.Token,
-                                         std::memory_order_acquire,
-                                         std::memory_order_relaxed))
-      Block = C;
-  }
-  if (!Block) {
-    {
-      BlockPool &Pool = BlockPool::get();
-      std::lock_guard<std::mutex> Guard(Pool.Lock);
-      if (!Pool.Free.empty()) {
-        Block = Pool.Free.back();
-        Pool.Free.pop_back();
-      }
-    }
-    if (!Block)
-      Block = new CheckContext;
-    Block->RT = &RT;
-    Block->Owner.store(Held.Token, std::memory_order_relaxed);
-    Block->Next = First;
-    while (!Head.compare_exchange_weak(Block->Next, Block,
-                                       std::memory_order_release,
-                                       std::memory_order_acquire)) {
-    }
-  }
-  // Forget blocks that dead runtimes took back, then hold this one.
-  std::erase_if(Held.Blocks, [&](const CheckContext *C) {
-    return C->Owner.load(std::memory_order_relaxed) != Held.Token;
-  });
-  Held.Blocks.push_back(Block);
-  recentBlock() = {Stamp, Block};
-  return *Block;
 }
 
 CheckContext &effective::unscopedContext() {
@@ -212,12 +110,12 @@ void *Runtime::allocate(size_t Size, const TypeInfo *Type) {
   return allocateOn(Shard, Size, Type);
 }
 
-void *Runtime::allocateOn(unsigned HeapShard, size_t Size,
+void *Runtime::allocateOn(unsigned OnShard, size_t Size,
                           const TypeInfo *Type) {
   void *Block =
       EFFSAN_FAULT(HeapExhausted)
           ? nullptr
-          : Heap.allocateOnShard(Size + sizeof(MetaHeader), HeapShard);
+          : Heap.allocateOnShard(Size + sizeof(MetaHeader), OnShard);
   if (EFFSAN_UNLIKELY(!Block)) {
     // Exhaustion (real OOM or an induced fault) degrades to a
     // diagnosable null: one resource-exhausted report per requested
@@ -527,7 +425,7 @@ Bounds Runtime::typeCheckImpl(const void *Ptr, const TypeInfo *StaticType,
 Bounds Runtime::typeCheckSlow(CheckContext &CC, const void *Ptr,
                               const TypeInfo *StaticType, SiteId Site,
                               const MetaHeader *Meta) {
-  CheckContext::bump(CC.TypeCheckCacheMisses);
+  ownerBump(CC.TypeCheckCacheMisses);
   if (EFFSAN_UNLIKELY(obs::profileActive()))
     Prof.noteMiss(Site);
   EFFSAN_OBS_EVENT(CheckSlowPath, Shard, Site);
@@ -560,10 +458,10 @@ Bounds Runtime::typeCheckTimed(CheckContext &CC, const void *Ptr,
 Bounds Runtime::typeCheckUncached(const void *Ptr,
                                   const TypeInfo *StaticType) {
   CheckContext &CC = threadContext();
-  CheckContext::bump(CC.TypeChecks);
+  ownerBump(CC.TypeChecks);
   void *Base = Heap.allocationBase(Ptr);
   if (!Base) {
-    CheckContext::bump(CC.LegacyTypeChecks);
+    ownerBump(CC.LegacyTypeChecks);
     return Bounds::wide();
   }
   return typeCheckImpl(Ptr, StaticType,
@@ -573,7 +471,7 @@ Bounds Runtime::typeCheckUncached(const void *Ptr,
 
 Bounds Runtime::boundsGet(CheckContext &CC, const void *Ptr, SiteId Site) {
   assert(CC.RT == this && "check context of another runtime");
-  CheckContext::bump(CC.BoundsGets);
+  ownerBump(CC.BoundsGets);
   const MetaHeader *Meta = metaOf(Ptr);
   if (!Meta || !Meta->Type)
     return Bounds::wide();

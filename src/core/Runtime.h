@@ -41,6 +41,7 @@
 #include "obs/Trace.h"
 #include "support/Compiler.h"
 #include "support/FieldTable.h"
+#include "support/ThreadBlocks.h"
 
 #include <atomic>
 #include <cassert>
@@ -85,13 +86,14 @@ class Runtime;
 /// thread's typed stack pool. The counters fill the first cache line
 /// together with the runtime they belong to, so a check resolves the
 /// runtime and bumps its counter on one line no other thread writes.
+/// A block of the runtime's ThreadBlocks registry: an exited thread's
+/// block is adopted, counts and pool included, by the runtime's next
+/// new thread.
 struct alignas(64) CheckContext {
   EFFSAN_CHECK_COUNTERS(EFFSAN_FIELD_ATOMIC)
   /// The runtime this block counts for (and reports through).
   Runtime *RT = nullptr;
-  /// The owning thread's token, 0 while the block is free. A thread
-  /// frees its blocks when it exits; a later thread of the same
-  /// runtime adopts one, counts included (see CheckCounters::lookup).
+  /// The owning thread's token, 0 while the block is free.
   std::atomic<uint64_t> Owner{0};
   /// Next block of the runtime's list; immutable while on the list.
   CheckContext *Next = nullptr;
@@ -102,15 +104,14 @@ struct alignas(64) CheckContext {
   /// stats reader walking the list sees null or a whole pool.
   std::atomic<lowfat::StackPool *> Stack{nullptr};
 
-  /// One increment by the block's owning thread: a relaxed load and
-  /// store instead of a lock-prefixed RMW, which would dominate a
-  /// bounds check. It is exact because no other thread writes the
-  /// block; snapshots only read it. Returns the count before the
-  /// increment, which the samplers decimate on.
-  static EFFSAN_ALWAYS_INLINE uint64_t bump(std::atomic<uint64_t> &C) {
-    uint64_t N = C.load(std::memory_order_relaxed);
-    C.store(N + 1, std::memory_order_relaxed);
-    return N;
+  /// ThreadBlocks hooks: an exiting thread leaves its counts and pool
+  /// to the adopting thread; a dying runtime has already deleted the
+  /// pool.
+  void threadExit() {}
+  void recycle() {
+    CheckContext &Out = *this;
+    EFFSAN_CHECK_COUNTERS(EFFSAN_FIELD_CLEAR)
+    RT = nullptr;
   }
 };
 
@@ -118,15 +119,11 @@ static_assert(offsetof(CheckContext, RT) + sizeof(Runtime *) <= 64,
               "a check resolves its runtime and bumps on one cache line");
 
 /// A runtime's per-thread blocks: one CheckContext per thread checking
-/// or allocating stack objects through the runtime, kept on an
-/// append-only lock-free list. snapshot(), stackTotals() and reset()
-/// walk the list, so counts from threads that have exited stay until
-/// reset(). An exited thread's block is adopted by the runtime's next
-/// new thread, so the list is as long as the most threads that ever
-/// used the runtime at once. Blocks are never freed: a destroyed
-/// runtime tears down their stack pools (its heap still lives) and
-/// returns them to a process-wide pool, so a thread may release a
-/// block at exit without knowing whether the runtime still lives.
+/// or allocating stack objects through the runtime (see
+/// support/ThreadBlocks.h). snapshot(), stackTotals() and reset() walk
+/// the list, so counts from threads that have exited stay until
+/// reset(). A destroyed runtime tears down the blocks' stack pools (its
+/// heap still lives) before the blocks return to the process pool.
 class CheckCounters {
 public:
   /// Plain-value snapshot.
@@ -148,7 +145,7 @@ public:
     }
   };
 
-  CheckCounters();
+  CheckCounters() = default;
   ~CheckCounters();
   CheckCounters(const CheckCounters &) = delete;
   CheckCounters &operator=(const CheckCounters &) = delete;
@@ -161,7 +158,7 @@ public:
   void reset();
 
   /// Blocks on the list, held or free.
-  size_t numBlocks() const;
+  size_t numBlocks() const { return Blocks.size(); }
 
   /// Typed stack events summed over every block's stack pool (the
   /// stack fields of the ABI's effsan_object_stats).
@@ -178,31 +175,19 @@ public:
   void abandonStacks();
 
   /// The calling thread's block, if it is the one the thread found
-  /// last. The memory is keyed by this registry's process-unique stamp,
-  /// so a registry built at a dead one's address never sees the dead
-  /// one's block.
+  /// last.
   EFFSAN_ALWAYS_INLINE CheckContext *recent() const {
-    const RecentBlock &R = recentBlock();
-    return R.Stamp == Stamp ? R.Block : nullptr;
+    return Blocks.recent();
   }
 
-  /// The calling thread's block for \p RT (whose counters these are):
-  /// found on the list, else adopted from an exited thread, else added.
-  /// The thread remembers it for recent().
-  EFFSAN_NOINLINE CheckContext &lookup(Runtime &RT);
+  /// The calling thread's block for \p RT (whose counters these are),
+  /// looked up out of line.
+  CheckContext &lookup(Runtime &RT) {
+    return Blocks.lookup([&RT](CheckContext &C) { C.RT = &RT; });
+  }
 
 private:
-  struct RecentBlock {
-    uint64_t Stamp;
-    CheckContext *Block;
-  };
-  static RecentBlock &recentBlock() {
-    constinit thread_local RecentBlock R{};
-    return R;
-  }
-
-  const uint64_t Stamp;
-  std::atomic<CheckContext *> Head{nullptr};
+  ThreadBlocks<CheckContext> Blocks;
 };
 
 /// \name Current-runtime binding.
@@ -391,7 +376,7 @@ public:
     // times in 1024 whether or not metrics are armed, so arming changes
     // the executed instruction stream only on the sampled checks. With
     // observability compiled out the whole test folds to nothing.
-    uint64_t NChecks = CheckContext::bump(CC.TypeChecks);
+    uint64_t NChecks = ownerBump(CC.TypeChecks);
     if (EFFSAN_UNLIKELY((NChecks & obs::CheckSampleMask) == 0 &&
                         obs::metricsActive()))
       return typeCheckTimed(CC, Ptr, StaticType, Site);
@@ -413,7 +398,7 @@ public:
                                             SiteId Site) {
     void *Base = Heap.allocationBase(Ptr);
     if (EFFSAN_UNLIKELY(!Base)) {
-      CheckContext::bump(CC.LegacyTypeChecks);
+      ownerBump(CC.LegacyTypeChecks);
       return Bounds::wide();
     }
     const auto *Meta = static_cast<const MetaHeader *>(Base);
@@ -461,7 +446,7 @@ public:
               // flag for the same reason as the latency sampler
               // above: 15 hits in 16 skip both the flag load and the
               // profiler whether or not profiling is armed.
-              uint64_t NHits = CheckContext::bump(CC.TypeCheckCacheHits);
+              uint64_t NHits = ownerBump(CC.TypeCheckCacheHits);
               if (EFFSAN_UNLIKELY(
                       (NHits & obs::ProfileSampleMask) == 0 &&
                       obs::profileActive()))
@@ -510,7 +495,7 @@ public:
                                                const void *Ptr, size_t Size,
                                                Bounds B,
                                                SiteId Site = NoSite) {
-    CheckContext::bump(CC.BoundsChecks);
+    ownerBump(CC.BoundsChecks);
     if (EFFSAN_UNLIKELY(!B.contains(Ptr, Size)))
       boundsCheckFail(CC, Ptr, Size, B, Site);
   }
@@ -524,7 +509,7 @@ public:
   static EFFSAN_ALWAYS_INLINE Bounds boundsNarrow(CheckContext &CC, Bounds B,
                                                   const void *Field,
                                                   size_t Size) {
-    CheckContext::bump(CC.BoundsNarrows);
+    ownerBump(CC.BoundsNarrows);
     return B.intersect(Bounds::forObject(Field, Size));
   }
   Bounds boundsNarrow(Bounds B, const void *Field, size_t Size) {
@@ -611,7 +596,7 @@ private:
   /// allocate() targeting an explicit heap shard (realloc's owning-
   /// shard affinity; everything else allocates on this runtime's own
   /// Shard).
-  void *allocateOn(unsigned HeapShard, size_t Size, const TypeInfo *Type);
+  void *allocateOn(unsigned OnShard, size_t Size, const TypeInfo *Type);
 
   TypeContext &Ctx;
   /// Null when the runtime borrows a shared heap (the shard ctor).

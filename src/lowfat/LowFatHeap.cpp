@@ -9,7 +9,6 @@
 #include "obs/Trace.h"
 #include "resilience/Fault.h"
 #include "support/Compiler.h"
-#include "support/UniqueStamp.h"
 
 #include <bit>
 #include <cassert>
@@ -40,67 +39,34 @@ static constexpr size_t QuarantineFlushCount = 16;
 static_assert(MinClassSize >= FreeLinkOffset + sizeof(void *),
               "smallest class must fit META header plus free-list link");
 
-/// Magazine hits accumulated in a plain thread-local tally before one
-/// fetch_add publishes them to the shard's shared counter. The hot
-/// path stays free of lock-prefixed RMWs (one `inc` on a TLS field),
-/// yet no update is ever lost: the remainder is published whenever the
-/// cache retires, rebinds or flushes, so totals are exact after a
-/// flush. The service layer's LoadGovernor steers policy off these
-/// counters, which is why statistical drift is no longer acceptable.
-static constexpr uint64_t TallyPublishThreshold = 64;
-
 //===----------------------------------------------------------------------===//
 // Thread caches: per-thread magazines + quarantine batches
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-/// Process-wide registry of live heaps (address -> stamp). Arbitrates
-/// between dying threads (whose caches flush back to the heap) and
-/// dying heaps (whose caches must be abandoned): a cache only touches
-/// its heap while holding the lock that the heap's destructor also
-/// takes to unregister. Leaked on purpose so thread-exit destructors
-/// that run after static destruction still find live objects.
-std::mutex &heapRegistryLock() {
-  static std::mutex *M = new std::mutex;
-  return *M;
-}
-
-std::unordered_map<const void *, uint64_t> &liveHeapRegistry() {
-  static auto *Map = new std::unordered_map<const void *, uint64_t>;
-  return *Map;
-}
-
-/// One-entry hot cache of the most recent (heap -> thread cache)
-/// lookup, so the common case (a thread working against one heap) pays
-/// a pointer compare instead of a list walk.
-thread_local const void *HotHeap = nullptr;
-thread_local uint64_t HotStamp = 0;
-thread_local void *HotTC = nullptr;
-
-} // namespace
-
 /// The per-(thread, heap) cache: one magazine per size class (bound to
 /// one shard at a time), a spare chain of refill overflow, and the
-/// batched quarantine buffer. Destroyed at thread exit, which flushes
-/// everything back to the heap if it is still alive.
+/// batched quarantine buffer. A block of the heap's ThreadBlocks
+/// registry: written only by its thread, except for the fields stats()
+/// reads, which are atomics.
 struct LowFatHeap::ThreadCache {
-  LowFatHeap *Heap;
-  uint64_t HeapStamp;
-  unsigned MagSize;
   /// The shard the magazines hold blocks of (~0u = unbound).
-  unsigned BoundShard = ~0u;
+  std::atomic<unsigned> BoundShard{~0u};
   /// The bound shard's epoch as of binding; a mismatch with the live
   /// epoch means resetShard() recycled the arena slice and every cached
   /// block must be discarded, never replayed.
-  uint64_t ShardEpoch = 0;
-  /// Exact magazine hit/refill tallies for the bound shard, published
-  /// in batches of TallyPublishThreshold (and in full at retirement)
-  /// via publishTallies(). Dropped, like the cached blocks, when the
-  /// bound shard's epoch went stale — the events belonged to the
-  /// pre-reset tenant.
-  uint64_t HitTally = 0;
-  uint64_t RefillTally = 0;
+  std::atomic<uint64_t> ShardEpoch{0};
+  /// Magazine hits and refills on the bound shard since binding
+  /// (ownerBump). Folded into the shard's counters when the cache
+  /// retires the shard; dropped with the cached blocks when the epoch
+  /// went stale, since they belonged to the pre-reset tenant.
+  std::atomic<uint64_t> Hits{0};
+  std::atomic<uint64_t> Refills{0};
+  /// The owning thread's token (ThreadBlocks), 0 while free.
+  std::atomic<uint64_t> Owner{0};
+  ThreadCache *Next = nullptr;
+  /// The heap whose list holds the cache (null while pooled).
+  LowFatHeap *Heap = nullptr;
+  unsigned MagSize = 0;
   /// Blocks per class currently in the magazine arrays.
   uint16_t Counts[NumSizeClasses] = {};
   /// Refill overflow: the rest of a popped free list, consumed by later
@@ -119,31 +85,34 @@ struct LowFatHeap::ThreadCache {
   std::vector<PendingFree> Pending;
   size_t PendingBytes = 0;
 
-  /// Set under the registry lock when the cache was already flushed or
-  /// its heap died; the destructor then must not touch the heap (and
-  /// must not re-take the registry lock it may be held under).
-  bool Retired = false;
-
-  explicit ThreadCache(LowFatHeap &H)
-      : Heap(&H), HeapStamp(H.Stamp), MagSize(H.MagSize) {
-    if (MagSize)
-      Slots = std::make_unique<void *[]>(
-          static_cast<size_t>(NumSizeClasses) * MagSize);
+  /// Joins \p H's list, sizing the magazines for \p H (a pooled cache
+  /// may come from a heap with another MagazineSize).
+  void attach(LowFatHeap &H) {
+    Heap = &H;
+    if (MagSize != H.MagSize) {
+      MagSize = H.MagSize;
+      Slots = MagSize ? std::make_unique<void *[]>(
+                            static_cast<size_t>(NumSizeClasses) * MagSize)
+                      : nullptr;
+    }
     Pending.reserve(QuarantineFlushCount);
   }
 
-  ~ThreadCache() {
-    if (Retired)
-      return;
-    std::lock_guard<std::mutex> Guard(heapRegistryLock());
-    auto &Live = liveHeapRegistry();
-    auto It = Live.find(Heap);
-    if (It != Live.end() && It->second == HeapStamp)
-      Heap->flushCache(*this);
+  /// ThreadBlocks hooks. An exiting thread's cache flushes back to its
+  /// live heap and is left empty for the next thread. A dying heap's
+  /// caches forget their blocks: the arena is about to be unmapped.
+  void threadExit() { Heap->flushCache(*this); }
+  void recycle() {
+    BoundShard.store(~0u, std::memory_order_relaxed);
+    ShardEpoch.store(0, std::memory_order_relaxed);
+    Hits.store(0, std::memory_order_relaxed);
+    Refills.store(0, std::memory_order_relaxed);
+    Heap = nullptr;
+    std::memset(Counts, 0, sizeof(Counts));
+    std::memset(Spare, 0, sizeof(Spare));
+    Pending.clear();
+    PendingBytes = 0;
   }
-
-  ThreadCache(const ThreadCache &) = delete;
-  ThreadCache &operator=(const ThreadCache &) = delete;
 
   void **slots(unsigned ClassIndex) {
     return Slots.get() + static_cast<size_t>(ClassIndex) * MagSize;
@@ -151,42 +120,9 @@ struct LowFatHeap::ThreadCache {
 };
 
 LowFatHeap::ThreadCache *LowFatHeap::threadCache() {
-  if (EFFSAN_LIKELY(HotHeap == this && HotStamp == Stamp))
-    return static_cast<ThreadCache *>(HotTC);
-  return threadCacheSlow();
-}
-
-LowFatHeap::ThreadCache *LowFatHeap::threadCacheSlow() {
-  // All of this thread's caches, across heaps. Function-local so the
-  // vector (and each cache's flushing destructor) runs at thread exit.
-  thread_local std::vector<std::unique_ptr<ThreadCache>> Caches;
-
-  ThreadCache *Found = nullptr;
-  {
-    // Prune caches of dead heaps while we are here (bounds the list by
-    // the heaps the thread still uses). Retire under the registry lock
-    // so a pruned cache's destructor skips the flush AND the lock.
-    std::lock_guard<std::mutex> Guard(heapRegistryLock());
-    auto &Live = liveHeapRegistry();
-    std::erase_if(Caches, [&](std::unique_ptr<ThreadCache> &C) {
-      auto It = Live.find(C->Heap);
-      if (It != Live.end() && It->second == C->HeapStamp)
-        return false;
-      C->Retired = true; // Heap is gone; abandon the cached blocks.
-      return true;
-    });
-  }
-  for (auto &C : Caches)
-    if (C->Heap == this && C->HeapStamp == Stamp)
-      Found = C.get();
-  if (!Found) {
-    Caches.push_back(std::make_unique<ThreadCache>(*this));
-    Found = Caches.back().get();
-  }
-  HotHeap = this;
-  HotStamp = Stamp;
-  HotTC = Found;
-  return Found;
+  if (ThreadCache *TC = Caches.recent(); EFFSAN_LIKELY(TC != nullptr))
+    return TC;
+  return &Caches.lookup([this](ThreadCache &TC) { TC.attach(*this); });
 }
 
 //===----------------------------------------------------------------------===//
@@ -203,7 +139,6 @@ LowFatHeap::LowFatHeap(const HeapOptions &Options) {
   MagSize = Options.MagazineSize > MaxMagazineSize ? MaxMagazineSize
                                                    : Options.MagazineSize;
   WorkStealing = Options.EnableWorkStealing;
-  Stamp = nextUniqueStamp();
 
   // Reserve the arena; retry with smaller regions if the reservation is
   // refused. MAP_NORESERVE keeps untouched pages free of charge. With
@@ -257,18 +192,13 @@ LowFatHeap::LowFatHeap(const HeapOptions &Options) {
       Sub.Bump.store(Sub.Begin, std::memory_order_relaxed);
     }
   }
-
-  std::lock_guard<std::mutex> Guard(heapRegistryLock());
-  liveHeapRegistry().emplace(this, Stamp);
 }
 
 LowFatHeap::~LowFatHeap() {
-  {
-    // After this no thread-exit flush will touch the heap (flushes run
-    // under the same lock and re-check liveness).
-    std::lock_guard<std::mutex> Guard(heapRegistryLock());
-    liveHeapRegistry().erase(this);
-  }
+  // Before unmapping: once the caches are back in the process pool no
+  // thread-exit flush touches the heap (exits flush under the same lock,
+  // and only caches that still carry their thread's token).
+  Caches.retireAll();
   ::munmap(reinterpret_cast<void *>(ArenaBase), ArenaBytes);
   for (auto &Entry : LegacyAllocs)
     std::free(Entry.first);
@@ -374,7 +304,7 @@ bool LowFatHeap::refillMagazine(ThreadCache &TC, unsigned ClassIndex,
     Slots[N++] = reinterpret_cast<char *>(Spare) - FreeLinkOffset;
     Spare = Spare->Next;
   }
-  ++TC.RefillTally;
+  ownerBump(TC.Refills);
   EFFSAN_OBS_EVENT(MagazineRefill, Shard, N - Before);
   return true;
 }
@@ -386,7 +316,8 @@ void LowFatHeap::flushMagazineHalf(ThreadCache &TC, unsigned ClassIndex) {
   void **Slots = TC.slots(ClassIndex);
   unsigned N = TC.Counts[ClassIndex];
   unsigned Flush = N - N / 2;
-  assert(Flush > 0 && TC.BoundShard != ~0u);
+  unsigned Bound = TC.BoundShard.load(std::memory_order_relaxed);
+  assert(Flush > 0 && Bound != ~0u);
   FreeNode *First = nullptr, *Prev = nullptr;
   for (unsigned I = 0; I < Flush; ++I) {
     auto *Node = reinterpret_cast<FreeNode *>(
@@ -397,15 +328,16 @@ void LowFatHeap::flushMagazineHalf(ThreadCache &TC, unsigned ClassIndex) {
       First = Node;
     Prev = Node;
   }
-  pushFreeChain(subRegion(ClassIndex, TC.BoundShard), First, Prev);
+  pushFreeChain(subRegion(ClassIndex, Bound), First, Prev);
   std::memmove(Slots, Slots + Flush, (N - Flush) * sizeof(void *));
   TC.Counts[ClassIndex] = static_cast<uint16_t>(N - Flush);
-  EFFSAN_OBS_EVENT(MagazineFlush, TC.BoundShard, Flush);
+  EFFSAN_OBS_EVENT(MagazineFlush, Bound, Flush);
 }
 
 /// Pushes every magazine block and spare chain back to the bound
 /// shard's free lists. \pre the bound shard's epoch is still current.
 void LowFatHeap::flushMagazines(ThreadCache &TC) {
+  unsigned Bound = TC.BoundShard.load(std::memory_order_relaxed);
   for (unsigned C = 0; C < NumSizeClasses; ++C) {
     if (TC.Counts[C] > 0) {
       unsigned N = TC.Counts[C];
@@ -420,14 +352,14 @@ void LowFatHeap::flushMagazines(ThreadCache &TC) {
           First = Node;
         Prev = Node;
       }
-      pushFreeChain(subRegion(C, TC.BoundShard), First, Prev);
+      pushFreeChain(subRegion(C, Bound), First, Prev);
       TC.Counts[C] = 0;
     }
     if (TC.Spare[C]) {
       FreeNode *Tail = TC.Spare[C];
       while (Tail->Next)
         Tail = Tail->Next;
-      pushFreeChain(subRegion(C, TC.BoundShard), TC.Spare[C], Tail);
+      pushFreeChain(subRegion(C, Bound), TC.Spare[C], Tail);
       TC.Spare[C] = nullptr;
     }
   }
@@ -442,44 +374,37 @@ void LowFatHeap::flushMagazines(ThreadCache &TC) {
 /// with pre-reset blocks. Active-use paths stay lock-free; this lock
 /// sits only on rebind/exit.
 void LowFatHeap::retireMagazines(ThreadCache &TC) {
-  if (TC.BoundShard == ~0u)
+  unsigned Bound = TC.BoundShard.load(std::memory_order_relaxed);
+  if (Bound == ~0u)
     return;
-  ShardQuarantine &Q = Quarantines[TC.BoundShard];
+  ShardQuarantine &Q = Quarantines[Bound];
   std::lock_guard<std::mutex> Guard(Q.Lock);
-  if (TC.ShardEpoch ==
-      ShardEpochs[TC.BoundShard].load(std::memory_order_relaxed)) {
-    publishTallies(TC);
+  if (TC.ShardEpoch.load(std::memory_order_relaxed) ==
+      ShardEpochs[Bound].load(std::memory_order_relaxed)) {
+    ShardCounters &C = Counters[Bound];
+    C.MagazineHits.fetch_add(TC.Hits.load(std::memory_order_relaxed),
+                             std::memory_order_relaxed);
+    C.MagazineRefills.fetch_add(TC.Refills.load(std::memory_order_relaxed),
+                                std::memory_order_relaxed);
     flushMagazines(TC);
   } else {
     // Stale: the shard was reset; the addresses belong to a new
-    // tenant now (or will). Forget them — and the tallies with them:
-    // the hits happened on the pre-reset tenant's watch, and the new
+    // tenant now (or will). Forget them, and the counts with them: the
+    // hits happened on the pre-reset tenant's watch, and the new
     // tenant's counters started from zero.
     std::memset(TC.Counts, 0, sizeof(TC.Counts));
     std::memset(TC.Spare, 0, sizeof(TC.Spare));
-    TC.HitTally = 0;
-    TC.RefillTally = 0;
   }
-}
-
-void LowFatHeap::publishTallies(ThreadCache &TC) {
-  if (TC.HitTally) {
-    Counters[TC.BoundShard].MagazineHits.fetch_add(
-        TC.HitTally, std::memory_order_relaxed);
-    TC.HitTally = 0;
-  }
-  if (TC.RefillTally) {
-    Counters[TC.BoundShard].MagazineRefills.fetch_add(
-        TC.RefillTally, std::memory_order_relaxed);
-    TC.RefillTally = 0;
-  }
+  TC.Hits.store(0, std::memory_order_relaxed);
+  TC.Refills.store(0, std::memory_order_relaxed);
 }
 
 /// Rebinds the cache to \p Shard after retiring the old shard's blocks.
 void LowFatHeap::rebindCache(ThreadCache &TC, unsigned Shard) {
   retireMagazines(TC);
-  TC.BoundShard = Shard;
-  TC.ShardEpoch = ShardEpochs[Shard].load(std::memory_order_relaxed);
+  TC.BoundShard.store(Shard, std::memory_order_relaxed);
+  TC.ShardEpoch.store(ShardEpochs[Shard].load(std::memory_order_relaxed),
+                      std::memory_order_relaxed);
 }
 
 void LowFatHeap::flushCache(ThreadCache &TC) {
@@ -489,6 +414,8 @@ void LowFatHeap::flushCache(ThreadCache &TC) {
 }
 
 void LowFatHeap::flushThreadCache() { flushCache(*threadCache()); }
+
+size_t LowFatHeap::numThreadCaches() const { return Caches.size(); }
 
 //===----------------------------------------------------------------------===//
 // Allocation
@@ -507,17 +434,16 @@ void *LowFatHeap::allocateOnShard(size_t Size, unsigned Shard) {
   if (EFFSAN_LIKELY(MagSize != 0)) {
     ThreadCache *TC = threadCache();
     if (EFFSAN_UNLIKELY(
-            TC->BoundShard != Shard ||
-            TC->ShardEpoch !=
+            TC->BoundShard.load(std::memory_order_relaxed) != Shard ||
+            TC->ShardEpoch.load(std::memory_order_relaxed) !=
                 ShardEpochs[Shard].load(std::memory_order_relaxed)))
       rebindCache(*TC, Shard);
     uint16_t &N = TC->Counts[ClassIndex];
     if (EFFSAN_LIKELY(N > 0)) {
       // The steady state: a TLS array pop. No lock, no RMW atomic —
-      // the hit lands in a thread-local tally, published in batches.
+      // the hit counts in the cache, written only by this thread.
       void *Result = TC->slots(ClassIndex)[--N];
-      if (EFFSAN_UNLIKELY(++TC->HitTally >= TallyPublishThreshold))
-        publishTallies(*TC);
+      ownerBump(TC->Hits);
       noteAlloc(Shard, Block, /*Legacy=*/false);
       return Result;
     }
@@ -666,8 +592,8 @@ void LowFatHeap::deallocate(void *Ptr) {
   if (EFFSAN_LIKELY(MagSize != 0)) {
     ThreadCache *TC = threadCache();
     if (EFFSAN_LIKELY(
-            TC->BoundShard == Shard &&
-            TC->ShardEpoch ==
+            TC->BoundShard.load(std::memory_order_relaxed) == Shard &&
+            TC->ShardEpoch.load(std::memory_order_relaxed) ==
                 ShardEpochs[Shard].load(std::memory_order_relaxed))) {
       // The steady state: a TLS array push (the block's memory is not
       // even touched, so the META header trivially survives).
@@ -836,22 +762,18 @@ void LowFatHeap::resetShard(unsigned Shard) {
 
 HeapStats LowFatHeap::shardStats(unsigned Shard) const {
   assert(Shard < Shards && "shard index out of range");
-  // Fold the *calling thread's* in-flight tally batch into the shared
-  // counters first, so same-thread reads stay exact without a
-  // flushThreadCache() round trip (other threads' in-flight batches
-  // appear once they publish or flush). Publishing mutates only
-  // thread-local tally state and lock-free atomics, so the method
-  // stays logically const.
-  if (HotHeap == this && HotStamp == Stamp) {
-    auto *TC = static_cast<ThreadCache *>(HotTC);
-    if (TC && TC->BoundShard == Shard &&
-        TC->ShardEpoch ==
-            ShardEpochs[Shard].load(std::memory_order_relaxed))
-      const_cast<LowFatHeap *>(this)->publishTallies(*TC);
-  }
   const ShardCounters &In = Counters[Shard];
   HeapStats Out;
   EFFSAN_HEAP_STATS(EFFSAN_FIELD_LOAD)
+  // Add the counts of the caches bound to the shard's current epoch;
+  // the rest were folded in above or belong to a recycled tenant.
+  uint64_t Epoch = ShardEpochs[Shard].load(std::memory_order_relaxed);
+  for (const ThreadCache *TC = Caches.first(); TC; TC = TC->Next)
+    if (TC->BoundShard.load(std::memory_order_relaxed) == Shard &&
+        TC->ShardEpoch.load(std::memory_order_relaxed) == Epoch) {
+      Out.MagazineHits += TC->Hits.load(std::memory_order_relaxed);
+      Out.MagazineRefills += TC->Refills.load(std::memory_order_relaxed);
+    }
   return Out;
 }
 

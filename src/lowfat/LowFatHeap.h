@@ -62,16 +62,23 @@
 ///     O(1) arithmetic and frees return them to the sibling.
 ///
 /// The only mutexes left are the per-shard quarantine FIFO (taken once
-/// per flushed batch) and the legacy-allocation table (oversized
-/// requests only).
+/// per flushed batch), the legacy-allocation table (oversized requests
+/// only) and the thread-cache registry's process lock (thread exit,
+/// heap destruction, and a new thread's first use of a heap when no
+/// exited thread's cache is free).
 ///
-/// TLS reclamation: magazines are epoch-guarded. resetShard() advances
-/// the shard's epoch; any thread's cached blocks for that shard are
-/// discarded (not replayed) on its next use, so a recycled arena can
-/// never serve a stale magazine block. Thread exit flushes caches back
-/// to the owning heap if — and only if — the heap is still alive (a
-/// process-wide registry arbitrates, so heaps and threads may die in
-/// any order).
+/// TLS reclamation: a thread's cache for a heap is a block of the heap's
+/// per-thread registry (support/ThreadBlocks.h), found on the fast path
+/// by one stamp compare on a TLS word. Magazines are epoch-guarded:
+/// resetShard() advances the shard's epoch, and any thread's cached
+/// blocks for that shard are discarded (not replayed) on its next use,
+/// so a recycled arena can never serve a stale magazine block. Thread
+/// exit flushes a cache back to its heap if, and only if, the heap is
+/// still alive; the registry's lock arbitrates, so heaps and threads
+/// may die in any order. The flushed cache is adopted by the heap's
+/// next new thread. Magazine hits and refills are owner-written
+/// counters in each cache, which stats() adds to the shard totals, so
+/// the counts are exact whenever no thread is mid-allocation.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -80,6 +87,7 @@
 
 #include "lowfat/SizeClass.h"
 #include "support/FieldTable.h"
+#include "support/ThreadBlocks.h"
 
 #include <atomic>
 #include <cstddef>
@@ -152,11 +160,9 @@ inline constexpr unsigned MaxMagazineSize = 512;
   X(QuarantinedBytes, quarantined_bytes, Gauge,                                \
     "effsan_heap_quarantined_bytes", "Bytes parked in free quarantine")        \
   /* Allocations served by a non-empty TLS magazine (the no-atomics            \
-   * steady state). Hits and refills are tallied per thread and                \
-   * published to the shared counters in batches (and in full whenever         \
-   * a cache retires, rebinds or is flushed), so the totals are exact          \
-   * after flushThreadCache()/thread exit; between publishes a reader          \
-   * may lag by at most one in-flight batch per thread. */                     \
+   * steady state). Hits and refills count in the thread's cache, which        \
+   * stats() reads, so the totals are exact whenever no thread is              \
+   * mid-allocation. */                                                        \
   X(MagazineHits, magazine_hits, Counter, "effsan_heap_magazine_hits_total",   \
     "Allocations served from a TLS magazine")                                  \
   /* Magazine refills from the owning sub-arena (each moves up to              \
@@ -267,6 +273,12 @@ public:
   /// Snapshot of one shard's statistics.
   HeapStats shardStats(unsigned Shard) const;
 
+  /// One shard's BlockBytesInUse, without the walk over the threads'
+  /// caches that shardStats() makes for the magazine counts.
+  uint64_t shardBytesInUse(unsigned Shard) const {
+    return Counters[Shard].BlockBytesInUse.load(std::memory_order_relaxed);
+  }
+
   /// Bytes carved from one size class's region across all shards
   /// (bump-pointer high-water marks; freed blocks stay carved until
   /// their shard is recycled). Feeds the per-class heap-occupancy
@@ -293,13 +305,16 @@ public:
   /// Whether slice exhaustion steals from sibling shards.
   bool workStealingEnabled() const { return WorkStealing; }
 
+  /// Thread caches on this heap's list, held or free (one per thread
+  /// that used the heap at once).
+  size_t numThreadCaches() const;
+
   /// The process-wide heap used by the EffectiveSan runtime.
   static LowFatHeap &global();
 
 private:
   struct FreeNode;
   struct ThreadCache;
-  friend struct ThreadCache;
 
   /// Per-(size class, shard) sub-arena state. Lock-free: the free list
   /// is a Treiber stack (push = CAS; consumers exchange the whole list,
@@ -372,22 +387,15 @@ private:
   /// is held or the caller is actively using the shard).
   void flushMagazines(ThreadCache &TC);
   /// Flush-or-drop the bound shard's cached blocks under the shard's
-  /// quarantine lock (serialized against resetShard).
+  /// quarantine lock (serialized against resetShard), folding the
+  /// cache's hit and refill counts into the shard's counters.
   void retireMagazines(ThreadCache &TC);
-  /// Publishes the cache's magazine hit/refill tallies to the bound
-  /// shard's shared counters with one fetch_add each (exact telemetry:
-  /// no update is ever lost, unlike a racy load+store on the shared
-  /// counter).
-  void publishTallies(ThreadCache &TC);
   /// Rebinds the cache to a new shard after retiring the old one's
   /// blocks.
   void rebindCache(ThreadCache &TC, unsigned Shard);
 
-  /// The calling thread's cache for this heap (created on first use;
-  /// null only when magazines are disabled and no quarantine batching
-  /// is needed).
+  /// The calling thread's cache for this heap (created on first use).
   ThreadCache *threadCache();
-  ThreadCache *threadCacheSlow();
 
   /// Appends a freed block to the thread's quarantine batch, flushing
   /// the batch (one locked operation) when it is due.
@@ -422,10 +430,9 @@ private:
   unsigned Shards = 1;
   unsigned MagSize = 0;
   bool WorkStealing = false;
-  /// Process-unique instance stamp: thread caches are keyed by heap
-  /// address, and the stamp stops a new heap constructed at a dead
-  /// heap's address from inheriting its caches.
-  uint64_t Stamp = 0;
+  /// One cache per thread using the heap; its stamp is read on every
+  /// allocation, so it sits with the other hot fields.
+  ThreadBlocks<ThreadCache> Caches;
   uintptr_t ArenaBase = 0;
   uintptr_t ArenaEnd = 0;
   size_t ArenaBytes = 0;

@@ -34,6 +34,7 @@
 
 #include "lowfat/LowFatHeap.h"
 #include "support/Compiler.h"
+#include "support/ThreadBlocks.h"
 
 #include <atomic>
 #include <cstddef>
@@ -95,7 +96,7 @@ public:
     if (EFFSAN_UNLIKELY(!Ptr))
       return nullptr; // OOM: nothing to record; caller reports.
     Live.push_back(Record{Ptr, Retire});
-    bump(TotalAllocs);
+    ownerBump(TotalAllocs);
     return Ptr;
   }
 
@@ -112,7 +113,7 @@ public:
       retire(Live.back());
       Live.pop_back();
     }
-    bump(FramesReleased);
+    ownerBump(FramesReleased);
     if (Live.empty())
       drainQuarantine();
   }
@@ -165,7 +166,7 @@ private:
   /// the byte budget); everything else goes straight back to the heap.
   void retire(const Record &R) {
     if (R.Retire)
-      bump(TotalRetired);
+      ownerBump(TotalRetired);
     if (R.Retire && Opts.QuarantineBytes != 0 && Heap.isLowFat(R.Ptr)) {
       size_t Size = Heap.allocationSize(R.Ptr);
       Quarantine.emplace_back(R.Ptr, Size);
@@ -192,13 +193,6 @@ private:
   std::atomic<uint64_t> TotalAllocs{0};
   std::atomic<uint64_t> TotalRetired{0};
   std::atomic<uint64_t> FramesReleased{0};
-
-  /// The owner-written relaxed load+store of CheckContext::bump: exact,
-  /// because only the owning thread writes, and no lock-prefixed RMW.
-  static void bump(std::atomic<uint64_t> &C) {
-    C.store(C.load(std::memory_order_relaxed) + 1,
-            std::memory_order_relaxed);
-  }
 };
 
 } // namespace lowfat

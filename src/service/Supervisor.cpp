@@ -205,17 +205,19 @@ void Supervisor::restartDrainer() {
 
 uint64_t Supervisor::drainAttributed() {
   concurrent::ErrorRing &Ring = Pool.ring();
-  lowfat::LowFatHeap &Heap = Pool.heap().heap();
+  lowfat::LowFatHeap &Heap = Pool.heap();
   ErrorInfo Info;
   uint64_t Events = 0;
   while (Ring.tryPop(Info)) {
     ++Events;
-    // Attribute by the erring pointer's arena slice: shardOf() is pure
-    // address arithmetic and the tenant <-> shard binding is 1:1.
-    // Legacy (non-low-fat) pointers are pool-wide events — reported,
+    // Bill the tenant whose arena slice holds the object the report
+    // names: shardOf() is pure address arithmetic and the tenant <->
+    // shard binding is 1:1. Billing the pointer instead would miss or
+    // misbill an overflow into a never-allocated or neighbouring block.
+    // Reports naming no low-fat object are pool-wide events — reported,
     // not billed.
-    if (Info.Pointer && Heap.isLowFat(Info.Pointer))
-      Tenants.noteErrorEvent(Heap.shardOf(Info.Pointer));
+    if (const void *Object = Info.object(); Heap.isLowFat(Object))
+      Tenants.noteErrorEvent(Heap.shardOf(Object));
     Pool.reporter().report(Info);
   }
   DrainedEvents.fetch_add(Events, std::memory_order_relaxed);
@@ -441,7 +443,7 @@ Supervisor::Lease Supervisor::lease(TenantId Id) {
     return Lease();
   // Budget inputs are sampled outside the registry lock; the registry
   // does the gating atomically against its own state.
-  uint64_t LiveBytes = Pool.heap().shardStats(Shard).BlockBytesInUse;
+  uint64_t LiveBytes = Pool.heap().shardBytesInUse(Shard);
   uint64_t Checks = checkSumOf(Shard);
   unsigned ShardOut = 0;
   if (Tenants.checkout(Id, LiveBytes, Checks, ShardOut))
@@ -483,7 +485,7 @@ bool Supervisor::tenantSnapshot(TenantId Id, TenantSnapshot &Out) {
   unsigned Shard = static_cast<unsigned>(Id & 0xffffffffu);
   if (Id == NoTenant || Shard >= NumShards)
     return false;
-  uint64_t LiveBytes = Pool.heap().shardStats(Shard).BlockBytesInUse;
+  uint64_t LiveBytes = Pool.heap().shardBytesInUse(Shard);
   uint64_t Checks = checkSumOf(Shard);
   return Tenants.snapshot(Id, LiveBytes, Checks, Out);
 }
@@ -651,7 +653,7 @@ void Supervisor::updateMetrics(const ServiceStats &S, double RingOccupancy) {
   Metrics.RingOccupancyPct->set(
       static_cast<int64_t>(RingOccupancy * 100.0));
   CheckCounters::Snapshot C = Pool.counters();
-  lowfat::LowFatHeap &Heap = Pool.heap().heap();
+  lowfat::LowFatHeap &Heap = Pool.heap();
   lowfat::HeapStats HS = Heap.stats();
 #define EFFSAN_X(Field, ...) C.Field,
   mirror(Metrics.Checks, {EFFSAN_CHECK_COUNTERS(EFFSAN_X)});

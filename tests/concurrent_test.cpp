@@ -6,17 +6,16 @@
 ///
 /// Covers the src/concurrent/ subsystem: the lock-free MPSC ErrorRing
 /// (ordering, wraparound, overflow accounting, concurrent producers),
-/// the ShardedHeap (disjoint per-shard sub-arenas with globally valid
-/// base/size arithmetic), and the SessionPool (thread-affine checkout,
-/// shard isolation, merged counters, cross-shard dedup through the
-/// central drain, per-shard reset) plus the harness's multi-threaded
-/// mode. Also exercised under -fsanitize=thread by the CI TSan job.
+/// the sharded heap under the pool (disjoint per-shard sub-arenas with
+/// globally valid base/size arithmetic), and the SessionPool
+/// (thread-affine checkout, shard isolation, merged counters,
+/// cross-shard dedup through the central drain, per-shard reset) plus
+/// the harness's multi-threaded mode. Also exercised under -fsanitize=thread by the CI TSan job.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "concurrent/ErrorRing.h"
 #include "concurrent/SessionPool.h"
-#include "concurrent/ShardedHeap.h"
 #include "workloads/Harness.h"
 
 #include <gtest/gtest.h>
@@ -155,44 +154,56 @@ TEST(ErrorRingTest, ConcurrentProducersLoseNothing) {
 }
 
 //===----------------------------------------------------------------------===//
-// ShardedHeap
+// The sharded heap under the pool: a LowFatHeap with one shard per session
 //===----------------------------------------------------------------------===//
 
+namespace {
+lowfat::HeapOptions withShards(unsigned Shards,
+                               lowfat::HeapOptions Base = {}) {
+  Base.NumShards = Shards;
+  return Base;
+}
+} // namespace
+
 TEST(ShardedHeapTest, ShardsAllocateFromDisjointSubArenas) {
-  ShardedHeap Heap(4);
+  lowfat::LowFatHeap Heap(withShards(4));
   ASSERT_EQ(Heap.numShards(), 4u);
 
   for (unsigned S = 0; S < 4; ++S) {
-    HeapShard Shard = Heap.shard(S);
-    void *P = Shard.allocate(100);
-    ASSERT_TRUE(Heap.heap().isLowFat(P));
-    EXPECT_EQ(Heap.heap().shardOf(P), S)
+    void *P = Heap.allocateOnShard(100, S);
+    ASSERT_TRUE(Heap.isLowFat(P));
+    EXPECT_EQ(Heap.shardOf(P), S)
         << "block must land in the allocating shard's sub-arena";
-    Shard.deallocate(P);
+    Heap.deallocate(P);
   }
 }
 
 TEST(ShardedHeapTest, BaseAndSizeAreGlobalAcrossShards) {
-  ShardedHeap Heap(4);
-  // Allocate on shard 2, query through shard 0's view: the low-fat
-  // arithmetic is address-based and shard-blind.
-  char *P = static_cast<char *>(Heap.shard(2).allocate(100));
-  HeapShard Other = Heap.shard(0);
-  size_t Size = Other.size(P);
+  lowfat::LowFatHeap Heap(withShards(4));
+  // Allocate on shard 2: the low-fat arithmetic is address-based and
+  // shard-blind.
+  char *P = static_cast<char *>(Heap.allocateOnShard(100, 2));
+  size_t Size = Heap.allocationSize(P);
   EXPECT_GE(Size, 100u);
-  EXPECT_EQ(Other.base(P), P);
+  EXPECT_EQ(Heap.allocationBase(P), P);
   for (size_t Off : {size_t(1), size_t(50), size_t(99), Size - 1}) {
-    EXPECT_EQ(Other.base(P + Off), P) << Off;
-    EXPECT_EQ(Other.size(P + Off), Size) << Off;
+    EXPECT_EQ(Heap.allocationBase(P + Off), P) << Off;
+    EXPECT_EQ(Heap.allocationSize(P + Off), Size) << Off;
   }
-  Other.deallocate(P); // Cross-shard free is legal.
+  Heap.deallocate(P); // Cross-shard free is legal.
   EXPECT_EQ(Heap.stats().NumFrees, 1u);
 }
 
 TEST(ShardedHeapTest, ShardZeroResolvesRequestedCount) {
-  EXPECT_GE(ShardedHeap::resolveShardCount(0), 1u);
-  EXPECT_EQ(ShardedHeap::resolveShardCount(3), 3u);
-  EXPECT_EQ(ShardedHeap::resolveShardCount(1 << 20),
+  PoolOptions Options;
+  Options.SiteCacheEntries = 0;
+  Options.Shards = 0;
+  EXPECT_GE(SessionPool(Options).numShards(), 1u);
+  Options.Shards = 3;
+  SessionPool Three(Options);
+  EXPECT_EQ(Three.numShards(), 3u);
+  EXPECT_EQ(Three.heap().numShards(), 3u);
+  EXPECT_EQ(lowfat::LowFatHeap(withShards(1 << 20)).numShards(),
             lowfat::MaxHeapShards);
 }
 
@@ -205,7 +216,7 @@ TEST(ShardedHeapTest, ConcurrentShardsNeverShareABlock) {
   constexpr unsigned Iterations = 3000;
   lowfat::HeapOptions Base;
   Base.QuarantineBytes = 1 << 16; // Delay reuse on every shard.
-  ShardedHeap Heap(Threads, Base);
+  lowfat::LowFatHeap Heap(withShards(Threads, Base));
 
   // Every pointer ever handed out, per thread. Threads never free, so
   // all blocks stay live and any overlap is a double hand-out.
@@ -213,15 +224,14 @@ TEST(ShardedHeapTest, ConcurrentShardsNeverShareABlock) {
   std::vector<std::thread> Workers;
   for (unsigned T = 0; T < Threads; ++T) {
     Workers.emplace_back([&, T] {
-      HeapShard Shard = Heap.shard(T);
       Handed[T].reserve(Iterations);
       for (unsigned I = 0; I < Iterations; ++I) {
         size_t Size = 1 + (I * 37 + T * 101) % 300;
-        auto *P = static_cast<char *>(Shard.allocate(Size));
+        auto *P = static_cast<char *>(Heap.allocateOnShard(Size, T));
         // The block is writable and class-sized.
         P[0] = static_cast<char>(T);
-        ASSERT_GE(Shard.size(P), Size);
-        ASSERT_EQ(Shard.base(P), P);
+        ASSERT_GE(Heap.allocationSize(P), Size);
+        ASSERT_EQ(Heap.allocationBase(P), P);
         Handed[T].push_back(P);
       }
     });
@@ -237,17 +247,15 @@ TEST(ShardedHeapTest, ConcurrentShardsNeverShareABlock) {
   EXPECT_EQ(std::adjacent_find(All.begin(), All.end()), All.end())
       << "a block was handed to two threads";
 
-  // Cross-shard arithmetic: thread 0's view resolves every other
-  // thread's pointers.
-  HeapShard View = Heap.shard(0);
+  // Cross-shard arithmetic: every thread's pointers resolve from here.
   for (unsigned T = 0; T < Threads; ++T) {
     for (char *P : Handed[T]) {
-      EXPECT_EQ(View.base(P + 1), P);
-      EXPECT_EQ(Heap.heap().shardOf(P), T);
+      EXPECT_EQ(Heap.allocationBase(P + 1), P);
+      EXPECT_EQ(Heap.shardOf(P), T);
     }
   }
   for (char *P : All)
-    View.deallocate(P);
+    Heap.deallocate(P);
 }
 
 TEST(ShardedHeapTest, ConcurrentAllocFreeWithQuarantine) {
@@ -255,24 +263,23 @@ TEST(ShardedHeapTest, ConcurrentAllocFreeWithQuarantine) {
   constexpr unsigned Iterations = 2000;
   lowfat::HeapOptions Base;
   Base.QuarantineBytes = 1 << 14;
-  ShardedHeap Heap(Threads, Base);
+  lowfat::LowFatHeap Heap(withShards(Threads, Base));
 
   std::vector<std::thread> Workers;
   for (unsigned T = 0; T < Threads; ++T) {
     Workers.emplace_back([&, T] {
-      HeapShard Shard = Heap.shard(T);
       std::vector<void *> Live;
       for (unsigned I = 0; I < Iterations; ++I) {
-        void *P = Shard.allocate(1 + (I * 13) % 500);
-        ASSERT_EQ(Shard.base(P), P);
+        void *P = Heap.allocateOnShard(1 + (I * 13) % 500, T);
+        ASSERT_EQ(Heap.allocationBase(P), P);
         Live.push_back(P);
         if (Live.size() > 16) {
-          Shard.deallocate(Live.front());
+          Heap.deallocate(Live.front());
           Live.erase(Live.begin());
         }
       }
       for (void *P : Live)
-        Shard.deallocate(P);
+        Heap.deallocate(P);
     });
   }
   for (std::thread &W : Workers)
@@ -289,23 +296,23 @@ TEST(ShardedHeapTest, ConcurrentAllocFreeWithQuarantine) {
 }
 
 TEST(ShardedHeapTest, ResetShardLeavesSiblingsIntact) {
-  ShardedHeap Heap(2);
-  char *A = static_cast<char *>(Heap.shard(0).allocate(64));
-  char *B = static_cast<char *>(Heap.shard(1).allocate(64));
+  lowfat::LowFatHeap Heap(withShards(2));
+  char *A = static_cast<char *>(Heap.allocateOnShard(64, 0));
+  char *B = static_cast<char *>(Heap.allocateOnShard(64, 1));
   B[0] = 42;
 
   Heap.resetShard(0);
-  EXPECT_FALSE(Heap.heap().isLowFat(A))
+  EXPECT_FALSE(Heap.isLowFat(A))
       << "reset shard's pointers degrade to legacy";
-  ASSERT_TRUE(Heap.heap().isLowFat(B));
-  EXPECT_EQ(Heap.shard(1).base(B), B);
+  ASSERT_TRUE(Heap.isLowFat(B));
+  EXPECT_EQ(Heap.allocationBase(B), B);
   EXPECT_EQ(B[0], 42) << "sibling shard's memory untouched";
 
   // The shard's sub-arena is recycled from the start.
-  void *A2 = Heap.shard(0).allocate(64);
+  void *A2 = Heap.allocateOnShard(64, 0);
   EXPECT_EQ(A2, static_cast<void *>(A)) << "bump pointer rewound";
-  Heap.shard(0).deallocate(A2);
-  Heap.shard(1).deallocate(B);
+  Heap.deallocate(A2);
+  Heap.deallocate(B);
 }
 
 //===----------------------------------------------------------------------===//
@@ -433,7 +440,7 @@ TEST(SessionPoolTest, CrossShardReallocKeepsOwningShardAffinity) {
   SessionPool Pool(quietPool(2));
   TypeContext &Ctx = Pool.types();
   const TypeInfo *IntTy = Ctx.getInt();
-  lowfat::LowFatHeap &Heap = Pool.heap().heap();
+  lowfat::LowFatHeap &Heap = Pool.heap();
 
   // Shard 0 allocates; shard 1's session grows the block. The fresh
   // block must be carved from shard 0's slice (the owner), not shard
@@ -706,8 +713,8 @@ TEST(SessionPoolTest, HeapOptionsWireMagazinesAndStealingThrough) {
   Options.Heap.MagazineSize = 8;
   Options.Heap.EnableWorkStealing = true;
   SessionPool Pool(Options);
-  EXPECT_EQ(Pool.heap().heap().magazineSize(), 8u);
-  EXPECT_TRUE(Pool.heap().heap().workStealingEnabled());
+  EXPECT_EQ(Pool.heap().magazineSize(), 8u);
+  EXPECT_TRUE(Pool.heap().workStealingEnabled());
 
   // Churn through a shard session: the steady state must be served by
   // the magazines (hits visible in the shard's heap stats).

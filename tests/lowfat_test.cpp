@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <memory>
 #include <random>
 #include <thread>
 #include <vector>
@@ -566,6 +567,114 @@ TEST(MagazineTest, ConcurrentHitTalliesAreExact) {
   EXPECT_LE(Stats.MagazineRefills, uint64_t(NumThreads));
   EXPECT_EQ(Stats.NumAllocs, uint64_t(NumThreads) * Iters);
   EXPECT_EQ(Stats.NumFrees, uint64_t(NumThreads) * Iters);
+  EXPECT_EQ(Stats.BlockBytesInUse, 0u);
+}
+
+TEST(MagazineTest, ParkedThreadsHitsAreExactWithoutAFlush) {
+  // Each thread's first allocation comes from the bump pointer; the
+  // other Iters-1 replay its magazine. The threads stay alive and never
+  // flush, yet another thread's stats() reads every hit.
+  LowFatHeap Heap;
+  constexpr unsigned NumThreads = 4;
+  constexpr unsigned Iters = 10;
+  std::atomic<unsigned> Parked{0};
+  std::atomic<bool> Release{false};
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T < NumThreads; ++T) {
+    Threads.emplace_back([&] {
+      for (unsigned I = 0; I < Iters; ++I)
+        Heap.deallocate(Heap.allocate(64));
+      Parked.fetch_add(1, std::memory_order_release);
+      while (!Release.load(std::memory_order_acquire))
+        std::this_thread::yield();
+    });
+  }
+  while (Parked.load(std::memory_order_acquire) != NumThreads)
+    std::this_thread::yield();
+  HeapStats Stats = Heap.stats();
+  EXPECT_EQ(Stats.MagazineHits, uint64_t(NumThreads) * (Iters - 1));
+  EXPECT_EQ(Stats.MagazineRefills, 0u);
+  EXPECT_EQ(Stats.NumAllocs, uint64_t(NumThreads) * Iters);
+  Release.store(true, std::memory_order_release);
+  for (std::thread &T : Threads)
+    T.join();
+  EXPECT_EQ(Heap.stats().MagazineHits, uint64_t(NumThreads) * (Iters - 1))
+      << "thread exit folds each cache's hits into the shard once";
+}
+
+TEST(ThreadCacheLifetime, HeapDiesWhileAThreadHoldsItsCache) {
+  // The holder's cache keeps magazine blocks and a pending quarantine
+  // batch of a heap that is destroyed before the holder exits. The
+  // exit must leave the unmapped arena alone.
+  HeapOptions Options;
+  Options.QuarantineBytes = 1024;
+  auto Heap = std::make_unique<LowFatHeap>(Options);
+  std::atomic<int> Phase{0};
+  std::thread Holder([&] {
+    // Batches of 8 frees flush into the 1 KiB quarantine; the third
+    // batch evicts the first 8 blocks to the free list and the last 3
+    // frees stay in the thread's batch.
+    std::vector<void *> Blocks;
+    for (int I = 0; I < 27; ++I)
+      Blocks.push_back(Heap->allocate(64));
+    for (void *P : Blocks)
+      Heap->deallocate(P);
+    // A refill moves the evicted blocks into the magazine.
+    Heap->deallocate(Heap->allocate(64));
+    Phase.store(1, std::memory_order_release);
+    while (Phase.load(std::memory_order_acquire) != 2)
+      std::this_thread::yield();
+  });
+  while (Phase.load(std::memory_order_acquire) != 1)
+    std::this_thread::yield();
+  HeapStats Stats = Heap->stats();
+  EXPECT_EQ(Stats.MagazineRefills, 1u);
+  EXPECT_EQ(Stats.QuarantinedBytes, 20u * 64);
+  Heap.reset();
+  Phase.store(2, std::memory_order_release);
+  Holder.join();
+}
+
+TEST(ThreadCacheLifetime, HeapAtADeadHeapsAddressGetsAFreshCache) {
+  alignas(LowFatHeap) unsigned char Storage[sizeof(LowFatHeap)];
+  HeapOptions Small;
+  Small.MagazineSize = 4;
+  auto *Dead = new (Storage) LowFatHeap(Small);
+  Dead->deallocate(Dead->allocate(64)); // Parks in this thread's cache.
+  Dead->~LowFatHeap();
+
+  // The pooled cache comes back resized: 32 frees fit its magazine.
+  HeapOptions Large;
+  Large.MagazineSize = 32;
+  auto *Heap = new (Storage) LowFatHeap(Large);
+  std::vector<void *> Ptrs;
+  for (int I = 0; I < 32; ++I)
+    Ptrs.push_back(Heap->allocate(64));
+  EXPECT_EQ(Heap->stats().MagazineHits, 0u)
+      << "the dead heap's magazine block was replayed";
+  for (void *P : Ptrs) {
+    EXPECT_TRUE(Heap->isLowFat(P));
+    Heap->deallocate(P);
+  }
+  for (int I = 0; I < 32; ++I)
+    Ptrs[I] = Heap->allocate(64);
+  EXPECT_EQ(Heap->stats().MagazineHits, 32u);
+  for (void *P : Ptrs)
+    Heap->deallocate(P);
+  Heap->~LowFatHeap();
+}
+
+TEST(ThreadCacheLifetime, ExitedThreadsCacheIsAdoptedEmpty) {
+  LowFatHeap Heap;
+  for (int T = 0; T < 4; ++T)
+    std::thread([&Heap] {
+      Heap.deallocate(Heap.allocate(64)); // Exit flushes the block.
+    }).join();
+  EXPECT_EQ(Heap.numThreadCaches(), 1u);
+  HeapStats Stats = Heap.stats();
+  EXPECT_EQ(Stats.MagazineHits, 0u) << "an adopted cache arrives empty";
+  EXPECT_EQ(Stats.MagazineRefills, 3u)
+      << "each later thread refills the flushed block";
   EXPECT_EQ(Stats.BlockBytesInUse, 0u);
 }
 

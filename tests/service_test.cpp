@@ -132,6 +132,31 @@ TEST(ServiceDrainTest, ForcedTickIsDeterministic) {
   EXPECT_EQ(Snap.ErrorEvents, 3u);
 }
 
+TEST(ServiceDrainTest, OverflowPastAnExactFitBillsTheObjectsTenant) {
+  // int[20] plus its 16-byte META fills a 96-byte block exactly, so
+  // P + 20 is the base of the next, never-allocated block: the stray
+  // pointer is not low-fat and names no tenant. The report names the
+  // array, and the drainer bills the array's tenant.
+  Supervisor Sup(quietService(1));
+  TenantId T = Sup.openTenant("t");
+  ASSERT_NE(T, NoTenant);
+  {
+    Supervisor::Lease L = Sup.lease(T);
+    Sanitizer &S = L.session();
+    lowfat::LowFatHeap &Heap = S.runtime().heap();
+    auto *P = static_cast<int *>(
+        S.malloc(20 * sizeof(int), S.types().getInt()));
+    ASSERT_EQ(Heap.allocationSize(Heap.allocationBase(P)), 96u);
+    ASSERT_FALSE(Heap.isLowFat(P + 20));
+    S.boundsCheck(P + 20, sizeof(int), S.boundsGet(P));
+    S.free(P);
+  }
+  EXPECT_EQ(Sup.tick(), 1u);
+  TenantSnapshot Snap;
+  ASSERT_TRUE(Sup.tenantSnapshot(T, Snap));
+  EXPECT_EQ(Snap.ErrorEvents, 1u);
+}
+
 TEST(ServiceDrainTest, BackgroundReportsKeepSiteAttribution) {
   ServiceOptions Options = quietService(1);
   Options.DrainIntervalMicros = 500;
