@@ -26,8 +26,12 @@
 ///    bytecode selects one), with the paired bytecode_speedup_x
 ///    counter CI gates at >= 2x the tree-walker.
 ///
-/// All numbers here are SINGLE-THREADED: one session, one thread, no
-/// contention — the per-check floor, not the scaling story. For
+///  * CheckedPtr's input event on a reflected record (static-type
+///    resolution plus a site-cache hit) at 1 and 3 threads sharing one
+///    runtime — the cost the per-thread static-type memo removes.
+///
+/// All other numbers here are SINGLE-THREADED: one session, one thread,
+/// no contention — the per-check floor, not the scaling story. For
 /// throughput under concurrent load (sharded SessionPool vs a shared
 /// session at 1/2/4/8 threads) see bench/mt_throughput.cpp.
 ///
@@ -202,6 +206,37 @@ static void BM_TypeCheck_Uncached(benchmark::State &State) {
     benchmark::DoNotOptimize(M.RT.typeCheckUncached(P, Int));
 }
 BENCHMARK(BM_TypeCheck_Uncached);
+
+//===----------------------------------------------------------------------===//
+// CheckedPtr input: static-type resolution plus a site-cache hit
+//===----------------------------------------------------------------------===//
+
+namespace micro {
+struct Particle {
+  double Pos[3];
+  int Id;
+  Particle *Next;
+};
+} // namespace micro
+
+EFFECTIVE_REFLECT(micro::Particle, Pos, Id, Next);
+
+static void BM_CheckedPtrRecordInput(benchmark::State &State) {
+  // The input event of a reflected record, as the SPEC kernels run it:
+  // resolve the static type Particle for this runtime's context, then
+  // type-check against it through Particle's pseudo-site (a cache hit
+  // after the first probe). The 3-thread run shares one runtime and
+  // context, so any lock in the static-type resolution shows up as
+  // contention here.
+  MicroState &M = MicroState::get();
+  static micro::Particle *Obj =
+      allocateChecked<micro::Particle, FullPolicy>(M.RT).raw();
+  RuntimeScope Scope(M.RT);
+  for (auto _ : State)
+    benchmark::DoNotOptimize(
+        CheckedPtr<micro::Particle, FullPolicy>::input(Obj).bounds());
+}
+BENCHMARK(BM_CheckedPtrRecordInput)->Threads(1)->Threads(3)->UseRealTime();
 
 //===----------------------------------------------------------------------===//
 // SPEC workload mix: fast-path hit rate under full instrumentation

@@ -17,7 +17,7 @@
 ///   Opts.Policy = CheckPolicy::BoundsOnly;           // EffectiveSan-bounds
 ///   Sanitizer Bounds(Opts);
 ///
-///   void *P = Full.malloc(sizeof(T), TypeOf<T>::get(Full.types()));
+///   void *P = Full.malloc(sizeof(T), staticTypeOf<T>(Full.types()));
 ///   Bounds B = Full.typeCheck(P, IntType);
 ///   Full.boundsCheck(P, 4, B);
 ///   Full.free(P);

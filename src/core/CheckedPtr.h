@@ -293,7 +293,7 @@ private:
   /// type_check of \p Ptr against T at T's pseudo-site.
   static Bounds typeCheck(CheckContext &CC, T *Ptr) {
     const TypeInfo *Type =
-        TypeOf<std::remove_cv_t<T>>::get(CC.RT->typeContext());
+        staticTypeOf<std::remove_cv_t<T>>(CC.RT->typeContext());
     return CC.RT->typeCheck(CC, Ptr, Type, siteForType(Type));
   }
 
@@ -323,8 +323,7 @@ private:
 /// type), returning a checked pointer with the allocation bounds.
 template <typename T, typename Policy>
 CheckedPtr<T, Policy> allocateChecked(Runtime &RT, size_t Count = 1) {
-  const TypeInfo *Type =
-      TypeOf<std::remove_cv_t<T>>::get(RT.typeContext());
+  const TypeInfo *Type = staticTypeOf<std::remove_cv_t<T>>(RT.typeContext());
   void *Mem = RT.allocate(Count * sizeof(T), Type);
   if constexpr (Policy::StoresBounds)
     return CheckedPtr<T, Policy>::withBounds(

@@ -15,8 +15,12 @@
 ///   struct Account { int Number[8]; float Balance; };
 ///   EFFECTIVE_REFLECT(Account, Number, Balance);
 ///   ...
-///   const TypeInfo *T = TypeOf<Account>::get(TypeContext::global());
+///   const TypeInfo *T = staticTypeOf<Account>(TypeContext::global());
 /// \endcode
+///
+/// TypeOf<T>::get resolves under the context's locks; staticTypeOf<T>
+/// memoizes its answer per thread, so a check path pays the lock once
+/// per thread and type rather than on every check.
 ///
 /// Function types map to the "generic function" type, matching the
 /// paper's treatment of virtual function tables as arrays of generic
@@ -28,6 +32,7 @@
 #define EFFECTIVE_CORE_REFLECT_H
 
 #include "core/TypeContext.h"
+#include "support/Compiler.h"
 
 #include <cstddef>
 #include <vector>
@@ -86,6 +91,27 @@ template <typename R, typename... A> struct TypeOf<R(A...)> {
     return Ctx.getGenericFunction();
   }
 };
+
+/// The static type of a check or typed allocation: the library form of
+/// the constant &TYPE the paper's instrumentation passes to type_check
+/// (Figure 3). A thread's first use of T on \p Ctx resolves through
+/// TypeOf<T>::get, taking the context's locks and following its
+/// concurrent-build protocol; every later use reads a thread-local memo
+/// and takes no lock. The memo is keyed by the context's stamp, not its
+/// address, so a context built where a dead one lived never receives
+/// the dead one's types.
+template <typename T> const TypeInfo *staticTypeOf(TypeContext &Ctx) {
+  struct Memo {
+    uint64_t Stamp;
+    const TypeInfo *Type;
+  };
+  static thread_local constinit Memo M = {0, nullptr};
+  if (EFFSAN_LIKELY(M.Stamp == Ctx.stamp()))
+    return M.Type;
+  const TypeInfo *Type = TypeOf<T>::get(Ctx);
+  M = {Ctx.stamp(), Type};
+  return Type;
+}
 
 /// Helper used by the reflection macros to assemble and define a record.
 class ReflectBuilder {
@@ -177,11 +203,16 @@ private:
   EFFSAN_PP_CAT(EFFSAN_PP_FE_, EFFSAN_PP_NARG(__VA_ARGS__))                  \
   (M, T, __VA_ARGS__)
 
-/// Emits one FieldInfo for a named member.
+/// Emits one FieldInfo for a named member. offsetof on a polymorphic
+/// (non-standard-layout) class is conditionally supported; GCC and
+/// Clang give the real offset, so the warning is silenced here.
 #define EFFSAN_REFLECT_FIELD(TYPE, FIELD)                                    \
+  _Pragma("GCC diagnostic push")                                             \
+  _Pragma("GCC diagnostic ignored \"-Winvalid-offsetof\"")                   \
   Builder.addField(#FIELD,                                                   \
                    ::effective::TypeOf<decltype(TYPE::FIELD)>::get(Ctx),     \
-                   offsetof(TYPE, FIELD));
+                   offsetof(TYPE, FIELD));                                   \
+  _Pragma("GCC diagnostic pop")
 
 /* Concurrency: the fast path accepts only *complete* cached records;
  * a build is serialized by the context's recursive reflect guard, so
@@ -190,7 +221,9 @@ private:
  * its double-check), and no thread can observe a record whose fields
  * are still being written. The early setCached (before the fields) is
  * what lets a self-referential TYPE find its own in-progress record
- * through the plain getCached on the re-entrant path. */
+ * through the plain getCached on the re-entrant path. Check-path
+ * callers reach this only on a thread's first use of TYPE; after that
+ * staticTypeOf's per-thread memo answers without a lock. */
 #define EFFSAN_REFLECT_BODY(TYPE, KIND, PRELUDE, ...)                        \
   template <> struct effective::TypeOf<TYPE> {                               \
     static const ::effective::TypeInfo *get(::effective::TypeContext &Ctx) { \

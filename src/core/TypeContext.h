@@ -20,6 +20,7 @@
 
 #include "core/TypeInfo.h"
 #include "support/Arena.h"
+#include "support/UniqueStamp.h"
 
 #include <mutex>
 #include <unordered_map>
@@ -95,7 +96,11 @@ public:
 
   /// \name Reflection cache.
   /// Native reflection (core/Reflect.h) memoizes one TypeInfo per C++
-  /// type per context, keyed by a unique static tag address.
+  /// type per context, keyed by a unique static tag address. Callers on
+  /// the check path (CheckedPtr's type checks and typed allocations) do
+  /// not come here after a thread's first use of a type: they go
+  /// through staticTypeOf, whose per-thread memo, keyed by stamp(),
+  /// answers without taking this context's lock.
   ///
   /// Thread safety protocol: record builds are serialized by
   /// reflectGuard() (recursive, so a record whose field type is itself
@@ -117,6 +122,10 @@ public:
   }
   /// @}
 
+  /// Process-unique and never zero: tells this context from a dead one
+  /// built at the same address (see staticTypeOf in core/Reflect.h).
+  uint64_t stamp() const { return Stamp; }
+
   /// Interns a string into the context arena.
   std::string_view internString(std::string_view S);
 
@@ -132,6 +141,7 @@ private:
     return Primitives[static_cast<unsigned>(Kind)];
   }
 
+  const uint64_t Stamp = nextUniqueStamp();
   mutable std::mutex Lock;
   /// Serializes whole reflection builds (see reflectGuard). Recursive:
   /// reflecting a record reflects its field types first.

@@ -6,8 +6,9 @@
 ///
 /// Exercises CheckedPtr as the Figure 3 instrumentation schema: the
 /// paper's Figure 4 length/sum functions, the account sub-object
-/// overflow, cast checking, the per-policy check counts, and exact
-/// counts from threads sharing one session.
+/// overflow, cast checking, the per-policy check counts, exact counts
+/// from threads sharing one session, and the per-thread memo that
+/// resolves each static type once (staticTypeOf).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +19,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <latch>
+#include <new>
 #include <thread>
 #include <vector>
 
@@ -342,4 +345,94 @@ TEST(CheckedPtrSharedSessionTest, UnscopedChecksCountIntoTheDefault) {
   EXPECT_EQ(C.TypeChecks, 1u);
   EXPECT_EQ(C.BoundsChecks, 2u);
   deallocateChecked(RT, A);
+}
+
+//===----------------------------------------------------------------------===//
+// Static-type memo: a type check resolves T without a lock after a
+// thread's first use, and never against a dead context's types.
+//===----------------------------------------------------------------------===//
+
+TEST(StaticTypeMemoTest, ContextRebuiltAtSameAddressResolvesAfresh) {
+  RuntimeOptions Options;
+  Options.Reporter.Mode = ReportMode::Count;
+  alignas(TypeContext) unsigned char Storage[sizeof(TypeContext)];
+
+  TypeContext *Old = new (Storage) TypeContext;
+  {
+    Runtime RT(*Old, Options);
+    RuntimeScope Scope(RT);
+    auto P = allocateChecked<cp_test::Account, FullPolicy>(RT);
+    CheckedPtr<cp_test::Account, FullPolicy>::input(P.raw());
+    EXPECT_EQ(RT.reporter().numIssues(), 0u);
+    deallocateChecked(RT, P);
+  }
+  Old->~TypeContext();
+
+  // Same address, new context: this thread's memo for Account is warm,
+  // but it belongs to the dead context.
+  TypeContext *New = new (Storage) TypeContext;
+  ASSERT_EQ(static_cast<void *>(New), static_cast<void *>(Old));
+  {
+    Runtime RT(*New, Options);
+    RuntimeScope Scope(RT);
+    size_t Before = New->numTypes();
+    auto P = allocateChecked<cp_test::Account, FullPolicy>(RT);
+    EXPECT_GT(New->numTypes(), Before) << "Account was not rebuilt";
+    const TypeInfo *Type = RT.dynamicTypeOf(P.raw());
+    EXPECT_EQ(Type, TypeOf<cp_test::Account>::get(*New));
+    EXPECT_EQ(&Type->context(), New);
+    CheckedPtr<cp_test::Account, FullPolicy>::input(P.raw());
+    EXPECT_EQ(RT.reporter().numIssues(), 0u);
+    EXPECT_EQ(RT.counters().snapshot().TypeChecks, 1u);
+    deallocateChecked(RT, P);
+  }
+  New->~TypeContext();
+}
+
+TEST(StaticTypeMemoTest, ConcurrentFirstUseAgreesOnOneType) {
+  constexpr unsigned NumThreads = 8;
+  using Node = cp_test::Node;
+
+  // How many types one resolution of Node and Node * creates.
+  TypeContext Reference;
+  size_t ReferenceBefore = Reference.numTypes();
+  TypeOf<Node *>::get(Reference);
+  size_t Created = Reference.numTypes() - ReferenceBefore;
+
+  TypeContext Ctx;
+  Sanitizer Session(Ctx, quietSession());
+  Runtime &RT = Session.runtime();
+  size_t Before = Ctx.numTypes();
+  std::vector<const TypeInfo *> Records(NumThreads), Pointers(NumThreads);
+  std::latch Start(NumThreads);
+  std::vector<std::thread> Threads;
+  for (unsigned I = 0; I < NumThreads; ++I)
+    Threads.emplace_back([&, I] {
+      RuntimeScope Scope(RT);
+      Start.arrive_and_wait();
+      // First use of Node and Node * on this context, on every thread
+      // at once.
+      auto Obj = allocateChecked<Node, FullPolicy>(RT);
+      auto Slot = allocateChecked<Node *, FullPolicy>(RT);
+      *Slot = Obj.raw();
+      auto In = CheckedPtr<Node, FullPolicy>::input(*Slot);
+      auto SlotIn = CheckedPtr<Node *, FullPolicy>::input(Slot.raw());
+      In->Value = static_cast<int>(I);
+      Records[I] = staticTypeOf<Node>(Ctx);
+      Pointers[I] = staticTypeOf<Node *>(Ctx);
+      deallocateChecked(RT, SlotIn);
+      deallocateChecked(RT, In);
+    });
+  for (std::thread &T : Threads)
+    T.join();
+
+  for (unsigned I = 0; I < NumThreads; ++I) {
+    EXPECT_EQ(Records[I], Records[0]);
+    EXPECT_EQ(Pointers[I], Pointers[0]);
+  }
+  EXPECT_EQ(Records[0], TypeOf<Node>::get(Ctx));
+  EXPECT_EQ(Pointers[0], Ctx.getPointer(Records[0]));
+  EXPECT_EQ(Ctx.numTypes() - Before, Created);
+  EXPECT_EQ(Session.issuesFound(), 0u);
+  EXPECT_EQ(RT.counters().snapshot().TypeChecks, 2u * NumThreads);
 }

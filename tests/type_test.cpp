@@ -9,6 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <latch>
+#include <thread>
+#include <vector>
+
 using namespace effective;
 
 //===----------------------------------------------------------------------===//
@@ -279,4 +283,46 @@ TEST(ReflectTest, DerivedClassEmbedsBase) {
   EXPECT_TRUE(D->fields()[0].IsBase);
   EXPECT_EQ(D->fields()[0].Offset, 0u);
   EXPECT_EQ(D->size(), sizeof(reflect_test::VDerived));
+}
+
+TEST(StaticTypeOfTest, MemoFollowsTheContext) {
+  TypeContext A, B;
+  EXPECT_NE(A.stamp(), B.stamp());
+  const TypeInfo *InA = staticTypeOf<reflect_test::Account>(A);
+  EXPECT_EQ(InA, TypeOf<reflect_test::Account>::get(A));
+  const TypeInfo *InB = staticTypeOf<reflect_test::Account>(B);
+  EXPECT_EQ(InB, TypeOf<reflect_test::Account>::get(B));
+  EXPECT_NE(InA, InB);
+  EXPECT_EQ(&InB->context(), &B);
+  EXPECT_EQ(staticTypeOf<reflect_test::Account>(A), InA);
+}
+
+TEST(StaticTypeOfTest, ConcurrentFirstUseBuildsOneRecord) {
+  constexpr unsigned NumThreads = 8;
+  TypeContext Reference;
+  size_t ReferenceBefore = Reference.numTypes();
+  TypeOf<reflect_test::VDerived *>::get(Reference);
+  size_t Created = Reference.numTypes() - ReferenceBefore;
+
+  TypeContext Ctx;
+  size_t Before = Ctx.numTypes();
+  std::vector<const TypeInfo *> Derived(NumThreads), Pointers(NumThreads);
+  std::latch Start(NumThreads);
+  std::vector<std::thread> Threads;
+  for (unsigned I = 0; I < NumThreads; ++I)
+    Threads.emplace_back([&, I] {
+      Start.arrive_and_wait();
+      Derived[I] = staticTypeOf<reflect_test::VDerived>(Ctx);
+      Pointers[I] = staticTypeOf<reflect_test::VDerived *>(Ctx);
+    });
+  for (std::thread &T : Threads)
+    T.join();
+
+  for (unsigned I = 0; I < NumThreads; ++I) {
+    ASSERT_TRUE(cast<RecordType>(Derived[I])->isComplete());
+    EXPECT_EQ(Derived[I], Derived[0]);
+    EXPECT_EQ(Pointers[I], Pointers[0]);
+  }
+  EXPECT_EQ(Pointers[0], Ctx.getPointer(Derived[0]));
+  EXPECT_EQ(Ctx.numTypes() - Before, Created);
 }
