@@ -371,7 +371,7 @@ int runArmedOverhead(int Argc, char **Argv, const ArmedLayer &L,
     double Secs = timeSeconds([&] {
       for (unsigned R = 0; R < Reps; ++R)
         for (const workloads::Workload &W : workloads::specWorkloads())
-          Sink += W.RunFull(RT, /*Scale=*/1);
+          Sink += W.RunCounted(RT, /*Scale=*/1); // Counts every check.
     });
     CheckCounters::Snapshot After = RT.counters().snapshot();
     Checks = (After.TypeChecks - Before.TypeChecks) +

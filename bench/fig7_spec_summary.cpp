@@ -47,7 +47,8 @@ int main(int argc, char **argv) {
   CheckCounters::Snapshot VariantTotals[3] = {};
 
   for (const Workload &W : specWorkloads()) {
-    RunStats Full = runWorkload(W, Variant::Full, Scale);
+    // The counting Full build: the timed one counts no bounds checks.
+    RunStats Full = runCountedWorkload(W, Scale);
     uint64_t TypeChecks = Full.Checks.TypeChecks;
     uint64_t BoundsChecks = Full.Checks.BoundsChecks;
     bool IsCxx = std::strcmp(W.Info.Language, "C++") == 0;
@@ -73,7 +74,6 @@ int main(int argc, char **argv) {
     RunStats BoundsVar = runWorkload(W, Variant::Bounds, Scale);
     VariantTotals[0].TypeChecks += TypeVar.Checks.TypeChecks;
     VariantTotals[1].BoundsGets += BoundsVar.Checks.BoundsGets;
-    VariantTotals[1].BoundsChecks += BoundsVar.Checks.BoundsChecks;
   }
 
   std::printf("%-12s %-5s %10.1f %12.2f %12.2f %8llu\n", "Totals (all)",

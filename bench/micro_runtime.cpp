@@ -28,7 +28,9 @@
 ///
 ///  * CheckedPtr's input event on a reflected record (static-type
 ///    resolution plus a site-cache hit) at 1 and 3 threads sharing one
-///    runtime — the cost the per-thread static-type memo removes.
+///    runtime — the cost the per-thread static-type memo removes;
+///  * a CheckedPtr dereference under no check, the timed Full row and
+///    the counting Full row — the cost of counting a bounds check.
 ///
 /// All other numbers here are SINGLE-THREADED: one session, one thread,
 /// no contention — the per-check floor, not the scaling story. For
@@ -237,6 +239,37 @@ static void BM_CheckedPtrRecordInput(benchmark::State &State) {
         CheckedPtr<micro::Particle, FullPolicy>::input(Obj).bounds());
 }
 BENCHMARK(BM_CheckedPtrRecordInput)->Threads(1)->Threads(3)->UseRealTime();
+
+//===----------------------------------------------------------------------===//
+// CheckedPtr dereference: the bounds check as each Figure 8 row runs it
+//===----------------------------------------------------------------------===//
+
+namespace {
+/// The rows of the dereference ladder: no check, the timed Full row (a
+/// compare and a branch) and the counting Full row (plus the
+/// current-context TLS load and the counter bump).
+using UncheckedRow = VariantPolicy<Variant::None, false>;
+using TimedRow = VariantPolicy<Variant::Full, false>;
+using CountingRow = FullPolicy;
+} // namespace
+
+template <typename Row>
+static void BM_CheckedPtrDeref(benchmark::State &State) {
+  // One in-bounds load through CheckedPtr<int> per iteration, walking
+  // 64 elements of an int[100]. CountingRow minus TimedRow is what the
+  // counter bump and the ambient-context lookup cost per check.
+  MicroState &M = MicroState::get();
+  RuntimeScope Scope(M.RT);
+  auto P = CheckedPtr<int, Row>::input(static_cast<int *>(M.IntArray));
+  unsigned I = 0;
+  for (auto _ : State) {
+    benchmark::DoNotOptimize(P[I]);
+    I = (I + 1) & 63;
+  }
+}
+BENCHMARK_TEMPLATE(BM_CheckedPtrDeref, UncheckedRow);
+BENCHMARK_TEMPLATE(BM_CheckedPtrDeref, TimedRow);
+BENCHMARK_TEMPLATE(BM_CheckedPtrDeref, CountingRow);
 
 //===----------------------------------------------------------------------===//
 // SPEC workload mix: fast-path hit rate under full instrumentation

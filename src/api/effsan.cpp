@@ -41,6 +41,25 @@ Bounds unwrap(effsan_bounds B) { return Bounds{B.lo, B.hi}; }
 
 effsan_bounds wrap(Bounds B) { return effsan_bounds{B.Lo, B.Hi}; }
 
+/// bounds_check on caller-supplied bounds. Bounds with lo > hi admit no
+/// access, but Bounds::contains answers only for Lo <= Hi, so under the
+/// policies that check bounds such a check takes the failing path
+/// directly (counted, as every check is).
+void boundsCheck(effsan_session *session, const void *ptr, size_t size,
+                 effsan_bounds bounds, SiteId site) {
+  Bounds B = unwrap(bounds);
+  Sanitizer &S = *session->S;
+  if (EFFSAN_UNLIKELY(B.Lo > B.Hi) &&
+      (S.policy() == CheckPolicy::Full ||
+       S.policy() == CheckPolicy::BoundsOnly)) {
+    CheckContext &CC = S.runtime().threadContext();
+    ownerBump(CC.BoundsChecks);
+    Runtime::boundsCheckFail(CC, ptr, size, B, site);
+    return;
+  }
+  S.boundsCheck(ptr, size, B, site);
+}
+
 } // namespace
 
 extern "C" {
@@ -301,7 +320,7 @@ effsan_bounds effsan_bounds_get(effsan_session *session, const void *ptr) {
 
 void effsan_bounds_check(effsan_session *session, const void *ptr,
                          size_t size, effsan_bounds bounds) {
-  session->S->boundsCheck(ptr, size, unwrap(bounds));
+  boundsCheck(session, ptr, size, bounds, NoSite);
 }
 
 effsan_bounds effsan_bounds_narrow(effsan_session *session,
@@ -420,7 +439,7 @@ effsan_bounds effsan_bounds_get_at(effsan_session *session,
 void effsan_bounds_check_at(effsan_session *session, const void *ptr,
                             size_t size, effsan_bounds bounds,
                             uint32_t site) {
-  session->S->boundsCheck(ptr, size, unwrap(bounds), site);
+  boundsCheck(session, ptr, size, bounds, site);
 }
 
 // The effsan_pool_* entry points live in concurrent/effsan_pool.cpp,

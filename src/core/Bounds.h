@@ -40,10 +40,15 @@ struct Bounds {
 
   bool isWide() const { return Lo == 0 && Hi == UINTPTR_MAX; }
 
-  /// True if the \p Size byte access at \p Ptr lies fully inside.
+  /// True if the \p Size byte access at \p Ptr lies fully inside: two
+  /// compares against the width, exact even where `P + Size` would wrap
+  /// past UINTPTR_MAX. Requires Lo <= Hi, which every Bounds the
+  /// runtime builds satisfies (intersect never yields Lo > Hi); the C
+  /// ABI screens the bounds its callers pass (api/effsan.cpp).
   bool contains(const void *Ptr, size_t Size) const {
     uintptr_t P = reinterpret_cast<uintptr_t>(Ptr);
-    return P >= Lo && Size <= Hi - P && P <= Hi;
+    uintptr_t Width = Hi - Lo;
+    return Size <= Width && P - Lo <= Width - Size;
   }
 
   /// Interval intersection — the paper's bounds_narrow operation.

@@ -20,7 +20,11 @@
 /// The Policy parameter selects the paper's evaluation variants at
 /// compile time: FullPolicy (EffectiveSan), BoundsPolicy
 /// (EffectiveSan-bounds), TypePolicy (EffectiveSan-type) and NonePolicy
-/// (uninstrumented; compiles to bare pointer operations).
+/// (uninstrumented; compiles to bare pointer operations). Each variant
+/// comes in two rows: the default counts every bounds check and narrow
+/// into the thread's check context; `VariantPolicy<V, false>` (the rows
+/// Figure 8 times) counts neither, so a bounds check is a compare and a
+/// branch, as in the paper's uncounted builds.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -68,14 +72,20 @@ private:
 
 /// \name Instrumentation policies (the Figure 8 variants).
 /// A policy is one VariantTable row (api/CheckPolicy.h) lifted to
-/// compile-time constants, so every `if constexpr` below folds away.
+/// compile-time constants, so every `if constexpr` below folds away,
+/// plus whether the row counts its bounds checks and narrows. Type
+/// checks and bounds_get count in every row: the site cache's samplers
+/// decimate on those counts.
 /// @{
-template <Variant V> struct VariantPolicy {
+template <Variant V, bool CountsBounds = true> struct VariantPolicy {
   static constexpr bool CheckInputs = traitsOf(V).CheckInputs;
   static constexpr bool CheckCasts = traitsOf(V).CheckCasts;
   static constexpr bool CheckBounds = traitsOf(V).CheckBounds;
   static constexpr bool StoresBounds = traitsOf(V).StoresBounds;
   static constexpr bool NarrowFields = traitsOf(V).NarrowFields;
+  /// bounds_check and bounds_narrow bump the thread's counters (and so
+  /// first load its check context).
+  static constexpr bool Counts = CountsBounds;
   static constexpr const char *name() { return variantName(V); }
 };
 
@@ -297,17 +307,25 @@ private:
     return CC.RT->typeCheck(CC, Ptr, Type, siteForType(Type));
   }
 
-  /// bounds_check through the current context: one TLS load and a bump
-  /// on the thread's own counter line; the runtime pointer is read only
-  /// on the failing path.
+  /// bounds_check. A counting row bumps the thread's counter line
+  /// through the current context (one TLS load) before it compares; a
+  /// non-counting row compares and branches, and loads the context only
+  /// on the failing path, to report through its runtime.
   EFFSAN_ALWAYS_INLINE void check(const void *P, size_t Size) const {
-    if constexpr (Policy::CheckBounds)
+    if constexpr (Policy::CheckBounds && Policy::Counts)
       Runtime::boundsCheck(currentContext(), P, Size, B);
+    else if constexpr (Policy::CheckBounds)
+      if (EFFSAN_UNLIKELY(!B.contains(P, Size)))
+        Runtime::boundsCheckFail(currentContext(), P, Size, B, NoSite);
   }
 
+  /// bounds_narrow: counted through the current context in a counting
+  /// row, a plain intersection otherwise.
   BoundsT narrowed(const void *Field, size_t Size) const {
-    if constexpr (Policy::NarrowFields)
+    if constexpr (Policy::NarrowFields && Policy::Counts)
       return Runtime::boundsNarrow(currentContext(), B, Field, Size);
+    else if constexpr (Policy::NarrowFields)
+      return B.intersect(Bounds::forObject(Field, Size));
     else if constexpr (Policy::StoresBounds)
       return B; // Rule (f)-style propagation: allocation bounds only.
     else

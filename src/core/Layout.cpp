@@ -193,7 +193,6 @@ void TableBuilder::addObject(const TypeInfo *T, uint64_t Base) {
 LayoutTable LayoutTable::build(const TypeInfo *T) {
   assert(T && T->size() > 0 && "layout of an incomplete type");
   LayoutTable Table;
-  Table.AllocType = T;
   Table.SizeofT = T->size();
   if (const auto *R = dyn_cast<RecordType>(T))
     if (R->famElement())

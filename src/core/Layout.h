@@ -123,9 +123,6 @@ public:
     return R;
   }
 
-  /// The allocation type this table describes.
-  const TypeInfo *allocationType() const { return AllocType; }
-
   /// sizeof(allocation type) — the table domain bound.
   uint64_t sizeofT() const { return SizeofT; }
 
@@ -146,7 +143,6 @@ private:
 
   void buildIndex();
 
-  const TypeInfo *AllocType = nullptr;
   uint64_t SizeofT = 0;
   /// Element size of a trailing flexible array member, 0 if none.
   uint64_t FamSize = 0;

@@ -503,6 +503,13 @@ public:
                    SiteId Site = NoSite) {
     boundsCheck(threadContext(), Ptr, Size, B, Site);
   }
+  /// The failing side of bounds_check: reports the \p Size byte access
+  /// at \p Ptr outside \p B through \p CC's runtime. Out of line, so an
+  /// inlined check that does not count (CheckedPtr's timed rows) is a
+  /// compare and a branch to here.
+  static EFFSAN_NOINLINE void boundsCheckFail(CheckContext &CC,
+                                              const void *Ptr, size_t Size,
+                                              Bounds B, SiteId Site);
 
   /// The paper's bounds_narrow (Figure 3 rule (e)): narrows \p B to the
   /// field at [\p Field, \p Field + \p Size).
@@ -557,9 +564,6 @@ public:
   SiteTableRegistry &siteTables() { return Sites; }
 
 private:
-  static EFFSAN_NOINLINE void boundsCheckFail(CheckContext &CC,
-                                              const void *Ptr, size_t Size,
-                                              Bounds B, SiteId Site);
   /// The Figure 6 slow path: full layout probe (with the coercion
   /// fallbacks), error reporting, and cache refill. \p Meta is the
   /// non-null META header typeCheck already resolved.

@@ -50,6 +50,7 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 
 namespace effective {
 
@@ -152,8 +153,32 @@ public:
     NumEntries = std::bit_ceil(
         std::min(std::max(RequestedEntries, size_t(Ways)), MaxEntries));
     SetMask = NumEntries / Ways - 1;
-    Entries = std::make_unique<SiteCacheEntry[]>(NumEntries);
+    Spare &S = Spare::get();
+    {
+      std::lock_guard<std::mutex> Guard(S.Lock);
+      if (S.Entries && S.NumEntries == NumEntries)
+        Entries = std::move(S.Entries);
+    }
+    if (Entries)
+      clear();
+    else
+      Entries = std::make_unique<SiteCacheEntry[]>(NumEntries);
   }
+
+  /// Parks the buffer for the next session of the same size.
+  ~SiteCache() {
+    if (!Entries)
+      return;
+    Spare &S = Spare::get();
+    std::lock_guard<std::mutex> Guard(S.Lock);
+    if (!S.Entries) {
+      S.Entries = std::move(Entries);
+      S.NumEntries = NumEntries;
+    }
+  }
+
+  SiteCache(const SiteCache &) = delete;
+  SiteCache &operator=(const SiteCache &) = delete;
 
   bool enabled() const { return NumEntries != 0; }
   size_t numEntries() const { return NumEntries; }
@@ -192,6 +217,23 @@ public:
   }
 
 private:
+  /// The last closed session's buffer. Freed at every session close, a
+  /// 64 KiB buffer leaves a hole that long-lived allocations made during
+  /// the next session (layout tables built on first use) split, and the
+  /// next buffer then extends the malloc heap: the heap crept by one
+  /// buffer per such session. Never destroyed, so a session closing
+  /// during static destruction still finds it.
+  struct Spare {
+    std::mutex Lock;
+    std::unique_ptr<SiteCacheEntry[]> Entries;
+    size_t NumEntries = 0;
+
+    static Spare &get() {
+      static Spare *S = new Spare;
+      return *S;
+    }
+  };
+
   std::unique_ptr<SiteCacheEntry[]> Entries;
   size_t NumEntries = 0;
   size_t SetMask = 0;

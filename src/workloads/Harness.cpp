@@ -19,7 +19,9 @@ using namespace effective::workloads;
 
 namespace {
 
-uint64_t (*entryFor(const Workload &W, Variant Kind))(Runtime &, unsigned) {
+using Entry = uint64_t (*)(Runtime &, unsigned);
+
+Entry entryFor(const Workload &W, Variant Kind) {
   switch (Kind) {
   case Variant::None:
     return W.RunNone;
@@ -33,11 +35,9 @@ uint64_t (*entryFor(const Workload &W, Variant Kind))(Runtime &, unsigned) {
   return W.RunFull;
 }
 
-} // namespace
-
-RunStats effective::workloads::runWorkload(const Workload &W,
-                                           Variant Kind, unsigned Scale,
-                                           std::FILE *LogStream) {
+/// One run of \p Run, a workload entry built as variant \p Kind.
+RunStats runEntry(Variant Kind, Entry Run, unsigned Scale,
+                  std::FILE *LogStream) {
   SessionOptions Options;
   // The kernels select their instrumentation at compile time (the
   // EFFSAN_WORKLOAD_ENTRIES template variants) and drive the Runtime
@@ -55,8 +55,6 @@ RunStats effective::workloads::runWorkload(const Workload &W,
   Runtime &RT = Session.runtime();
   MallocTally::reset();
 
-  uint64_t (*Run)(Runtime &, unsigned) = entryFor(W, Kind);
-
   auto Start = std::chrono::steady_clock::now();
   uint64_t Checksum = Run(RT, Scale);
   auto End = std::chrono::steady_clock::now();
@@ -73,12 +71,12 @@ RunStats effective::workloads::runWorkload(const Workload &W,
   return Stats;
 }
 
-RunStats effective::workloads::runWorkloadMT(const Workload &W,
-                                             Variant Kind, unsigned Scale,
-                                             unsigned Threads,
-                                             std::FILE *LogStream) {
+/// runEntry fanned out over \p Threads shards of one pool; \p W names
+/// the workload in a checksum mismatch.
+RunStats runEntryMT(const Workload &W, Variant Kind, Entry Run,
+                    unsigned Scale, unsigned Threads, std::FILE *LogStream) {
   if (Threads <= 1)
-    return runWorkload(W, Kind, Scale, LogStream);
+    return runEntry(Kind, Run, Scale, LogStream);
 
   concurrent::PoolOptions Options;
   Options.Shards = Threads;
@@ -88,8 +86,6 @@ RunStats effective::workloads::runWorkloadMT(const Workload &W,
   // Types shared globally (interned once), session state per shard.
   concurrent::SessionPool Pool(TypeContext::global(), Options);
   MallocTally::reset();
-
-  uint64_t (*Run)(Runtime &, unsigned) = entryFor(W, Kind);
 
   std::vector<uint64_t> Checksums(Threads, 0);
   auto Start = std::chrono::steady_clock::now();
@@ -138,4 +134,33 @@ RunStats effective::workloads::runWorkloadMT(const Workload &W,
                             : Pool.heap().stats().PeakBlockBytesInUse;
   Stats.Checksum = Checksums[0];
   return Stats;
+}
+
+} // namespace
+
+RunStats effective::workloads::runWorkload(const Workload &W, Variant Kind,
+                                           unsigned Scale,
+                                           std::FILE *LogStream) {
+  return runEntry(Kind, entryFor(W, Kind), Scale, LogStream);
+}
+
+RunStats effective::workloads::runWorkloadMT(const Workload &W,
+                                             Variant Kind, unsigned Scale,
+                                             unsigned Threads,
+                                             std::FILE *LogStream) {
+  return runEntryMT(W, Kind, entryFor(W, Kind), Scale, Threads, LogStream);
+}
+
+RunStats effective::workloads::runCountedWorkload(const Workload &W,
+                                                  unsigned Scale,
+                                                  std::FILE *LogStream) {
+  return runEntry(Variant::Full, W.RunCounted, Scale, LogStream);
+}
+
+RunStats effective::workloads::runCountedWorkloadMT(const Workload &W,
+                                                    unsigned Scale,
+                                                    unsigned Threads,
+                                                    std::FILE *LogStream) {
+  return runEntryMT(W, Variant::Full, W.RunCounted, Scale, Threads,
+                    LogStream);
 }

@@ -64,6 +64,16 @@ RunStats runWorkload(const Workload &W, Variant Kind, unsigned Scale,
 RunStats runWorkloadMT(const Workload &W, Variant Kind, unsigned Scale,
                        unsigned Threads, std::FILE *LogStream = nullptr);
 
+/// runWorkload and runWorkloadMT on the counting Full build
+/// (Workload::RunCounted). The Variant entries count type checks and
+/// bounds_get only; Figure 7 and every test of bounds check or narrow
+/// counts run this one. Its checks and reports are the Full entry's.
+RunStats runCountedWorkload(const Workload &W, unsigned Scale,
+                            std::FILE *LogStream = nullptr);
+RunStats runCountedWorkloadMT(const Workload &W, unsigned Scale,
+                              unsigned Threads,
+                              std::FILE *LogStream = nullptr);
+
 } // namespace workloads
 } // namespace effective
 

@@ -66,12 +66,19 @@ private:
   }
 };
 
+/// True when the policy carries any instrumentation; seeded bug phases
+/// run only then (under the uninstrumented baseline an out-of-bounds
+/// write would corrupt real malloc memory).
+template <typename P> constexpr bool isInstrumented() {
+  return P::CheckInputs || P::CheckCasts || P::CheckBounds;
+}
+
 /// Allocates an array of \p Count objects of type \p T under policy
 /// \p P: typed low-fat allocation when instrumented, plain malloc (with
 /// tally) for the uninstrumented baseline.
 template <typename T, typename P>
 CheckedPtr<T, P> allocArray(Runtime &RT, size_t Count) {
-  if constexpr (std::is_same_v<P, NonePolicy>) {
+  if constexpr (!isInstrumented<P>()) {
     T *Raw = static_cast<T *>(std::malloc(Count * sizeof(T)));
     MallocTally::noteAlloc(Raw);
     return CheckedPtr<T, P>::withBounds(Raw, detail::NoBounds());
@@ -88,7 +95,7 @@ template <typename T, typename P> CheckedPtr<T, P> allocOne(Runtime &RT) {
 /// Frees an allocation made by allocArray/allocOne.
 template <typename T, typename P>
 void freeArray(Runtime &RT, CheckedPtr<T, P> Ptr) {
-  if constexpr (std::is_same_v<P, NonePolicy>) {
+  if constexpr (!isInstrumented<P>()) {
     if (Ptr.raw()) {
       MallocTally::noteFree(Ptr.raw());
       std::free(Ptr.raw());
@@ -96,13 +103,6 @@ void freeArray(Runtime &RT, CheckedPtr<T, P> Ptr) {
   } else {
     RT.deallocate(Ptr.raw());
   }
-}
-
-/// True when the policy carries any instrumentation; seeded bug phases
-/// run only then (under the uninstrumented baseline an out-of-bounds
-/// write would corrupt real malloc memory).
-template <typename P> constexpr bool isInstrumented() {
-  return P::CheckInputs || P::CheckCasts || P::CheckBounds;
 }
 
 /// Models a pointer crossing a function-call boundary (Figure 3 rules

@@ -43,19 +43,28 @@ struct WorkloadInfo {
 };
 
 /// One workload: info plus one entry point per instrumentation policy.
+/// The four Figure 8 entries count type checks and bounds_get only, so
+/// their bounds checks are a compare and a branch; RunCounted is full
+/// instrumentation that also counts every bounds check and narrow, the
+/// build Figure 7's check counts come from.
 struct Workload {
   WorkloadInfo Info;
   uint64_t (*RunFull)(Runtime &RT, unsigned Scale);
   uint64_t (*RunBounds)(Runtime &RT, unsigned Scale);
   uint64_t (*RunType)(Runtime &RT, unsigned Scale);
   uint64_t (*RunNone)(Runtime &RT, unsigned Scale);
+  uint64_t (*RunCounted)(Runtime &RT, unsigned Scale);
 };
 
-/// Expands to the four per-policy instantiations of a workload
-/// function template.
+/// Expands to the per-policy instantiations of a workload function
+/// template: the four non-counting Figure 8 rows, then the counting
+/// Full row.
 #define EFFSAN_WORKLOAD_ENTRIES(FN)                                          \
-  FN<::effective::FullPolicy>, FN<::effective::BoundsPolicy>,                \
-      FN<::effective::TypePolicy>, FN<::effective::NonePolicy>
+  FN<::effective::VariantPolicy<::effective::Variant::Full, false>>,         \
+      FN<::effective::VariantPolicy<::effective::Variant::Bounds, false>>,   \
+      FN<::effective::VariantPolicy<::effective::Variant::Type, false>>,     \
+      FN<::effective::VariantPolicy<::effective::Variant::None, false>>,     \
+      FN<::effective::FullPolicy>
 
 /// The 19 SPEC2006 stand-in kernels, in Figure 7 order.
 const std::vector<Workload> &specWorkloads();

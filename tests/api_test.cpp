@@ -548,6 +548,48 @@ TEST(EffsanAbiTest, SiteCacheStatsThroughTheAbi) {
   effsan_session_destroy(S);
 }
 
+TEST(EffsanAbiTest, InvertedBoundsAdmitNoAccess) {
+  // effsan_bounds with lo > hi contain nothing: every check against
+  // them reports, including ones whose pointer lies between hi and lo
+  // or equals lo with size 0.
+  for (uint32_t Policy : {EFFSAN_POLICY_FULL, EFFSAN_POLICY_BOUNDS_ONLY}) {
+    effsan_options Options;
+    effsan_options_init(&Options);
+    Options.log_errors = 0;
+    Options.policy = Policy;
+    effsan_session *S = effsan_session_create(&Options);
+    ASSERT_NE(S, nullptr);
+    std::vector<uint32_t> Kinds;
+    effsan_set_error_callback(S, abiCallback, &Kinds);
+
+    effsan_type IntTy = effsan_type_primitive(S, EFFSAN_PRIM_INT);
+    int *P = static_cast<int *>(effsan_malloc(S, 4 * sizeof(int), IntTy));
+    uintptr_t Lo = reinterpret_cast<uintptr_t>(P);
+    effsan_bounds Inverted = {Lo + 4 * sizeof(int), Lo};
+    effsan_bounds_check(S, P, sizeof(int), Inverted);
+    effsan_bounds_check(S, P + 2, sizeof(int), Inverted);
+    effsan_bounds_check(S, P + 4, 0, Inverted);
+    effsan_bounds_check_at(S, P + 1, sizeof(int), Inverted, EFFSAN_NO_SITE);
+    effsan_bounds_check(S, P + 1, sizeof(int), {Lo + 1, Lo});
+
+    effsan_counters Counters;
+    effsan_get_counters(S, &Counters);
+    EXPECT_EQ(Counters.bounds_checks, 5u) << Policy;
+    EXPECT_EQ(Counters.error_events, 5u) << Policy;
+    for (uint32_t Kind : Kinds)
+      EXPECT_EQ(Kind, (uint32_t)EFFSAN_ERROR_BOUNDS) << Policy;
+
+    // A type-only session checks no bounds, inverted or not.
+    effsan_session_set_policy(S, EFFSAN_POLICY_TYPE_ONLY);
+    effsan_bounds_check(S, P, sizeof(int), Inverted);
+    effsan_get_counters(S, &Counters);
+    EXPECT_EQ(Counters.error_events, 5u) << Policy;
+
+    effsan_free(S, P);
+    effsan_session_destroy(S);
+  }
+}
+
 TEST(EffsanAbiTest, SessionResetThroughTheAbi) {
   effsan_options Options;
   effsan_options_init(&Options);

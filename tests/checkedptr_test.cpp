@@ -114,6 +114,29 @@ TEST_F(CheckedPtrTest, Figure4SumCheckCounts) {
   deallocateChecked(RT, A);
 }
 
+TEST_F(CheckedPtrTest, UncountedRowChecksAndReportsWithoutCounting) {
+  // The timed Figure 8 row: the same checks and reports as FullPolicy,
+  // with type checks counted and bounds checks and narrows not.
+  using Timed = VariantPolicy<Variant::Full, false>;
+  static_assert(!Timed::Counts && FullPolicy::Counts);
+  auto A = allocateChecked<cp_test::Node, Timed>(RT, 4);
+  RT.counters().reset();
+  auto P = CheckedPtr<cp_test::Node, Timed>::input(A.raw());
+  P[3].Value = 1;
+  auto V = P.field(&cp_test::Node::Value);
+  EXPECT_EQ(V.bounds().Hi - V.bounds().Lo, sizeof(int));
+  *V = 2;
+  EXPECT_EQ(RT.reporter().numIssues(), 0u);
+  (void)P[4];     // One past the array.
+  (void)*(V + 1); // Value into Next.
+  EXPECT_EQ(RT.reporter().numIssues(ErrorKind::BoundsError), 2u);
+  auto C = RT.counters().snapshot();
+  EXPECT_EQ(C.TypeChecks, 1u);
+  EXPECT_EQ(C.BoundsChecks, 0u);
+  EXPECT_EQ(C.BoundsNarrows, 0u);
+  deallocateChecked(RT, A);
+}
+
 TEST_F(CheckedPtrTest, Figure4LengthCheckCounts) {
   // Build a 10-node list.
   std::vector<CheckedPtr<cp_test::Node, FullPolicy>> Nodes;
@@ -291,11 +314,12 @@ TEST(CheckedPtrSharedSessionTest, ThreadCountsMergeExactly) {
   constexpr unsigned NumThreads = 4;
   const workloads::Workload &W = specKernel("mcf");
 
+  // The counting Full build: the timed entries count no bounds checks.
   Sanitizer Single(TypeContext::global(), quietSession());
   uint64_t Sum;
   {
     SanitizerScope Scope(Single);
-    Sum = W.RunFull(Single.runtime(), 1);
+    Sum = W.RunCounted(Single.runtime(), 1);
   }
   KernelCounts One(Single.counters().snapshot());
   ASSERT_GT(One.BoundsChecks, 0u);
@@ -308,7 +332,7 @@ TEST(CheckedPtrSharedSessionTest, ThreadCountsMergeExactly) {
   for (unsigned I = 0; I < NumThreads; ++I)
     Threads.emplace_back([&, I] {
       RuntimeScope Scope(RT);
-      Sums[I] = W.RunFull(RT, 1);
+      Sums[I] = W.RunCounted(RT, 1);
     });
   for (std::thread &T : Threads)
     T.join();

@@ -778,10 +778,10 @@ const workloads::Workload &findWorkload(const char *Name) {
 
 TEST(HarnessMTTest, FanOutMatchesSingleThreadedRun) {
   const workloads::Workload &W = findWorkload("mcf"); // Clean kernel.
-  workloads::RunStats Single =
-      workloads::runWorkload(W, Variant::Full, 2);
-  workloads::RunStats MT =
-      workloads::runWorkloadMT(W, Variant::Full, 2, 3);
+  // The counting build, so the bounds check counts are not all zero.
+  workloads::RunStats Single = workloads::runCountedWorkload(W, 2);
+  workloads::RunStats MT = workloads::runCountedWorkloadMT(W, 2, 3);
+  ASSERT_GT(Single.Checks.BoundsChecks, 0u);
 
   EXPECT_EQ(MT.Checksum, Single.Checksum)
       << "every shard must reproduce the deterministic kernel result";

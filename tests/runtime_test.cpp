@@ -16,9 +16,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <memory>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -337,6 +339,75 @@ TEST_F(RuntimeTest, BoundsCheckCountsAndReports) {
   auto C = RT.counters().snapshot();
   EXPECT_EQ(C.BoundsChecks, 2u);
   RT.deallocate(P);
+}
+
+namespace {
+
+/// The three-compare Bounds::contains the two-compare form replaced,
+/// kept as the reference its answers must match.
+bool referenceContains(Bounds B, uintptr_t P, size_t Size) {
+  return P >= B.Lo && Size <= B.Hi - P && P <= B.Hi;
+}
+
+void expectContainsMatches(Bounds B, uintptr_t P, size_t Size) {
+  ASSERT_LE(B.Lo, B.Hi);
+  EXPECT_EQ(B.contains(reinterpret_cast<const void *>(P), Size),
+            referenceContains(B, P, Size))
+      << "[" << B.Lo << ", " << B.Hi << ") P=" << P << " Size=" << Size;
+}
+
+} // namespace
+
+TEST(BoundsContainsTest, MatchesTheThreeCompareReference) {
+  constexpr uintptr_t Top = UINTPTR_MAX;
+  const size_t Sizes[] = {0, 1, 2, 4, 8, 16, 4096, SIZE_MAX / 2,
+                          SIZE_MAX - 1, SIZE_MAX};
+  // Wide bounds, P in the top Size bytes: P + Size wraps past
+  // UINTPTR_MAX, which a `P + Size <= Hi` form would accept.
+  for (size_t Size : Sizes)
+    for (uintptr_t Back : {uintptr_t(0), uintptr_t(1), uintptr_t(2),
+                           uintptr_t(7), uintptr_t(8), uintptr_t(4095)})
+      expectContainsMatches(Bounds::wide(), Top - Back, Size);
+  for (Bounds B : {Bounds{0x1000, 0x1040}, Bounds{Top - 64, Top},
+                   Bounds{0, 16}, Bounds{0x1000, 0x1001}}) {
+    uintptr_t Width = B.Hi - B.Lo;
+    for (size_t Size : Sizes) {
+      expectContainsMatches(B, B.Lo - 1, Size); // One below Lo.
+      expectContainsMatches(B, B.Lo, Size);
+      expectContainsMatches(B, B.Hi, Size); // At Hi: only Size 0 fits.
+      expectContainsMatches(B, B.Hi - 1, Size);
+      expectContainsMatches(B, B.Hi + 1, Size);
+    }
+    // Size larger than the whole interval.
+    expectContainsMatches(B, B.Lo, Width + 1);
+    expectContainsMatches(B, B.Lo, Width);
+  }
+  // Empty bounds and the empty result of a disjoint intersection.
+  Bounds Disjoint = Bounds{0x1000, 0x1010}.intersect(Bounds{0x2000, 0x2010});
+  ASSERT_EQ(Disjoint.Lo, Disjoint.Hi);
+  for (Bounds B : {Bounds::empty(), Disjoint})
+    for (size_t Size : Sizes)
+      for (uintptr_t P : {B.Lo - 1, B.Lo, B.Lo + 1, uintptr_t(0), Top})
+        expectContainsMatches(B, P, Size);
+}
+
+TEST(BoundsContainsTest, MatchesTheReferenceOnRandomTriples) {
+  std::mt19937_64 Rng(20180618);
+  auto Near = [&](uintptr_t Anchor) {
+    return Anchor + static_cast<uintptr_t>(Rng() % 65) - 32;
+  };
+  for (int I = 0; I < 200000; ++I) {
+    uintptr_t X = Rng(), Y = Rng();
+    // Every third interval is narrow, so in-bounds answers are common.
+    if (I % 3 == 0)
+      Y = X + Rng() % 256;
+    Bounds B{std::min(X, Y), std::max(X, Y)};
+    uintptr_t P = I % 2 ? Near(B.Lo) : (I % 5 ? Near(B.Hi) : Rng());
+    size_t Size = I % 7 ? Rng() % 64 : Rng();
+    expectContainsMatches(B, P, Size);
+    if (HasFailure())
+      return;
+  }
 }
 
 TEST_F(RuntimeTest, BoundsNarrowIsIntersection) {
@@ -668,6 +739,26 @@ TEST_F(RuntimeTest, ResetClearsSiteCache) {
   EXPECT_EQ(After.Hits, 0u) << "reset must drop cached resolutions";
   EXPECT_EQ(After.Misses, 1u);
   RT.deallocate(Q);
+}
+
+TEST_F(RuntimeTest, NextRuntimeReusesTheCacheBufferEmpty) {
+  // A closed runtime parks its cache buffer for the next runtime of the
+  // same size, which must start with none of the old resolutions.
+  const SiteId Site = 41;
+  auto First = std::make_unique<Runtime>(Ctx, quietOptions());
+  void *P = First->allocate(40, Ctx.getInt());
+  First->typeCheck(P, Ctx.getInt(), Site);
+  First->typeCheck(P, Ctx.getInt(), Site);
+  ASSERT_EQ(cacheStats(*First).Hits, 1u);
+  First.reset();
+
+  Runtime Next(Ctx, quietOptions());
+  void *Q = Next.allocate(40, Ctx.getInt());
+  Next.typeCheck(Q, Ctx.getInt(), Site);
+  CacheStats After = cacheStats(Next);
+  EXPECT_EQ(After.Hits, 0u) << "a reused buffer must start empty";
+  EXPECT_EQ(After.Misses, 1u);
+  Next.deallocate(Q);
 }
 
 TEST_F(RuntimeTest, DisabledCacheTakesSlowPathEverywhere) {

@@ -67,9 +67,35 @@ TEST_P(SpecWorkloadTest, UninstrumentedRunsNoChecks) {
 
 TEST_P(SpecWorkloadTest, FullInstrumentationChecksEverything) {
   const Workload &W = workload();
-  RunStats Full = runWorkload(W, Variant::Full, 1);
+  RunStats Full = runCountedWorkload(W, 1);
   EXPECT_GT(Full.Checks.TypeChecks, 0u) << W.Info.Name;
   EXPECT_GT(Full.Checks.BoundsChecks, 0u) << W.Info.Name;
+}
+
+TEST_P(SpecWorkloadTest, CountingRowMatchesTimedFullRow) {
+  // The timed Full row drops only the bounds check and narrow counts:
+  // same work, same reports, same type checks and site-cache traffic.
+  const Workload &W = workload();
+  RunStats Timed = runWorkload(W, Variant::Full, 1);
+  RunStats Counted = runCountedWorkload(W, 1);
+  EXPECT_EQ(Timed.Checksum, Counted.Checksum) << W.Info.Name;
+  EXPECT_EQ(Timed.Issues, Counted.Issues) << W.Info.Name;
+  EXPECT_EQ(Timed.ErrorEvents, Counted.ErrorEvents) << W.Info.Name;
+  EXPECT_EQ(Timed.Checks.TypeChecks, Counted.Checks.TypeChecks)
+      << W.Info.Name;
+  EXPECT_EQ(Timed.Checks.BoundsGets, Counted.Checks.BoundsGets)
+      << W.Info.Name;
+  EXPECT_EQ(Timed.Checks.LegacyTypeChecks, Counted.Checks.LegacyTypeChecks)
+      << W.Info.Name;
+  EXPECT_EQ(Timed.Checks.TypeCheckCacheHits,
+            Counted.Checks.TypeCheckCacheHits)
+      << W.Info.Name;
+  EXPECT_EQ(Timed.Checks.TypeCheckCacheMisses,
+            Counted.Checks.TypeCheckCacheMisses)
+      << W.Info.Name;
+  EXPECT_EQ(Timed.Checks.BoundsChecks, 0u) << W.Info.Name;
+  EXPECT_EQ(Timed.Checks.BoundsNarrows, 0u) << W.Info.Name;
+  EXPECT_GT(Counted.Checks.BoundsChecks, 0u) << W.Info.Name;
 }
 
 TEST_P(SpecWorkloadTest, VariantsScaleDownChecking) {
@@ -160,10 +186,11 @@ TEST(Figure7Shape, BoundsChecksOutnumberTypeChecks) {
   // (~4x). Our kernels must reproduce the direction of this ratio.
   uint64_t Type = 0, Bounds = 0;
   for (const Workload &W : specWorkloads()) {
-    RunStats Full = runWorkload(W, Variant::Full, 1);
+    RunStats Full = runCountedWorkload(W, 1);
     Type += Full.Checks.TypeChecks;
     Bounds += Full.Checks.BoundsChecks;
   }
+  ASSERT_GT(Type, 0u);
   EXPECT_GT(Bounds, Type);
 }
 
