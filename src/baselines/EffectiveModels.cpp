@@ -53,8 +53,9 @@ private:
 
 class EffectiveSanModel final : public SanitizerModel {
 public:
-  EffectiveSanModel(const char *Name, CheckPolicy V, TypeContext &Ctx)
-      : Name(Name), V(V), RT(Ctx, countingOptions()) {}
+  EffectiveSanModel(const char *Name, CheckPolicy Policy, TypeContext &Ctx)
+      : Name(Name), Traits(traitsOf(variantOf(Policy))),
+        RT(Ctx, countingOptions()) {}
 
   const char *name() const override { return Name; }
 
@@ -70,27 +71,28 @@ public:
   }
 
   void access(const AccessInfo &Info) override {
-    if (V == CheckPolicy::TypeOnly)
+    if (!Traits.CheckInputs)
       return; // EffectiveSan-type instruments casts only.
     uint64_t Before = RT.reporter().numEvents();
     // Rules (a)-(d): the input pointer (the sub-object base for
     // field-derived pointers, else the allocation pointer) is checked
-    // and yields bounds...
+    // and yields bounds, by type_check or (-bounds) bounds_get...
     const void *Input =
         Info.SubObjectPtr ? Info.SubObjectPtr : Info.AllocPtr;
-    Bounds B = V == CheckPolicy::Full
-                   ? RT.typeCheck(Input, Info.StaticType)
-                   : RT.boundsGet(Input);
-    // ...rule (e): field selection narrows...
-    if (Info.SubObjectPtr)
+    Bounds B = Traits.CheckCasts ? RT.typeCheck(Input, Info.StaticType)
+                                 : RT.boundsGet(Input);
+    // ...rule (e): field selection narrows (not under -bounds, which
+    // keeps allocation bounds only)...
+    if (Traits.NarrowFields && Info.SubObjectPtr)
       B = RT.boundsNarrow(B, Info.SubObjectPtr, Info.SubObjectSize);
     // ...rule (g): the (derived) access is bounds checked.
-    RT.boundsCheck(Info.Ptr, Info.Size, B);
+    if (Traits.CheckBounds)
+      RT.boundsCheck(Info.Ptr, Info.Size, B);
     noteEvents(Before);
   }
 
   void cast(const CastInfo &Info) override {
-    if (V == CheckPolicy::BoundsOnly)
+    if (!Traits.CheckCasts)
       return; // Casts carry no extra check without type comparison.
     uint64_t Before = RT.reporter().numEvents();
     RT.typeCheck(Info.Ptr, Info.ToType); // Rule (d).
@@ -141,9 +143,8 @@ private:
   }
 
   const char *Name;
-  /// Which parts of the Figure 3 schema the variant keeps (Full,
-  /// BoundsOnly or TypeOnly).
-  CheckPolicy V;
+  /// Which parts of the Figure 3 schema the variant keeps.
+  const VariantTraits &Traits;
   Runtime RT;
   uint64_t NextToken = 0;
   std::unordered_map<void *, size_t> StackMarks;

@@ -18,13 +18,16 @@
 /// anything that can grow the stacks. Calls recurse on the host stack,
 /// which is what enforces MaxCallDepth exactly like the tree-walker.
 ///
-/// Semantics are shared with the tree-walker through
-/// interp/ExecSupport.h; the check opcodes and superinstructions call
-/// the same Runtime/Sanitizer EFFSAN_ALWAYS_INLINE fast paths the
-/// tree-walker calls, bump the same ExecutedChecks counters in the
-/// same order, and preserve the null-pointer short-circuits — the
-/// differential tests (tests/bytecode_test.cpp) hold every program to
-/// identical results, checks, faults and error reports.
+/// Everything outside this core — module load, run bookkeeping,
+/// faults, host validation, the print builtins and the check front end
+/// — is the engine shell shared with the tree-walker (exec::Engine in
+/// interp/ExecSupport.h), and so are the value semantics. Checks go
+/// through the session only, so its CheckPolicy governs them; the
+/// check opcodes and superinstructions call the same inline front end
+/// as the tree-walker, which bumps the ExecutedChecks counters and
+/// short-circuits null pointers — the differential tests
+/// (tests/bytecode_test.cpp) hold every program to identical results,
+/// checks, faults and error reports.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -94,101 +97,20 @@ EFFSAN_ALWAYS_INLINE bool cmpApply(ir::Pred P, T A, T B) {
   return false;
 }
 
-class VM {
+/// The direct-threaded core over the shared engine shell.
+class VM : exec::Engine {
 public:
-  VM(const Program &Prog, Runtime &RT, const RunOptions &Opts,
-     Sanitizer *Session = nullptr)
-      : Prog(Prog), RT(RT), CC(RT.threadContext()), Session(Session),
-        Opts(Opts), Guard(RT) {}
+  VM(const Program &Prog, Sanitizer &Session, const RunOptions &Opts)
+      : Engine(Session, Opts), Prog(Prog) {}
 
   RunResult run(std::string_view Entry) {
-    RunResult R;
-    uint64_t IssuesBefore = RT.reporter().numIssues();
-    const ir::Module &M = *Prog.M;
-    // Module load mirrors the tree-walker: register the site table
-    // (keyed by the module's uid, so re-runs reuse the range), then
-    // materialize globals and strings through the typed allocator.
-    if (M.numCheckSites() != 0)
-      SiteBase = RT.siteTables().registerTable(M.siteTable(), M.uid());
-    Image.allocate(M, RT);
-    if (const BcFunction *Init = Prog.find("__global_init"))
-      callFunction(*Init, ArgStack.size(), 0);
-    const BcFunction *Main = Prog.find(Entry);
-    if (!Main)
-      fault("entry function '" + std::string(Entry) + "' not found");
-    if (!Faulted) {
-      Value Ret = callFunction(*Main, ArgStack.size(), 0);
-      R.ExitCode = Ret.I;
-    }
-    R.Ok = !Faulted;
-    R.Fault = std::move(FaultMsg);
-    R.Output = std::move(Output);
-    R.Steps = Steps;
-    R.Checks = Checks;
-    R.IssuesReported = RT.reporter().numIssues() - IssuesBefore;
-    return R;
+    return Engine::run(*Prog.M, Prog.find("__global_init"), Prog.find(Entry),
+                       Entry, [this](const BcFunction &F) {
+                         return callFunction(F, ArgStack.size(), 0);
+                       });
   }
 
 private:
-  void fault(std::string Msg) {
-    if (!Faulted) {
-      Faulted = true;
-      FaultMsg = std::move(Msg);
-    }
-  }
-
-  /// Host validation for every guest load/store. The in-arena fast
-  /// path is two compares and constructs nothing; null pointers,
-  /// legacy blocks and fault rendering all take the out-of-line path
-  /// (HostGuard::validate repeats the arena probe there, so the
-  /// messages stay byte-identical to the tree-walker's).
-  EFFSAN_ALWAYS_INLINE void *validate(Value Addr, uint64_t Size,
-                                      const char *What) {
-    char *P = static_cast<char *>(Addr.P);
-    if (EFFSAN_LIKELY(P && RT.heap().isInArena(P) &&
-                      RT.heap().isInArena(P + Size)))
-      return P;
-    return validateCold(Addr, Size, What);
-  }
-
-  EFFSAN_NOINLINE void *validateCold(Value Addr, uint64_t Size,
-                                     const char *What) {
-    std::string Msg;
-    void *P = Guard.validate(Addr, Size, What, Msg);
-    if (!P)
-      fault(std::move(Msg));
-    return P;
-  }
-
-  //===--------------------------------------------------------------------===//
-  // Check dispatch (identical to the tree-walker's)
-  //===--------------------------------------------------------------------===//
-
-  SiteId rebase(SiteId Site) const {
-    return (Site == NoSite || SiteBase == NoSite) ? Site : SiteBase + Site;
-  }
-  Bounds vmTypeCheck(const void *P, const TypeInfo *Type, SiteId Site) {
-    Site = Site == NoSite ? siteForType(Type) : rebase(Site);
-    return Session ? Session->typeCheck(CC, P, Type, Site)
-                   : RT.typeCheck(CC, P, Type, Site);
-  }
-  Bounds vmBoundsGet(const void *P, SiteId Site) {
-    Site = rebase(Site);
-    return Session ? Session->boundsGet(CC, P, Site)
-                   : RT.boundsGet(CC, P, Site);
-  }
-  void vmBoundsCheck(const void *P, size_t Size, Bounds B, SiteId Site) {
-    Site = rebase(Site);
-    if (Session)
-      Session->boundsCheck(CC, P, Size, B, Site);
-    else
-      RT.boundsCheck(CC, P, Size, B, Site);
-  }
-  Bounds vmBoundsNarrow(Bounds B, const void *Field, size_t Size) {
-    return Session ? Session->boundsNarrow(CC, B, Field, Size)
-                   : Runtime::boundsNarrow(CC, B, Field, Size);
-  }
-
   //===--------------------------------------------------------------------===//
   // Frames and calls
   //===--------------------------------------------------------------------===//
@@ -246,15 +168,6 @@ private:
                 size_t SlotBase);
 
   const Program &Prog;
-  Runtime &RT;
-  /// The running thread's check context, resolved once per run.
-  CheckContext &CC;
-  Sanitizer *Session;
-  const RunOptions &Opts;
-  SiteId SiteBase = NoSite;
-
-  exec::HostGuard Guard;
-  exec::ModuleImage Image;
 
   /// Flat frame stacks, reused across the whole run; a frame is a base
   /// offset into each.
@@ -263,13 +176,6 @@ private:
   std::vector<void *> SlotStack;
   /// Outgoing-argument staging area (caller pushes, callee pops).
   std::vector<Value> ArgStack;
-
-  std::string Output;
-  uint64_t Steps = 0;
-  uint64_t CallDepth = 0;
-  ExecutedChecks Checks;
-  bool Faulted = false;
-  std::string FaultMsg;
 };
 
 /// Faults and unwinds the dispatch loop (sticky, first message wins —
@@ -614,21 +520,8 @@ Value VM::execute(const BcFunction &F, size_t RegBase, size_t BndBase,
   BC_NEXT();
 
   BC_CASE(CallBuiltin) {
-    const uint16_t *Ar = Prog.ArgPool.data() + In->Aux;
-    switch (static_cast<ir::BuiltinId>(In->Imm)) {
-    case ir::BuiltinId::PrintInt:
-      exec::printInt(R[Ar[0]].I, Output);
-      break;
-    case ir::BuiltinId::PrintFloat:
-      exec::printFloat(R[Ar[0]].F, Output);
-      break;
-    case ir::BuiltinId::PrintStr:
-      exec::printStr(R[Ar[0]], Output,
-                     [this](Value V, uint64_t Size, const char *What) {
-                       return Faulted ? nullptr : validate(V, Size, What);
-                     });
-      break;
-    }
+    callBuiltin(static_cast<ir::BuiltinId>(In->Imm),
+                R[Prog.ArgPool[In->Aux]]);
     if (EFFSAN_UNLIKELY(Faulted))
       BC_RET(Zero);
   }
@@ -653,32 +546,22 @@ Value VM::execute(const BcFunction &F, size_t RegBase, size_t BndBase,
   //===------------------------------------------------------------------===//
 
   BC_CASE(TypeCheck) {
-    ++Checks.TypeChecks;
-    void *P = R[In->A].P;
-    BR[In->B] = P ? vmTypeCheck(P, In->Type, static_cast<SiteId>(In->Imm))
-                  : Bounds::wide();
+    BR[In->B] = typeCheck(R[In->A].P, In->Type, static_cast<SiteId>(In->Imm));
   }
   BC_NEXT();
 
   BC_CASE(BoundsGet) {
-    ++Checks.BoundsGets;
-    void *P = R[In->A].P;
-    BR[In->B] =
-        P ? vmBoundsGet(P, static_cast<SiteId>(In->Imm)) : Bounds::wide();
+    BR[In->B] = boundsGet(R[In->A].P, static_cast<SiteId>(In->Imm));
   }
   BC_NEXT();
 
   BC_CASE(BoundsCheck) {
-    ++Checks.BoundsChecks;
-    void *P = R[In->A].P;
-    if (P)
-      vmBoundsCheck(P, In->Aux, BR[In->B], static_cast<SiteId>(In->Imm));
+    boundsCheck(R[In->A].P, In->Aux, BR[In->B], static_cast<SiteId>(In->Imm));
   }
   BC_NEXT();
 
   BC_CASE(BoundsNarrow) {
-    ++Checks.BoundsNarrows;
-    BR[In->B] = vmBoundsNarrow(BR[In->C], R[In->A].P, In->Imm);
+    BR[In->B] = boundsNarrow(BR[In->C], R[In->A].P, In->Imm);
   }
   BC_NEXT();
 
@@ -700,30 +583,21 @@ Value VM::execute(const BcFunction &F, size_t RegBase, size_t BndBase,
   //===------------------------------------------------------------------===//
 
   BC_CASE(TypeCheckBounds) {
-    ++Checks.TypeChecks;
     void *P = R[In->A].P;
     Bounds Bv =
-        P ? vmTypeCheck(P, In->Type, static_cast<SiteId>(In->Imm & 0xFFFFFFFF))
-          : Bounds::wide();
+        typeCheck(P, In->Type, static_cast<SiteId>(In->Imm & 0xFFFFFFFF));
     BR[In->B] = Bv;
-    ++Checks.BoundsChecks;
-    if (P)
-      vmBoundsCheck(P, In->Aux, Bv, static_cast<SiteId>(In->Imm >> 32));
+    boundsCheck(P, In->Aux, Bv, static_cast<SiteId>(In->Imm >> 32));
   }
   BC_NEXT();
 
   BC_CASE(TypeCheckLoad) {
-    ++Checks.TypeChecks;
     void *P = R[In->A].P;
     Bounds Bv =
-        P ? vmTypeCheck(P, In->Type, static_cast<SiteId>(In->Imm & 0xFFFFFFFF))
-          : Bounds::wide();
+        typeCheck(P, In->Type, static_cast<SiteId>(In->Imm & 0xFFFFFFFF));
     BR[In->B] = Bv;
-    if (In->Aux) {
-      ++Checks.BoundsChecks;
-      if (P)
-        vmBoundsCheck(P, In->Aux, Bv, static_cast<SiteId>(In->Imm >> 32));
-    }
+    if (In->Aux)
+      boundsCheck(P, In->Aux, Bv, static_cast<SiteId>(In->Imm >> 32));
     void *HP = validate(R[In->A], In->Type->size(), "load");
     if (EFFSAN_UNLIKELY(!HP))
       BC_RET(Zero);
@@ -733,17 +607,12 @@ Value VM::execute(const BcFunction &F, size_t RegBase, size_t BndBase,
   BC_NEXT();
 
   BC_CASE(TypeCheckStore) {
-    ++Checks.TypeChecks;
     void *P = R[In->A].P;
     Bounds Bv =
-        P ? vmTypeCheck(P, In->Type, static_cast<SiteId>(In->Imm & 0xFFFFFFFF))
-          : Bounds::wide();
+        typeCheck(P, In->Type, static_cast<SiteId>(In->Imm & 0xFFFFFFFF));
     BR[In->B] = Bv;
-    if (In->Aux) {
-      ++Checks.BoundsChecks;
-      if (P)
-        vmBoundsCheck(P, In->Aux, Bv, static_cast<SiteId>(In->Imm >> 32));
-    }
+    if (In->Aux)
+      boundsCheck(P, In->Aux, Bv, static_cast<SiteId>(In->Imm >> 32));
     void *HP = validate(R[In->A], In->Type->size(), "store");
     if (EFFSAN_UNLIKELY(!HP))
       BC_RET(Zero);
@@ -753,28 +622,19 @@ Value VM::execute(const BcFunction &F, size_t RegBase, size_t BndBase,
   BC_NEXT();
 
   BC_CASE(BoundsGetCheck) {
-    ++Checks.BoundsGets;
     void *P = R[In->A].P;
-    Bounds Bv = P ? vmBoundsGet(P, static_cast<SiteId>(In->Imm & 0xFFFFFFFF))
-                  : Bounds::wide();
+    Bounds Bv = boundsGet(P, static_cast<SiteId>(In->Imm & 0xFFFFFFFF));
     BR[In->B] = Bv;
-    ++Checks.BoundsChecks;
-    if (P)
-      vmBoundsCheck(P, In->Aux, Bv, static_cast<SiteId>(In->Imm >> 32));
+    boundsCheck(P, In->Aux, Bv, static_cast<SiteId>(In->Imm >> 32));
   }
   BC_NEXT();
 
   BC_CASE(BoundsGetCheckLoad) {
-    ++Checks.BoundsGets;
     void *P = R[In->A].P;
-    Bounds Bv = P ? vmBoundsGet(P, static_cast<SiteId>(In->Imm & 0xFFFFFFFF))
-                  : Bounds::wide();
+    Bounds Bv = boundsGet(P, static_cast<SiteId>(In->Imm & 0xFFFFFFFF));
     BR[In->B] = Bv;
-    if (In->Aux) {
-      ++Checks.BoundsChecks;
-      if (P)
-        vmBoundsCheck(P, In->Aux, Bv, static_cast<SiteId>(In->Imm >> 32));
-    }
+    if (In->Aux)
+      boundsCheck(P, In->Aux, Bv, static_cast<SiteId>(In->Imm >> 32));
     void *HP = validate(R[In->A], In->Type->size(), "load");
     if (EFFSAN_UNLIKELY(!HP))
       BC_RET(Zero);
@@ -784,16 +644,11 @@ Value VM::execute(const BcFunction &F, size_t RegBase, size_t BndBase,
   BC_NEXT();
 
   BC_CASE(BoundsGetCheckStore) {
-    ++Checks.BoundsGets;
     void *P = R[In->A].P;
-    Bounds Bv = P ? vmBoundsGet(P, static_cast<SiteId>(In->Imm & 0xFFFFFFFF))
-                  : Bounds::wide();
+    Bounds Bv = boundsGet(P, static_cast<SiteId>(In->Imm & 0xFFFFFFFF));
     BR[In->B] = Bv;
-    if (In->Aux) {
-      ++Checks.BoundsChecks;
-      if (P)
-        vmBoundsCheck(P, In->Aux, Bv, static_cast<SiteId>(In->Imm >> 32));
-    }
+    if (In->Aux)
+      boundsCheck(P, In->Aux, Bv, static_cast<SiteId>(In->Imm >> 32));
     void *HP = validate(R[In->A], In->Type->size(), "store");
     if (EFFSAN_UNLIKELY(!HP))
       BC_RET(Zero);
@@ -803,10 +658,7 @@ Value VM::execute(const BcFunction &F, size_t RegBase, size_t BndBase,
   BC_NEXT();
 
   BC_CASE(BoundsCheckLoad) {
-    ++Checks.BoundsChecks;
-    void *P = R[In->A].P;
-    if (P)
-      vmBoundsCheck(P, In->Aux, BR[In->B], static_cast<SiteId>(In->Imm));
+    boundsCheck(R[In->A].P, In->Aux, BR[In->B], static_cast<SiteId>(In->Imm));
     void *HP = validate(R[In->A], In->Type->size(), "load");
     if (EFFSAN_UNLIKELY(!HP))
       BC_RET(Zero);
@@ -816,10 +668,7 @@ Value VM::execute(const BcFunction &F, size_t RegBase, size_t BndBase,
   BC_NEXT();
 
   BC_CASE(BoundsCheckStore) {
-    ++Checks.BoundsChecks;
-    void *P = R[In->A].P;
-    if (P)
-      vmBoundsCheck(P, In->Aux, BR[In->B], static_cast<SiteId>(In->Imm));
+    boundsCheck(R[In->A].P, In->Aux, BR[In->B], static_cast<SiteId>(In->Imm));
     void *HP = validate(R[In->A], In->Type->size(), "store");
     if (EFFSAN_UNLIKELY(!HP))
       BC_RET(Zero);
@@ -840,12 +689,11 @@ Value VM::execute(const BcFunction &F, size_t RegBase, size_t BndBase,
 
 RunResult bytecode::run(const Program &P, Runtime &RT, const RunOptions &Opts,
                         std::string_view Entry) {
-  VM V(P, RT, Opts);
-  return V.run(Entry);
+  Sanitizer Session(RT, CheckPolicy::Full);
+  return run(P, Session, Opts, Entry);
 }
 
 RunResult bytecode::run(const Program &P, Sanitizer &Session,
                         const RunOptions &Opts, std::string_view Entry) {
-  VM V(P, Session.runtime(), Opts, &Session);
-  return V.run(Entry);
+  return VM(P, Session, Opts).run(Entry);
 }

@@ -36,7 +36,8 @@ using interp::ExecutedChecks;
 using interp::RunOptions;
 using interp::RunResult;
 
-/// Runs \p Entry with checks dispatched straight at the runtime.
+/// Runs \p Entry through a CheckPolicy::Full view of \p RT: shorthand
+/// for the session overload, the engines' only check path.
 RunResult run(const Program &P, Runtime &RT, const RunOptions &Opts = {},
               std::string_view Entry = "main");
 

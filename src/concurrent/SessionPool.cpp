@@ -54,7 +54,16 @@ static lowfat::HeapOptions poolHeapOptions(const PoolOptions &Options) {
 }
 
 SessionPool::SessionPool(const PoolOptions &Options)
-    : OwnedTypes(std::make_unique<TypeContext>()), Types(OwnedTypes.get()),
+    : SessionPool(std::make_unique<TypeContext>(), nullptr, Options) {}
+
+SessionPool::SessionPool(TypeContext &SharedTypes,
+                         const PoolOptions &Options)
+    : SessionPool(nullptr, &SharedTypes, Options) {}
+
+SessionPool::SessionPool(std::unique_ptr<TypeContext> Owned,
+                         TypeContext *Shared, const PoolOptions &Options)
+    : OwnedTypes(std::move(Owned)),
+      Types(OwnedTypes ? OwnedTypes.get() : Shared),
       Heap(poolHeapOptions(Options)),
       Ring(Options.ErrorRingCapacity ? Options.ErrorRingCapacity
                                      : ErrorRing::DefaultCapacity),
@@ -64,30 +73,6 @@ SessionPool::SessionPool(const PoolOptions &Options)
       Epoch(nextUniqueStamp()) {
   // Shard runtimes never emit through their own reporter: every event
   // is intercepted lock-free and funneled to the central drain.
-  RuntimeOptions RTOpts;
-  RTOpts.Reporter.Mode = ReportMode::Count;
-  RTOpts.Reporter.Stream = nullptr;
-  RTOpts.Reporter.Enqueue = enqueueToRing;
-  RTOpts.Reporter.EnqueueUserData = &Sink;
-  RTOpts.SiteCacheEntries = Options.SiteCacheEntries;
-  RTOpts.SharedSites = &SiteTables;
-  for (unsigned I = 0; I < Heap.numShards(); ++I) {
-    Runtimes.push_back(
-        std::make_unique<Runtime>(*Types, Heap, I, RTOpts));
-    Shards.push_back(
-        std::make_unique<Sanitizer>(*Runtimes.back(), Options.Policy));
-  }
-}
-
-SessionPool::SessionPool(TypeContext &SharedTypes,
-                         const PoolOptions &Options)
-    : Types(&SharedTypes), Heap(poolHeapOptions(Options)),
-      Ring(Options.ErrorRingCapacity ? Options.ErrorRingCapacity
-                                     : ErrorRing::DefaultCapacity),
-      Central(Options.Reporter),
-      Sink{&Ring, &Central, Options.RingRetryAttempts,
-           Options.DropOnRingFull},
-      Epoch(nextUniqueStamp()) {
   RuntimeOptions RTOpts;
   RTOpts.Reporter.Mode = ReportMode::Count;
   RTOpts.Reporter.Stream = nullptr;

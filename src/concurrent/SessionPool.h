@@ -199,6 +199,11 @@ public:
   void resetShard(unsigned Index);
 
 private:
+  /// The one constructor body: types from \p Owned when non-null, else
+  /// \p Shared.
+  SessionPool(std::unique_ptr<TypeContext> Owned, TypeContext *Shared,
+              const PoolOptions &Options);
+
   /// ReporterOptions::Enqueue target installed on every shard reporter.
   struct RingSink {
     ErrorRing *Ring;

@@ -5,11 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The semantics both execution engines share: the tree-walking
-/// reference interpreter (interp/Interp.cpp) and the direct-threaded
-/// bytecode VM (bytecode/VM.cpp) must produce bit-identical results for
-/// every program — same values, same faults, same fault messages — so
-/// everything value-shaped lives here exactly once:
+/// What both execution engines share: the tree-walking reference
+/// interpreter (interp/Interp.cpp) and the direct-threaded bytecode VM
+/// (bytecode/VM.cpp) must produce bit-identical results for every
+/// program — same values, same faults, same fault messages — so
+/// everything outside their execution cores lives here exactly once:
 ///
 ///   * the 64-bit Value union and integer canonicalization;
 ///   * scalar load/store directed by TypeInfo;
@@ -19,19 +19,28 @@
 ///   * the host-memory safety net (arena membership + tracked legacy
 ///     blocks) that keeps a buggy *guest* program from performing a
 ///     wild access on the *host*;
-///   * print builtins and module images (globals + string literals
-///     materialized through the typed global allocator).
+///   * module images (globals + string literals materialized through
+///     the typed global allocator);
+///   * the engine shell both engines derive from (exec::Engine): module
+///     load and site-table registration, run bookkeeping, faults, host
+///     validation, the print builtins, and the check front end. A
+///     session is the only check path: its CheckPolicy decides what
+///     every executed check does.
 ///
-/// Everything is header-inline: the engines compile these into their
-/// dispatch loops, and the bytecode superinstructions reach the same
-/// fast paths the tree-walker uses with no extra call.
+/// Each engine keeps only its execution core: frames, calls and the
+/// dispatch loop. Everything is header-inline: the engines compile
+/// these into their dispatch loops, and the bytecode superinstructions
+/// reach the same validate and check fast paths the tree-walker uses
+/// with no extra call.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef EFFECTIVE_INTERP_EXECSUPPORT_H
 #define EFFECTIVE_INTERP_EXECSUPPORT_H
 
+#include "api/Sanitizer.h"
 #include "core/Runtime.h"
+#include "interp/Interp.h"
 #include "ir/IR.h"
 
 #include <cinttypes>
@@ -397,7 +406,8 @@ EFFSAN_ALWAYS_INLINE bool evalConvert(Value V, const TypeInfo *From,
 /// host. Accesses inside the demand-paged low-fat arena are host-safe
 /// even when they are program errors (the checks have already logged
 /// those); anything else must land inside a tracked legacy allocation,
-/// or the engine faults with a deterministic "wild ..." message.
+/// or the engine faults with a deterministic "null ..." / "wild ..."
+/// message.
 class HostGuard {
 public:
   explicit HostGuard(Runtime &RT) : RT(RT) {}
@@ -409,23 +419,15 @@ public:
 
   /// Returns the host pointer for a \p Size byte access at \p Addr, or
   /// null with the engine's fault message rendered into \p FaultMsg.
-  EFFSAN_ALWAYS_INLINE void *validate(Value Addr, uint64_t Size,
-                                      const char *What,
-                                      std::string &FaultMsg) const {
+  void *validate(Value Addr, uint64_t Size, const char *What,
+                 std::string &FaultMsg) const {
     char *P = static_cast<char *>(Addr.P);
-    if (EFFSAN_UNLIKELY(!P)) {
+    if (!P) {
       FaultMsg = std::string("null ") + What;
       return nullptr;
     }
-    if (EFFSAN_LIKELY(RT.heap().isInArena(P) && RT.heap().isInArena(P + Size)))
+    if (RT.heap().isInArena(P) && RT.heap().isInArena(P + Size))
       return P;
-    return validateSlow(Addr, Size, What, FaultMsg);
-  }
-
-private:
-  EFFSAN_NOINLINE void *validateSlow(Value Addr, uint64_t Size,
-                                     const char *What,
-                                     std::string &FaultMsg) const {
     for (const auto &[Base, Len] : Blocks) {
       if (Addr.U >= Base && Addr.U + Size <= Base + Len)
         return Addr.P;
@@ -438,6 +440,7 @@ private:
     return nullptr;
   }
 
+private:
   Runtime &RT;
   std::vector<std::pair<uintptr_t, uint64_t>> Blocks;
 };
@@ -481,42 +484,177 @@ struct ModuleImage {
 };
 
 //===----------------------------------------------------------------------===//
-// Print builtins
+// The engine shell
 //===----------------------------------------------------------------------===//
 
-inline void printInt(int64_t V, std::string &Output) {
-  char Buf[64];
-  std::snprintf(Buf, sizeof(Buf), "%" PRId64 "\n", V);
-  Output += Buf;
-}
+/// Everything around an execution core, written once for both engines:
+/// module load, run bookkeeping, faults, the host-memory guard, the
+/// print builtins and the check front end. A derived engine supplies
+/// only its core (frames, calls and dispatch) and runs through run().
+///
+/// Faults (wild accesses, budget exhaustion — not program type/memory
+/// errors, which the runtime reports while execution continues) set a
+/// sticky flag that unwinds the core; the first message wins.
+/// Exceptions are not used anywhere in this project.
+///
+/// Every check goes through the session, so its CheckPolicy governs
+/// what an executed check does; memory management goes straight to
+/// the runtime (allocation is policy-independent).
+class Engine {
+protected:
+  Engine(Sanitizer &Session, const interp::RunOptions &Opts)
+      : Session(Session), RT(Session.runtime()), CC(RT.threadContext()),
+        Opts(Opts), Guard(RT) {}
 
-inline void printFloat(double V, std::string &Output) {
-  char Buf[64];
-  std::snprintf(Buf, sizeof(Buf), "%g\n", V);
-  Output += Buf;
-}
-
-/// print_str: walks the guest string byte by byte, validating every
-/// read, capped at 4096 characters. \p Validate is the engine's
-/// validate hook — (Value, uint64_t, const char *) -> const char *,
-/// null when the engine faulted (the walk stops; the engine's sticky
-/// fault carries the message).
-template <typename ValidateFn>
-inline void printStr(Value V, std::string &Output, ValidateFn &&Validate) {
-  if (!V.P) {
-    Output += "(null)\n";
-    return;
+  /// Loads \p M, calls \p Init (when non-null) then \p Main through
+  /// \p Call — the core's `Value(const FnT &)` entry — and assembles
+  /// the RunResult. A null \p Main faults with \p Entry's name.
+  template <typename FnT, typename CallFn>
+  interp::RunResult run(const ir::Module &M, const FnT *Init,
+                        const FnT *Main, std::string_view Entry,
+                        CallFn &&Call) {
+    interp::RunResult R;
+    uint64_t IssuesBefore = RT.reporter().numIssues();
+    // Module load: hand the module's site table to the session, so
+    // every check this run executes reports with source attribution.
+    // Keyed by the module's process-unique uid — re-running the same
+    // module reuses the registered range instead of burning a fresh
+    // one, and a later module can never alias a destroyed one.
+    if (M.numCheckSites() != 0)
+      SiteBase = Session.registerSiteTable(M.siteTable(), M.uid());
+    Image.allocate(M, RT);
+    if (Init)
+      Call(*Init);
+    if (!Main)
+      fault("entry function '" + std::string(Entry) + "' not found");
+    else if (!Faulted)
+      R.ExitCode = Call(*Main).I;
+    R.Ok = !Faulted;
+    R.Fault = std::move(FaultMsg);
+    R.Output = std::move(Output);
+    R.Steps = Steps;
+    R.Checks = Checks;
+    R.IssuesReported = RT.reporter().numIssues() - IssuesBefore;
+    return R;
   }
-  for (uint64_t K = 0; K < 4096; ++K) {
-    const char *C = static_cast<const char *>(
-        Validate(V, uint64_t(1), "print_str read"));
-    if (!C || *C == '\0')
+
+  void fault(std::string Msg) {
+    if (!Faulted) {
+      Faulted = true;
+      FaultMsg = std::move(Msg);
+    }
+  }
+
+  /// Host validation for every guest load/store. The in-arena fast
+  /// path is two compares and constructs nothing; null pointers,
+  /// legacy blocks and fault rendering all take the out-of-line path
+  /// (HostGuard::validate repeats the arena probe there).
+  EFFSAN_ALWAYS_INLINE void *validate(Value Addr, uint64_t Size,
+                                      const char *What) {
+    char *P = static_cast<char *>(Addr.P);
+    if (EFFSAN_LIKELY(P && RT.heap().isInArena(P) &&
+                      RT.heap().isInArena(P + Size)))
+      return P;
+    return validateCold(Addr, Size, What);
+  }
+
+  /// The print_* builtins over their one argument value. print_str
+  /// walks the guest string byte by byte, validating every read,
+  /// capped at 4096 characters; a faulting read ends the walk.
+  void callBuiltin(ir::BuiltinId Id, Value Arg) {
+    char Buf[64];
+    switch (Id) {
+    case ir::BuiltinId::PrintInt:
+      std::snprintf(Buf, sizeof(Buf), "%" PRId64 "\n", Arg.I);
+      Output += Buf;
       break;
-    Output += *C;
-    ++V.U;
+    case ir::BuiltinId::PrintFloat:
+      std::snprintf(Buf, sizeof(Buf), "%g\n", Arg.F);
+      Output += Buf;
+      break;
+    case ir::BuiltinId::PrintStr:
+      if (!Arg.P) {
+        Output += "(null)\n";
+        break;
+      }
+      for (uint64_t K = 0; K < 4096; ++K) {
+        const char *C =
+            static_cast<const char *>(validate(Arg, 1, "print_str read"));
+        if (!C || *C == '\0')
+          break;
+        Output += *C;
+        ++Arg.U;
+      }
+      Output += '\n';
+      break;
+    }
   }
-  Output += '\n';
-}
+
+  /// \name The check front end.
+  /// Each check bumps its ExecutedChecks counter, short-circuits null
+  /// pointers to wide bounds, and calls the session. Instrumented
+  /// checks carry a dense per-module site, rebased into the session's
+  /// registered range; hand-built IR has none, and a type check then
+  /// takes the type-derived pseudo-site.
+  /// @{
+  EFFSAN_ALWAYS_INLINE Bounds typeCheck(const void *P, const TypeInfo *Type,
+                                        SiteId Site) {
+    ++Checks.TypeChecks;
+    if (!P)
+      return Bounds::wide();
+    Site = Site == NoSite ? siteForType(Type) : rebase(Site);
+    return Session.typeCheck(CC, P, Type, Site);
+  }
+  EFFSAN_ALWAYS_INLINE Bounds boundsGet(const void *P, SiteId Site) {
+    ++Checks.BoundsGets;
+    return P ? Session.boundsGet(CC, P, rebase(Site)) : Bounds::wide();
+  }
+  EFFSAN_ALWAYS_INLINE void boundsCheck(const void *P, size_t Size, Bounds B,
+                                        SiteId Site) {
+    ++Checks.BoundsChecks;
+    if (P)
+      Session.boundsCheck(CC, P, Size, B, rebase(Site));
+  }
+  EFFSAN_ALWAYS_INLINE Bounds boundsNarrow(Bounds B, const void *Field,
+                                           size_t Size) {
+    ++Checks.BoundsNarrows;
+    return Session.boundsNarrow(CC, B, Field, Size);
+  }
+  /// @}
+
+  Sanitizer &Session;
+  Runtime &RT;
+  /// The running thread's check context, resolved once per run.
+  CheckContext &CC;
+  const interp::RunOptions &Opts;
+  /// Base the module's site table was rebased to at load (NoSite when
+  /// the module has no sites).
+  SiteId SiteBase = NoSite;
+
+  HostGuard Guard;
+  ModuleImage Image;
+
+  std::string Output;
+  uint64_t Steps = 0;
+  uint64_t CallDepth = 0;
+  interp::ExecutedChecks Checks;
+  bool Faulted = false;
+  std::string FaultMsg;
+
+private:
+  SiteId rebase(SiteId Site) const {
+    return (Site == NoSite || SiteBase == NoSite) ? Site : SiteBase + Site;
+  }
+
+  EFFSAN_NOINLINE void *validateCold(Value Addr, uint64_t Size,
+                                     const char *What) {
+    std::string Msg;
+    void *P = Guard.validate(Addr, Size, What, Msg);
+    if (!P)
+      fault(std::move(Msg));
+    return P;
+  }
+};
 
 } // namespace exec
 } // namespace effective

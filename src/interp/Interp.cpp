@@ -7,9 +7,11 @@
 /// \file
 /// The tree-walking reference interpreter. It executes ir::Module
 /// instruction objects directly — simple, slow, and the differential
-/// oracle for the bytecode VM (bytecode/VM.cpp): both engines share
-/// their value semantics through interp/ExecSupport.h and must produce
-/// identical results, checks and error reports for every program.
+/// oracle for the bytecode VM (bytecode/VM.cpp). Both engines derive
+/// from the one engine shell in interp/ExecSupport.h (module load,
+/// faults, host validation, builtins, the session check front end) and
+/// must produce identical results, checks and error reports for every
+/// program; this file holds only the tree-walking core.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,68 +31,19 @@ namespace {
 
 using exec::Value;
 
-/// The VM. Faults (wild accesses, budget exhaustion — not program
-/// type/memory errors, which are reported by the runtime and execution
-/// continues) set a sticky flag that unwinds the interpreter loop;
-/// exceptions are not used anywhere in this project.
-class Interpreter {
+/// The tree-walking core over the shared engine shell.
+class Interpreter : exec::Engine {
 public:
-  /// When \p Session is non-null the check opcodes dispatch through it,
-  /// so the session's CheckPolicy governs what executed checks do;
-  /// memory management always goes straight to \p RT (allocation is
-  /// policy-independent).
-  Interpreter(const Module &M, Runtime &RT, const RunOptions &Opts,
-              Sanitizer *Session = nullptr)
-      : M(M), RT(RT), CC(RT.threadContext()), Session(Session), Opts(Opts),
-        Guard(RT) {}
+  Interpreter(const Module &M, Sanitizer &Session, const RunOptions &Opts)
+      : Engine(Session, Opts), M(M) {}
 
   RunResult run(std::string_view Entry) {
-    RunResult R;
-    uint64_t IssuesBefore = RT.reporter().numIssues();
-    // Module load: hand the module's site table to the session, so
-    // every check this run executes reports with source attribution.
-    // Keyed by the module's process-unique uid — re-running the same
-    // module reuses the registered range instead of burning a fresh
-    // one, and a later module can never alias a destroyed one.
-    if (M.numCheckSites() != 0)
-      SiteBase = RT.siteTables().registerTable(M.siteTable(), M.uid());
-    Image.allocate(M, RT);
-    if (const Function *Init = M.findFunction("__global_init"))
-      callFunction(*Init, {});
-    const Function *Main = M.findFunction(Entry);
-    if (!Main)
-      fault("entry function '" + std::string(Entry) + "' not found");
-    if (!Faulted) {
-      Value Ret = callFunction(*Main, {});
-      R.ExitCode = Ret.I;
-    }
-    R.Ok = !Faulted;
-    R.Fault = std::move(FaultMsg);
-    R.Output = std::move(Output);
-    R.Steps = Steps;
-    R.Checks = Checks;
-    R.IssuesReported = RT.reporter().numIssues() - IssuesBefore;
-    return R;
+    return Engine::run(
+        M, M.findFunction("__global_init"), M.findFunction(Entry), Entry,
+        [this](const Function &F) { return callFunction(F, {}); });
   }
 
 private:
-  void fault(std::string Msg) {
-    if (!Faulted) {
-      Faulted = true;
-      FaultMsg = std::move(Msg);
-    }
-  }
-
-  /// Validates a raw access through the shared host-memory safety net
-  /// (see exec::HostGuard); returns null and faults otherwise.
-  void *validate(Value Addr, uint64_t Size, const char *What) {
-    std::string Msg;
-    void *P = Guard.validate(Addr, Size, What, Msg);
-    if (!P)
-      fault(std::move(Msg));
-    return P;
-  }
-
   //===--------------------------------------------------------------------===//
   // Frames and calls
   //===--------------------------------------------------------------------===//
@@ -283,7 +236,7 @@ private:
         break;
       }
       case Opcode::CallBuiltin:
-        execBuiltin(static_cast<BuiltinId>(I.Imm), I, Regs);
+        callBuiltin(static_cast<BuiltinId>(I.Imm), Regs[I.Args[0]]);
         break;
       case Opcode::Ret: {
         Value V{0};
@@ -300,26 +253,16 @@ private:
         Idx = 0;
         continue;
       case Opcode::TypeCheck:
-        ++Checks.TypeChecks;
-        BRegs[I.BDst] = Regs[I.A].P
-                            ? vmTypeCheck(Regs[I.A].P, I.Type, I.Site)
-                            : Bounds::wide();
+        BRegs[I.BDst] = typeCheck(Regs[I.A].P, I.Type, I.Site);
         break;
       case Opcode::BoundsGet:
-        ++Checks.BoundsGets;
-        BRegs[I.BDst] = Regs[I.A].P
-                            ? vmBoundsGet(Regs[I.A].P, I.Site)
-                            : Bounds::wide();
+        BRegs[I.BDst] = boundsGet(Regs[I.A].P, I.Site);
         break;
       case Opcode::BoundsCheck:
-        ++Checks.BoundsChecks;
-        if (Regs[I.A].P)
-          vmBoundsCheck(Regs[I.A].P, I.Imm, BRegs[I.BSrc], I.Site);
+        boundsCheck(Regs[I.A].P, I.Imm, BRegs[I.BSrc], I.Site);
         break;
       case Opcode::BoundsNarrow:
-        ++Checks.BoundsNarrows;
-        BRegs[I.BDst] =
-            vmBoundsNarrow(BRegs[I.BSrc], Regs[I.A].P, I.Imm);
+        BRegs[I.BDst] = boundsNarrow(BRegs[I.BSrc], Regs[I.A].P, I.Imm);
         break;
       case Opcode::WideBounds:
         BRegs[I.BDst] = Bounds::wide();
@@ -329,92 +272,18 @@ private:
     }
   }
 
-  void execBuiltin(BuiltinId Id, const Instr &I,
-                   std::vector<Value> &Regs) {
-    switch (Id) {
-    case BuiltinId::PrintInt:
-      exec::printInt(Regs[I.Args[0]].I, Output);
-      break;
-    case BuiltinId::PrintFloat:
-      exec::printFloat(Regs[I.Args[0]].F, Output);
-      break;
-    case BuiltinId::PrintStr:
-      exec::printStr(Regs[I.Args[0]], Output,
-                     [this](Value V, uint64_t Size, const char *What) {
-                       return Faulted ? nullptr : validate(V, Size, What);
-                     });
-      break;
-    }
-  }
-
   const Module &M;
-  /// \name Check dispatch.
-  /// Through the session when one is bound (its CheckPolicy governs
-  /// the checks), straight to the runtime otherwise.
-  /// @{
-  /// Maps a module-local site id into the session's registered range
-  /// (identity for unsited instructions and unregistered modules).
-  SiteId rebase(SiteId Site) const {
-    return (Site == NoSite || SiteBase == NoSite) ? Site
-                                                  : SiteBase + Site;
-  }
-
-  Bounds vmTypeCheck(const void *P, const TypeInfo *Type, SiteId Site) {
-    // Instrumented checks carry a dense per-module site (rebased into
-    // the session's registry); hand-built IR has none and takes the
-    // type-derived pseudo-site instead.
-    Site = Site == NoSite ? siteForType(Type) : rebase(Site);
-    return Session ? Session->typeCheck(CC, P, Type, Site)
-                   : RT.typeCheck(CC, P, Type, Site);
-  }
-  Bounds vmBoundsGet(const void *P, SiteId Site) {
-    Site = rebase(Site);
-    return Session ? Session->boundsGet(CC, P, Site)
-                   : RT.boundsGet(CC, P, Site);
-  }
-  void vmBoundsCheck(const void *P, size_t Size, Bounds B, SiteId Site) {
-    Site = rebase(Site);
-    if (Session)
-      Session->boundsCheck(CC, P, Size, B, Site);
-    else
-      RT.boundsCheck(CC, P, Size, B, Site);
-  }
-  Bounds vmBoundsNarrow(Bounds B, const void *Field, size_t Size) {
-    return Session ? Session->boundsNarrow(CC, B, Field, Size)
-                   : Runtime::boundsNarrow(CC, B, Field, Size);
-  }
-  /// @}
-
-  Runtime &RT;
-  /// The running thread's check context, resolved once per run.
-  CheckContext &CC;
-  Sanitizer *Session;
-  const RunOptions &Opts;
-  /// Base the module's site table was rebased to at load (NoSite when
-  /// the module has no sites).
-  SiteId SiteBase = NoSite;
-
-  exec::HostGuard Guard;
-  exec::ModuleImage Image;
-
-  std::string Output;
-  uint64_t Steps = 0;
-  uint64_t CallDepth = 0;
-  ExecutedChecks Checks;
-  bool Faulted = false;
-  std::string FaultMsg;
 };
 
 } // namespace
 
 RunResult interp::run(const Module &M, Runtime &RT, const RunOptions &Opts,
                       std::string_view Entry) {
-  Interpreter I(M, RT, Opts);
-  return I.run(Entry);
+  Sanitizer Session(RT, CheckPolicy::Full);
+  return run(M, Session, Opts, Entry);
 }
 
 RunResult interp::run(const Module &M, Sanitizer &Session,
                       const RunOptions &Opts, std::string_view Entry) {
-  Interpreter I(M, Session.runtime(), Opts, &Session);
-  return I.run(Entry);
+  return Interpreter(M, Session, Opts).run(Entry);
 }

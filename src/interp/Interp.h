@@ -71,13 +71,17 @@ struct RunResult {
 };
 
 /// Executes \p M's entry function. Global objects are (re)allocated per
-/// run; the module may be executed repeatedly.
+/// run; the module may be executed repeatedly. Shorthand for the
+/// session overload through a CheckPolicy::Full view of \p RT
+/// (Sanitizer(RT, CheckPolicy::Full)): a session is the engines' only
+/// check path.
 RunResult run(const ir::Module &M, Runtime &RT,
               const RunOptions &Opts = RunOptions(),
               std::string_view Entry = "main");
 
 /// Session-scoped execution: runs \p M against \p Session's runtime, so
-/// all checks, counters and reports stay inside that session.
+/// all checks, counters and reports stay inside that session and its
+/// CheckPolicy governs what every executed check does.
 RunResult run(const ir::Module &M, Sanitizer &Session,
               const RunOptions &Opts = RunOptions(),
               std::string_view Entry = "main");

@@ -238,11 +238,15 @@ TEST(Figure1, EffectiveSanVariantsRows) {
       << "the -type variant drops pointer-use instrumentation";
   EXPECT_FALSE(TypeO["object-overflow"]);
 
-  // EffectiveSan-bounds: object bounds + temporal via FREE, no types.
+  // EffectiveSan-bounds: allocation bounds + temporal via FREE, no
+  // types, and no rule-(e) narrowing.
   MatrixRow BoundsRow = evaluateModel(ModelKind::EffectiveSanBounds);
   EXPECT_EQ(BoundsRow.typesCapability(), Capability::None);
+  EXPECT_EQ(BoundsRow.boundsCapability(), Capability::Partial);
   auto BoundsO = outcomesFor(ModelKind::EffectiveSanBounds);
   EXPECT_TRUE(BoundsO["object-overflow"]);
+  EXPECT_FALSE(BoundsO["subobject-overflow"])
+      << "the -bounds variant does not narrow to fields";
   EXPECT_TRUE(BoundsO["use-after-free"]);
   EXPECT_FALSE(BoundsO["bad-downcast"]);
 }

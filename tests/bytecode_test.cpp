@@ -9,9 +9,11 @@
 /// the same output, the same executed-check counters and the same
 /// error-report stream. The corpus below mirrors every runnable program
 /// in interp_test.cpp and minic_test.cpp, swept under all four
-/// instrumentation variants and with superinstruction fusion both on
-/// and off. Steps is deliberately *not* compared: a fused
-/// superinstruction executes as one bytecode step.
+/// instrumentation variants, with superinstruction fusion both on and
+/// off, and through a session under each of the five CheckPolicy
+/// values (compiled as that policy's build). Steps is deliberately
+/// *not* compared: a fused superinstruction executes as one bytecode
+/// step.
 ///
 /// Also here: the disassembler round trip (parse(disassemble(P))
 /// reproduces every instruction field-for-field) and a fusion
@@ -19,6 +21,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "api/Sanitizer.h"
 #include "bytecode/Compiler.h"
 #include "bytecode/Disasm.h"
 #include "bytecode/VM.h"
@@ -28,6 +31,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -410,9 +414,11 @@ struct EngineRun {
 enum class Engine { Tree, Bytecode };
 
 /// Runs \p C on \p E against a fresh runtime, capturing every emitted
-/// report in order.
+/// report in order. With \p Policy set, the engine runs through a
+/// session under that policy rather than the Runtime overload.
 EngineRun runEngine(TypeContext &Types, const CompileResult &C, Engine E,
-                    const interp::RunOptions &Opts = interp::RunOptions()) {
+                    const interp::RunOptions &Opts = interp::RunOptions(),
+                    std::optional<CheckPolicy> Policy = std::nullopt) {
   EngineRun Out;
   RuntimeOptions RTOpts;
   RTOpts.Reporter.Mode = ReportMode::Count;
@@ -424,8 +430,14 @@ EngineRun runEngine(TypeContext &Types, const CompileResult &C, Engine E,
   RTOpts.Reporter.CallbackUserData = &Out.Msgs;
   Runtime RT(Types, RTOpts);
 
-  Out.R = E == Engine::Bytecode ? bytecode::run(*C.BC, RT, Opts)
-                                : interp::run(*C.M, RT, Opts);
+  if (Policy) {
+    Sanitizer Session(RT, *Policy);
+    Out.R = E == Engine::Bytecode ? bytecode::run(*C.BC, Session, Opts)
+                                  : interp::run(*C.M, Session, Opts);
+  } else {
+    Out.R = E == Engine::Bytecode ? bytecode::run(*C.BC, RT, Opts)
+                                  : interp::run(*C.M, RT, Opts);
+  }
   Out.TypeErrors = RT.reporter().numIssues(ErrorKind::TypeError);
   Out.BoundsErrors = RT.reporter().numIssues(ErrorKind::BoundsError);
   Out.UafErrors = RT.reporter().numIssues(ErrorKind::UseAfterFree);
@@ -460,18 +472,19 @@ void expectSameBehavior(const EngineRun &T, const EngineRun &B,
 constexpr Variant AllVariants[] = {Variant::None, Variant::Type,
                                    Variant::Bounds, Variant::Full};
 
-/// Compiles \p Source under \p V and diffs the two engines; with
-/// \p Fused false the bytecode is recompiled without superinstructions
-/// to cover the plain handlers too.
-void diffProgram(const char *Name, const char *Source, Variant V,
-                 bool Fused = true) {
-  std::string Label = std::string(Name) + " [" +
-                      std::string(variantName(V)) +
-                      (Fused ? "" : " unfused") + "]";
+constexpr CheckPolicy AllPolicies[] = {
+    CheckPolicy::Full, CheckPolicy::BoundsOnly, CheckPolicy::TypeOnly,
+    CheckPolicy::CountOnly, CheckPolicy::Off};
+
+/// Compiles \p Source with \p Opts and diffs the two engines, run
+/// through a session under \p Policy when set; with \p Fused false the
+/// bytecode is recompiled without superinstructions to cover the plain
+/// handlers too.
+void diffCompiled(const std::string &Label, const char *Source,
+                  const InstrumentOptions &Opts, bool Fused,
+                  std::optional<CheckPolicy> Policy) {
   TypeContext Types;
   DiagnosticEngine Diags;
-  InstrumentOptions Opts;
-  Opts.V = V;
   CompileResult C = compileMiniC(Source, Types, Diags, Opts);
   for (const Diagnostic &D : Diags.diagnostics())
     ADD_FAILURE() << Label << ": " << D.Loc.Line << ":" << D.Loc.Column
@@ -487,9 +500,28 @@ void diffProgram(const char *Name, const char *Source, Variant V,
     ASSERT_TRUE(C.BC) << Label << ": " << Error;
   }
 
-  EngineRun T = runEngine(Types, C, Engine::Tree);
-  EngineRun B = runEngine(Types, C, Engine::Bytecode);
+  EngineRun T = runEngine(Types, C, Engine::Tree, {}, Policy);
+  EngineRun B = runEngine(Types, C, Engine::Bytecode, {}, Policy);
   expectSameBehavior(T, B, Label);
+}
+
+/// Compiles \p Source under \p V and diffs the two engines.
+void diffProgram(const char *Name, const char *Source, Variant V,
+                 bool Fused = true) {
+  InstrumentOptions Opts;
+  Opts.V = V;
+  diffCompiled(std::string(Name) + " [" + std::string(variantName(V)) +
+                   (Fused ? "" : " unfused") + "]",
+               Source, Opts, Fused, std::nullopt);
+}
+
+/// Compiles \p Source as \p Policy's build and diffs the two engines,
+/// each run through a session under \p Policy.
+void diffSessionProgram(const char *Name, const char *Source,
+                        CheckPolicy Policy) {
+  diffCompiled(std::string(Name) + " [session " +
+                   std::string(checkPolicyName(Policy)) + "]",
+               Source, instrumentOptionsFor(Policy), /*Fused=*/true, Policy);
 }
 
 } // namespace
@@ -507,6 +539,12 @@ TEST(Differential, FullCorpusAllVariants) {
 TEST(Differential, FullCorpusUnfused) {
   for (const CorpusProgram &P : Corpus)
     diffProgram(P.Name, P.Source, Variant::Full, /*Fused=*/false);
+}
+
+TEST(Differential, FullCorpusAllSessionPolicies) {
+  for (const CorpusProgram &P : Corpus)
+    for (CheckPolicy Policy : AllPolicies)
+      diffSessionProgram(P.Name, P.Source, Policy);
 }
 
 TEST(Differential, BudgetFaultMatches) {
