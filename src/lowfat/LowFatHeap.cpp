@@ -795,12 +795,3 @@ uint64_t LowFatHeap::classCarvedBytes(unsigned ClassIndex) const {
   }
   return Total;
 }
-
-void LowFatHeap::resetPeaks() {
-  for (unsigned S = 0; S < Shards; ++S) {
-    ShardCounters &C = Counters[S];
-    C.PeakBlockBytesInUse.store(
-        C.BlockBytesInUse.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
-  }
-}

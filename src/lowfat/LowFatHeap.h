@@ -285,10 +285,6 @@ public:
   /// gauges of the observability layer.
   uint64_t classCarvedBytes(unsigned ClassIndex) const;
 
-  /// Resets the peak counters to the current values (used between
-  /// benchmark phases).
-  void resetPeaks();
-
   /// Flushes the calling thread's magazine and quarantine batches for
   /// this heap back to the shared structures (bench/test hook: makes
   /// TLS-cached state visible to stats() and to other threads without

@@ -1,4 +1,4 @@
-//===- obs/Metrics.cpp - Counters, gauges, log2 histograms ----------------===//
+//===- obs/Metrics.cpp - Log2 histograms, Prometheus text -----------------===//
 //
 // Part of the EffectiveSan reproduction. Released under the MIT license.
 //
@@ -6,134 +6,100 @@
 
 #include "obs/Metrics.h"
 
-#include <cinttypes>
-#include <cstdio>
-
 namespace effective {
 namespace obs {
 
-MetricsRegistry::Entry &
-MetricsRegistry::findOrCreate(const std::string &Name, const std::string &Help,
-                              const std::string &Labels, Kind MetricKind) {
-  std::lock_guard<std::mutex> G(Lock);
-  for (auto &E : Entries)
-    if (E->Name == Name && E->Labels == Labels)
-      return *E;
-  auto E = std::make_unique<Entry>();
-  E->Name = Name;
-  E->Labels = Labels;
-  E->Help = Help;
-  E->MetricKind = MetricKind;
-  switch (MetricKind) {
-  case Kind::CounterKind:
-    E->C = std::make_unique<Counter>();
-    break;
-  case Kind::GaugeKind:
-    E->G = std::make_unique<Gauge>();
-    break;
-  case Kind::HistogramKind:
-    E->H = std::make_unique<Histogram>();
-    break;
-  }
-  Entries.push_back(std::move(E));
-  return *Entries.back();
-}
-
-Counter &MetricsRegistry::counter(const std::string &Name,
-                                  const std::string &Help,
-                                  const std::string &Labels) {
-  return *findOrCreate(Name, Help, Labels, Kind::CounterKind).C;
-}
-
-Gauge &MetricsRegistry::gauge(const std::string &Name, const std::string &Help,
-                              const std::string &Labels) {
-  return *findOrCreate(Name, Help, Labels, Kind::GaugeKind).G;
-}
-
-Histogram &MetricsRegistry::histogram(const std::string &Name,
-                                      const std::string &Help,
-                                      const std::string &Labels) {
-  return *findOrCreate(Name, Help, Labels, Kind::HistogramKind).H;
-}
-
 namespace {
 
-void appendLine(std::string &Out, const std::string &Name,
-                const std::string &Labels, uint64_t Value) {
-  char Buf[64];
+void appendSample(std::string &Out, std::string_view Name,
+                  std::string_view Labels, std::string_view Value) {
   Out += Name;
   if (!Labels.empty()) {
     Out += '{';
     Out += Labels;
     Out += '}';
   }
-  std::snprintf(Buf, sizeof(Buf), " %" PRIu64 "\n", Value);
-  Out += Buf;
-}
-
-void appendHeader(std::string &Out, const std::string &Name,
-                  const std::string &Help, const char *Type,
-                  std::string &LastFamily) {
-  // HELP/TYPE once per metric family even when labels split it into
-  // several series (entries with equal names are adjacent by
-  // registration order in practice; a repeat header is also legal).
-  if (Name == LastFamily)
-    return;
-  LastFamily = Name;
-  Out += "# HELP " + Name + " " + Help + "\n";
-  Out += "# TYPE " + Name + " " + Type + "\n";
+  Out += ' ';
+  Out += Value;
+  Out += '\n';
 }
 
 } // namespace
 
+void PromWriter::header(std::string_view Name, std::string_view Help,
+                        const char *Type) {
+  if (Name == Family)
+    return;
+  Family = Name;
+  Out += "# HELP ";
+  Out += Name;
+  Out += ' ';
+  Out += Help;
+  Out += "\n# TYPE ";
+  Out += Name;
+  Out += ' ';
+  Out += Type;
+  Out += '\n';
+}
+
+void PromWriter::counter(std::string_view Name, std::string_view Labels,
+                         std::string_view Help, uint64_t Value) {
+  header(Name, Help, "counter");
+  appendSample(Out, Name, Labels, std::to_string(Value));
+}
+
+void PromWriter::gauge(std::string_view Name, std::string_view Labels,
+                       std::string_view Help, int64_t Value) {
+  header(Name, Help, "gauge");
+  appendSample(Out, Name, Labels, std::to_string(Value));
+}
+
+void PromWriter::histogram(std::string_view Name, std::string_view Labels,
+                           std::string_view Help, const Histogram &H) {
+  header(Name, Help, "histogram");
+  // Highest non-empty bucket bounds the rendered tail; everything above
+  // it collapses into +Inf.
+  unsigned Top = 0;
+  for (unsigned I = 0; I < Histogram::NumBuckets; ++I)
+    if (H.bucket(I))
+      Top = I;
+  std::string Bucket = std::string(Name) + "_bucket";
+  std::string Prefix = Labels.empty() ? "" : std::string(Labels) + ",";
+  uint64_t Cum = 0;
+  for (unsigned I = 0; I <= Top; ++I) {
+    Cum += H.bucket(I);
+    // Bucket i holds samples <= 2^i - 1.
+    uint64_t Le = (I >= 64) ? ~uint64_t(0) : ((uint64_t(1) << I) - 1);
+    appendSample(Out, Bucket, Prefix + "le=\"" + std::to_string(Le) + "\"",
+                 std::to_string(Cum));
+  }
+  appendSample(Out, Bucket, Prefix + "le=\"+Inf\"", std::to_string(H.count()));
+  appendSample(Out, std::string(Name) + "_sum", Labels,
+               std::to_string(H.sum()));
+  appendSample(Out, std::string(Name) + "_count", Labels,
+               std::to_string(H.count()));
+}
+
+Histogram &MetricsRegistry::histogram(const std::string &Name,
+                                      const std::string &Help,
+                                      const std::string &Labels) {
+  std::lock_guard<std::mutex> G(Lock);
+  for (auto &E : Entries)
+    if (E->Name == Name && E->Labels == Labels)
+      return E->H;
+  auto E = std::make_unique<Entry>();
+  E->Name = Name;
+  E->Labels = Labels;
+  E->Help = Help;
+  Entries.push_back(std::move(E));
+  return Entries.back()->H;
+}
+
 void MetricsRegistry::render(std::string &Out) const {
   std::lock_guard<std::mutex> G(Lock);
-  std::string LastFamily;
-  char Buf[96];
-  for (const auto &E : Entries) {
-    switch (E->MetricKind) {
-    case Kind::CounterKind:
-      appendHeader(Out, E->Name, E->Help, "counter", LastFamily);
-      appendLine(Out, E->Name, E->Labels, E->C->value());
-      break;
-    case Kind::GaugeKind: {
-      appendHeader(Out, E->Name, E->Help, "gauge", LastFamily);
-      Out += E->Name;
-      if (!E->Labels.empty()) {
-        Out += '{';
-        Out += E->Labels;
-        Out += '}';
-      }
-      std::snprintf(Buf, sizeof(Buf), " %" PRId64 "\n", E->G->value());
-      Out += Buf;
-      break;
-    }
-    case Kind::HistogramKind: {
-      appendHeader(Out, E->Name, E->Help, "histogram", LastFamily);
-      const Histogram &H = *E->H;
-      // Highest non-empty bucket bounds the rendered tail; everything
-      // above it collapses into +Inf.
-      unsigned Top = 0;
-      for (unsigned I = 0; I < Histogram::NumBuckets; ++I)
-        if (H.bucket(I))
-          Top = I;
-      uint64_t Cum = 0;
-      std::string Sep = E->Labels.empty() ? "" : ",";
-      for (unsigned I = 0; I <= Top; ++I) {
-        Cum += H.bucket(I);
-        // Bucket i holds samples <= 2^i - 1.
-        uint64_t Le = (I >= 64) ? ~uint64_t(0) : ((uint64_t(1) << I) - 1);
-        std::snprintf(Buf, sizeof(Buf), "le=\"%" PRIu64 "\"", Le);
-        appendLine(Out, E->Name + "_bucket", E->Labels + Sep + Buf, Cum);
-      }
-      appendLine(Out, E->Name + "_bucket", E->Labels + Sep + "le=\"+Inf\"",
-                 H.count());
-      appendLine(Out, E->Name + "_sum", E->Labels, H.sum());
-      appendLine(Out, E->Name + "_count", E->Labels, H.count());
-      break;
-    }
-    }
-  }
+  PromWriter W(Out);
+  for (const auto &E : Entries)
+    W.histogram(E->Name, E->Labels, E->Help, E->H);
 }
 
 MetricsRegistry &MetricsRegistry::global() {

@@ -1,31 +1,30 @@
-//===- obs/Metrics.h - Counters, gauges, log2 histograms --------*- C++ -*-===//
+//===- obs/Metrics.h - Log2 histograms, Prometheus text ---------*- C++ -*-===//
 //
 // Part of the EffectiveSan reproduction. Released under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The metrics half of the observability layer: a registry of named
-/// counters, gauges, and log2-bucketed histograms with a Prometheus
-/// text-exposition renderer.
+/// The metrics half of the observability layer: log2-bucketed
+/// histograms, a registry of them, and a Prometheus text-exposition
+/// writer.
 ///
-/// Recording is wait-free (relaxed atomics); registration and
-/// rendering take the registry mutex. Histograms bucket by
-/// `bit_width(sample)` — 65 fixed buckets covering the whole uint64
-/// range with no configuration, rendered cumulatively with
-/// `le="2^i - 1"` bounds as Prometheus expects.
+/// Histograms bucket by `bit_width(sample)` — 65 fixed buckets covering
+/// the whole uint64 range with no configuration, rendered cumulatively
+/// with `le="2^i - 1"` bounds as Prometheus expects.
 ///
-/// Two registries exist in practice: the process-wide \c global()
-/// registry (check-latency histograms fed from the Runtime sampler)
-/// and one owned by each service::Supervisor (service counters/gauges
-/// mirrored from its stats each drain tick).
+/// Counters and gauges have no objects here: their values already live
+/// in the runtime's stats records, so a renderer reads those at scrape
+/// time and writes them through PromWriter (service::Supervisor walks
+/// its stats field tables this way). Two histogram registries exist in
+/// practice: the process-wide \c global() one (check-latency histograms
+/// fed from the Runtime sampler) and one owned by each Supervisor (drain
+/// tick duration and ring occupancy).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef EFFECTIVE_OBS_METRICS_H
 #define EFFECTIVE_OBS_METRICS_H
-
-#include "support/Compiler.h"
 
 #include <atomic>
 #include <bit>
@@ -33,65 +32,27 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace effective {
 namespace obs {
 
-/// Monotonic counter. add() for true event counts; set() when
-/// mirroring an externally-maintained monotonic total (service stats).
-class Counter {
-public:
-  void add(uint64_t N = 1) { Value.fetch_add(N, std::memory_order_relaxed); }
-  void set(uint64_t N) { Value.store(N, std::memory_order_relaxed); }
-  uint64_t value() const { return Value.load(std::memory_order_relaxed); }
-
-private:
-  std::atomic<uint64_t> Value{0};
-};
-
-/// Point-in-time signed value.
-class Gauge {
-public:
-  void set(int64_t N) { Value.store(N, std::memory_order_relaxed); }
-  int64_t value() const { return Value.load(std::memory_order_relaxed); }
-
-private:
-  std::atomic<int64_t> Value{0};
-};
-
-/// A cached handle to the counter or gauge series that mirrors one
-/// externally maintained value; both null when the value exports none.
-struct MetricSlot {
-  Counter *C = nullptr;
-  Gauge *G = nullptr;
-
-  void set(uint64_t N) const {
-    if (C)
-      C->set(N);
-    else if (G)
-      G->set(static_cast<int64_t>(N));
-  }
-};
-
 /// Log2-bucketed histogram: sample N lands in bucket bit_width(N),
 /// i.e. bucket i counts samples in [2^(i-1), 2^i - 1] (bucket 0 = the
-/// value 0). observe() uses statBump — a relaxed non-RMW load+store
-/// instead of lock-prefixed xadd, so a sampled check path pays a
-/// handful of cycles, not three serialized RMWs. Unlike the check
-/// counters, which are per-thread and exact, a histogram is shared:
-/// concurrent observers can lose an update, which only skews the
-/// statistics (the latency sampler is already 1-in-1024); nothing
-/// correctness-bearing reads histograms.
+/// value 0). observe() is exact: three relaxed fetch_adds, so
+/// concurrent observers lose no sample. Only sampled paths observe
+/// (one type check in 1024 with metrics armed, and the single-threaded
+/// drain tick), so the read-modify-writes stay off the check path.
 class Histogram {
 public:
   static constexpr unsigned NumBuckets = 65;
 
   void observe(uint64_t Sample) {
     unsigned B = static_cast<unsigned>(std::bit_width(Sample));
-    statBump(Buckets[B], 1);
-    statBump(Sum, Sample);
-    statBump(Count, 1);
+    Buckets[B].fetch_add(1, std::memory_order_relaxed);
+    Sum.fetch_add(Sample, std::memory_order_relaxed);
+    Count.fetch_add(1, std::memory_order_relaxed);
   }
 
   uint64_t count() const { return Count.load(std::memory_order_relaxed); }
@@ -108,65 +69,72 @@ public:
   }
 
 private:
-  static EFFSAN_ALWAYS_INLINE void statBump(std::atomic<uint64_t> &C,
-                                            uint64_t N) {
-    C.store(C.load(std::memory_order_relaxed) + N,
-            std::memory_order_relaxed);
-  }
-
   std::atomic<uint64_t> Buckets[NumBuckets] = {};
   std::atomic<uint64_t> Sum{0};
   std::atomic<uint64_t> Count{0};
 };
 
-/// Named metric registry with Prometheus text rendering. Metric
-/// objects are never freed while the registry lives, so recorded
-/// pointers can be cached and bumped without re-lookup.
+/// Appends Prometheus text exposition to a string. A family is a run of
+/// series sharing one name: its HELP/TYPE header is written once, before
+/// the run's first series. Labels are a pre-rendered label body without
+/// braces, e.g. `class="7"`, or empty.
+class PromWriter {
+public:
+  explicit PromWriter(std::string &Out) : Out(Out) {}
+
+  void counter(std::string_view Name, std::string_view Labels,
+               std::string_view Help, uint64_t Value);
+  void gauge(std::string_view Name, std::string_view Labels,
+             std::string_view Help, int64_t Value);
+  /// Cumulative buckets up to the highest non-empty one, then +Inf,
+  /// _sum and _count.
+  void histogram(std::string_view Name, std::string_view Labels,
+                 std::string_view Help, const Histogram &H);
+
+private:
+  void header(std::string_view Name, std::string_view Help,
+              const char *Type);
+
+  std::string &Out;
+  std::string Family;
+};
+
+/// Named histogram registry. Histograms are never freed while the
+/// registry lives, so recorded pointers can be cached and observed
+/// without re-lookup; registration and rendering take the registry
+/// mutex.
 class MetricsRegistry {
 public:
   MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry &) = delete;
   MetricsRegistry &operator=(const MetricsRegistry &) = delete;
 
-  /// Find-or-create by (name, labels). Labels are a pre-rendered
-  /// Prometheus label body without braces, e.g. `class="7"`, or empty.
-  Counter &counter(const std::string &Name, const std::string &Help,
-                   const std::string &Labels = "");
-  Gauge &gauge(const std::string &Name, const std::string &Help,
-               const std::string &Labels = "");
+  /// Find-or-create by (name, labels), in PromWriter's label syntax.
   Histogram &histogram(const std::string &Name, const std::string &Help,
                        const std::string &Labels = "");
 
-  /// Append the whole registry in Prometheus text-exposition format.
+  /// Append every histogram, in registration order.
   void render(std::string &Out) const;
 
   /// The process-wide registry (leaky singleton; see Tracer::instance).
   static MetricsRegistry &global();
 
 private:
-  enum class Kind { CounterKind, GaugeKind, HistogramKind };
-
   struct Entry {
     std::string Name;
     std::string Labels;
     std::string Help;
-    Kind MetricKind;
-    std::unique_ptr<Counter> C;
-    std::unique_ptr<Gauge> G;
-    std::unique_ptr<Histogram> H;
+    Histogram H;
   };
-
-  Entry &findOrCreate(const std::string &Name, const std::string &Help,
-                      const std::string &Labels, Kind MetricKind);
 
   mutable std::mutex Lock;
   std::vector<std::unique_ptr<Entry>> Entries;
 };
 
 /// The two check-latency histograms fed by the Runtime's 1-in-1024
-/// type-check sampler, registered in the global registry. Units are
-/// raw TSC ticks (the sampler never multiplies on the hot path);
-/// divide by the calibrated tick rate offline.
+/// type-check sampler, registered in the global registry on first use.
+/// Units are raw TSC ticks (the sampler never multiplies on the hot
+/// path); divide by the calibrated tick rate offline.
 Histogram &checkFastLatency();
 Histogram &checkSlowLatency();
 

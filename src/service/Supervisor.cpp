@@ -12,6 +12,7 @@
 #include "resilience/Fault.h"
 #include "support/StringUtils.h"
 
+#include <array>
 #include <cassert>
 #include <chrono>
 #include <cinttypes>
@@ -61,10 +62,15 @@ Supervisor::Supervisor(const ServiceOptions &Options)
       SnapshotUserData(Options.SnapshotUserData),
       SnapshotEveryTicks(Options.SnapshotEveryTicks),
       LastCheckSum(NumShards, 0), LastAllocCount(NumShards, 0),
+      DrainTickTicks(Registry.histogram(
+          "effsan_service_drain_tick_duration_ticks",
+          "Drain tick wall duration (TSC ticks)")),
+      RingOccupancyPctHist(Registry.histogram(
+          "effsan_service_ring_occupancy_pct",
+          "Error-ring occupancy sampled at tick start (percent)")),
       IntervalMicros(Options.DrainIntervalMicros
                          ? Options.DrainIntervalMicros
                          : 2000) {
-  initMetrics();
   WatchdogEnabled = Options.EnableWatchdog;
   WatchdogMicros = Options.WatchdogIntervalMicros
                        ? Options.WatchdogIntervalMicros
@@ -233,6 +239,8 @@ uint64_t Supervisor::runTick() {
   // ring the drain leaves behind.
   double Occupancy = static_cast<double>(Ring.size()) /
                      static_cast<double>(Ring.capacity());
+  uint64_t OccupancyPct = static_cast<uint64_t>(Occupancy * 100.0);
+  RingOccupancyPct.store(OccupancyPct, std::memory_order_relaxed);
 
   uint64_t Events = drainAttributed();
   DrainTicks.fetch_add(1, std::memory_order_relaxed);
@@ -356,15 +364,11 @@ uint64_t Supervisor::runTick() {
     }
   }
 
-  // Refresh the metrics mirror and close out the tick's duration
-  // sample. Everything here is set/observe on preregistered metrics —
-  // no allocation on the steady-state path.
+  // Close out the tick's samples. The counters and gauges need no
+  // refresh: metricsText() reads them from their records at scrape time.
   if (obs::metricsActive()) {
-    ServiceStats S = stats();
-    updateMetrics(S, Occupancy);
-    Metrics.RingOccupancyPctHist->observe(
-        static_cast<uint64_t>(Occupancy * 100.0));
-    Metrics.DrainTickTicks->observe(obs::now() - TickStart);
+    RingOccupancyPctHist.observe(OccupancyPct);
+    DrainTickTicks.observe(obs::now() - TickStart);
   }
   EFFSAN_OBS_SPAN(DrainTick, ::effective::obs::NoShard, Events, TickStart);
 
@@ -600,92 +604,74 @@ constexpr SeriesDef CheckSeries[] = {EFFSAN_CHECK_COUNTERS(EFFSAN_X)};
 constexpr SeriesDef HeapSeries[] = {EFFSAN_HEAP_STATS(EFFSAN_X)};
 #undef EFFSAN_X
 
-/// Registers \p Defs' rows of kind \p Kind in Pos order (ties keep
-/// table order) into the matching slots.
+/// Writes \p Defs' rows of kind \p Kind in Pos order (ties keep table
+/// order), each valued from \p Values at the row's index.
 template <size_t N>
-void registerSeries(obs::MetricsRegistry &Registry,
-                    const SeriesDef (&Defs)[N], MetricKind Kind,
-                    std::array<obs::MetricSlot, N> &Slots) {
+void writeSeries(obs::PromWriter &W, const SeriesDef (&Defs)[N],
+                 MetricKind Kind, const std::array<uint64_t, N> &Values) {
   for (unsigned Pos = 0; Pos < N; ++Pos)
     for (size_t I = 0; I < N; ++I) {
       const SeriesDef &D = Defs[I];
       if (D.Kind != Kind || D.Pos != Pos)
         continue;
       if (Kind == MetricKind::Counter)
-        Slots[I].C = &Registry.counter(D.Name, D.Help, D.Labels);
+        W.counter(D.Name, D.Labels, D.Help, Values[I]);
       else
-        Slots[I].G = &Registry.gauge(D.Name, D.Help, D.Labels);
+        W.gauge(D.Name, D.Labels, D.Help, static_cast<int64_t>(Values[I]));
     }
-}
-
-template <size_t N>
-void mirror(std::array<obs::MetricSlot, N> &Slots,
-            const std::array<uint64_t, N> &Values) {
-  for (size_t I = 0; I < N; ++I)
-    Slots[I].set(Values[I]);
 }
 
 } // namespace
 
-void Supervisor::initMetrics() {
-  registerSeries(Registry, ServiceSeries, MetricKind::Counter,
-                 Metrics.Service);
-  registerSeries(Registry, CheckSeries, MetricKind::Counter, Metrics.Checks);
-  registerSeries(Registry, HeapSeries, MetricKind::Counter, Metrics.Heap);
-  registerSeries(Registry, ServiceSeries, MetricKind::Gauge, Metrics.Service);
-  Metrics.RingOccupancyPct = &Registry.gauge(
-      "effsan_service_ring_occupancy_percent",
-      "Error-ring occupancy at the last tick start (percent)");
-  registerSeries(Registry, HeapSeries, MetricKind::Gauge, Metrics.Heap);
-  Metrics.DrainTickTicks = &Registry.histogram(
-      "effsan_service_drain_tick_duration_ticks",
-      "Drain tick wall duration (TSC ticks)");
-  Metrics.RingOccupancyPctHist = &Registry.histogram(
-      "effsan_service_ring_occupancy_pct",
-      "Error-ring occupancy sampled at tick start (percent)");
-  Metrics.ClassCarved.assign(lowfat::NumSizeClasses, nullptr);
-}
-
-void Supervisor::updateMetrics(const ServiceStats &S, double RingOccupancy) {
-#define EFFSAN_X(Field, ...) static_cast<uint64_t>(S.Field),
-  mirror(Metrics.Service, {EFFSAN_SERVICE_STATS(EFFSAN_X)});
-#undef EFFSAN_X
-  Metrics.RingOccupancyPct->set(
-      static_cast<int64_t>(RingOccupancy * 100.0));
+std::string Supervisor::metricsText() {
+  ServiceStats S = stats();
   CheckCounters::Snapshot C = Pool.counters();
   lowfat::LowFatHeap &Heap = Pool.heap();
   lowfat::HeapStats HS = Heap.stats();
+#define EFFSAN_X(Field, ...) static_cast<uint64_t>(S.Field),
+  const std::array<uint64_t, std::size(ServiceSeries)> ServiceValues = {
+      EFFSAN_SERVICE_STATS(EFFSAN_X)};
+#undef EFFSAN_X
 #define EFFSAN_X(Field, ...) C.Field,
-  mirror(Metrics.Checks, {EFFSAN_CHECK_COUNTERS(EFFSAN_X)});
+  const std::array<uint64_t, std::size(CheckSeries)> CheckValues = {
+      EFFSAN_CHECK_COUNTERS(EFFSAN_X)};
 #undef EFFSAN_X
 #define EFFSAN_X(Field, ...) HS.Field,
-  mirror(Metrics.Heap, {EFFSAN_HEAP_STATS(EFFSAN_X)});
+  const std::array<uint64_t, std::size(HeapSeries)> HeapValues = {
+      EFFSAN_HEAP_STATS(EFFSAN_X)};
 #undef EFFSAN_X
 
-  // Per-class occupancy: gauges materialize the first time a class
-  // sees traffic, so an idle service renders no empty class series.
+  std::string Out;
+  obs::PromWriter W(Out);
+  writeSeries(W, ServiceSeries, MetricKind::Counter, ServiceValues);
+  writeSeries(W, CheckSeries, MetricKind::Counter, CheckValues);
+  writeSeries(W, HeapSeries, MetricKind::Counter, HeapValues);
+  writeSeries(W, ServiceSeries, MetricKind::Gauge, ServiceValues);
+  W.gauge("effsan_service_ring_occupancy_percent", "",
+          "Error-ring occupancy at the last tick start (percent)",
+          static_cast<int64_t>(
+              RingOccupancyPct.load(std::memory_order_relaxed)));
+  writeSeries(W, HeapSeries, MetricKind::Gauge, HeapValues);
+  Registry.render(Out);
+
+  // Per-class occupancy: a class's gauge appears at the first render
+  // that finds the class carved (an idle service renders no empty class
+  // series) and stays afterwards.
+  static_assert(lowfat::NumSizeClasses <= 64, "one seen bit per class");
+  uint64_t Seen = CarvedClasses.load(std::memory_order_relaxed);
   for (unsigned I = 0; I < lowfat::NumSizeClasses; ++I) {
     uint64_t Carved = Heap.classCarvedBytes(I);
-    if (!Carved && !Metrics.ClassCarved[I])
+    if (Carved)
+      Seen |= uint64_t(1) << I;
+    if (!(Seen >> I & 1))
       continue;
-    if (!Metrics.ClassCarved[I]) {
-      char Label[48];
-      std::snprintf(Label, sizeof(Label), "class=\"%u\"", I);
-      Metrics.ClassCarved[I] = &Registry.gauge(
-          "effsan_heap_class_carved_bytes",
-          "Bytes carved from the class region (bump high-water)", Label);
-    }
-    Metrics.ClassCarved[I]->set(static_cast<int64_t>(Carved));
+    W.gauge("effsan_heap_class_carved_bytes",
+            "class=\"" + std::to_string(I) + "\"",
+            "Bytes carved from the class region (bump high-water)",
+            static_cast<int64_t>(Carved));
   }
-}
+  CarvedClasses.fetch_or(Seen, std::memory_order_relaxed);
 
-std::string Supervisor::metricsText() {
-  concurrent::ErrorRing &Ring = Pool.ring();
-  double Occupancy = static_cast<double>(Ring.size()) /
-                     static_cast<double>(Ring.capacity());
-  updateMetrics(stats(), Occupancy);
-  std::string Out;
-  Registry.render(Out);
   obs::MetricsRegistry::global().render(Out);
   return Out;
 }

@@ -56,7 +56,7 @@
 #include "service/TenantRegistry.h"
 #include "support/FieldTable.h"
 
-#include <array>
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -336,15 +336,12 @@ public:
   /// (rendered on demand here).
   std::string snapshotJson();
 
-  /// Prometheus text exposition of the service's metrics registry
-  /// (service counters/gauges/histograms refreshed on the way out)
-  /// followed by the process-global registry (check-latency
-  /// histograms). The structured replacement for snapshotJson().
+  /// Prometheus text exposition of the service: its counters and
+  /// gauges read from stats(), the pool's check counters and the heap's
+  /// stats at call time, its two histograms, then the process-global
+  /// registry (check-latency histograms). The structured replacement
+  /// for snapshotJson().
   std::string metricsText();
-
-  /// The service's metrics registry (tests; mutate through metrics
-  /// names, not this handle).
-  obs::MetricsRegistry &metrics() { return Registry; }
 
   concurrent::SessionPool &pool() { return Pool; }
   ErrorReporter &reporter() { return Pool.reporter(); }
@@ -389,11 +386,6 @@ private:
   /// which advance even when the service is idle. Equal signatures
   /// mean an emission would duplicate the previous document.
   uint64_t activitySignature();
-  /// Registers the service's metric families in Registry (ctor).
-  void initMetrics();
-  /// Mirrors \p S + heap/check totals into the registry's counters and
-  /// gauges (drain tick when metrics are armed, and metricsText()).
-  void updateMetrics(const ServiceStats &S, double RingOccupancy);
 
   concurrent::SessionPool Pool;
   unsigned NumShards;
@@ -433,23 +425,15 @@ private:
   std::atomic<uint64_t> SnapshotsEmitted{0};
   std::atomic<uint64_t> SnapshotsSkipped{0};
 
-  /// The service's metrics registry plus cached handles to its
-  /// families (registered once at construction; per-size-class carved
-  /// gauges are created lazily as classes see traffic). Each stats
-  /// record mirrors into one slot per field-table row, indexed by the
-  /// row's position (both null when the row exports no series).
+  /// The service's histograms, observed by armed drain ticks; the
+  /// ring-occupancy gauge's last tick-start sample (percent); and one
+  /// bit per size class that ever had carved bytes, so a class's gauge,
+  /// once rendered, stays.
   obs::MetricsRegistry Registry;
-  struct ServiceMetrics {
-    std::array<obs::MetricSlot, 0 EFFSAN_SERVICE_STATS(EFFSAN_FIELD_COUNT)>
-        Service;
-    std::array<obs::MetricSlot, 0 EFFSAN_CHECK_COUNTERS(EFFSAN_FIELD_COUNT)>
-        Checks;
-    std::array<obs::MetricSlot, 0 EFFSAN_HEAP_STATS(EFFSAN_FIELD_COUNT)> Heap;
-    obs::Gauge *RingOccupancyPct = nullptr;
-    obs::Histogram *DrainTickTicks = nullptr;
-    obs::Histogram *RingOccupancyPctHist = nullptr;
-    std::vector<obs::Gauge *> ClassCarved; ///< Indexed by size class.
-  } Metrics;
+  obs::Histogram &DrainTickTicks;
+  obs::Histogram &RingOccupancyPctHist;
+  std::atomic<uint64_t> RingOccupancyPct{0};
+  std::atomic<uint64_t> CarvedClasses{0};
 
   /// Drain-thread machinery. TickLock orders poke/shutdown against the
   /// loop; InTick marks the window where the thread runs a tick with

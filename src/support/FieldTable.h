@@ -22,8 +22,6 @@
 #define EFFSAN_IF_0(...)
 #define EFFSAN_IF_1(...) __VA_ARGS__
 
-/// `0 TABLE(EFFSAN_FIELD_COUNT)` is the table's row count.
-#define EFFSAN_FIELD_COUNT(Field, ...) +1
 #define EFFSAN_FIELD_U64(Field, ...) uint64_t Field = 0;
 #define EFFSAN_FIELD_ATOMIC(Field, ...) std::atomic<uint64_t> Field{0};
 #define EFFSAN_FIELD_ADD(Field, ...) Out.Field += In.Field;

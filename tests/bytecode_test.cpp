@@ -15,6 +15,11 @@
 /// *not* compared: a fused superinstruction executes as one bytecode
 /// step.
 ///
+/// The corpus ends with one program per fused superinstruction whose
+/// fused check fails, so every sweep also sends a report through each
+/// fused handler; EveryFusedCheckFailsAtItsSite pins that each one
+/// fuses and reports at its site.
+///
 /// Also here: the disassembler round trip (parse(disassemble(P))
 /// reproduces every instruction field-for-field) and a fusion
 /// smoke-test pinning that hot check+access pairs actually fuse.
@@ -370,7 +375,153 @@ int main() {
   return 0;
 }
 )"},
+    // --- one failing check per fused superinstruction (FusedFaults) ---
+    // A double seen through an int * loaded from memory: type_check,
+    // bounds_check and the load fuse into TypeCheckLoad.
+    {"FusedTypeCheckLoadFails", R"(
+struct box { int *p; };
+int main() {
+  struct box *b = (struct box *)malloc(sizeof(struct box));
+  double *d = (double *)malloc(sizeof(double));
+  void *v = d;
+  b->p = v;
+  int r = *b->p;
+  free(d);
+  free(b);
+  return r;
+}
+)"},
+    // The stored constant repeats the one in `r`, so value numbering
+    // leaves nothing between the check and the store: TypeCheckStore.
+    {"FusedTypeCheckStoreFails", R"(
+struct box { int *p; };
+int main() {
+  struct box *b = (struct box *)malloc(sizeof(struct box));
+  double *d = (double *)malloc(sizeof(double));
+  void *v = d;
+  b->p = v;
+  int r = 3;
+  *b->p = 3;
+  free(d);
+  free(b);
+  return r;
+}
+)"},
+    // Storing a pointer puts its escape check between the access check
+    // and the store, so only type_check + bounds_check fuse:
+    // TypeCheckBounds.
+    {"FusedTypeCheckBoundsFails", R"(
+struct box { int **pp; };
+int g;
+int main() {
+  struct box *b = (struct box *)malloc(sizeof(struct box));
+  double *d = (double *)malloc(sizeof(double));
+  void *v = d;
+  b->pp = v;
+  int *t = &g;
+  *b->pp = &g;
+  free(d);
+  free(b);
+  return 0;
+}
+)"},
+    // The same three shapes with a pointer one past a three-element
+    // array (still inside the allocation's size class, so bounds_get
+    // yields the array's bounds): BoundsGetCheckLoad/Store and
+    // BoundsGetCheck under -bounds, TypeCheck* under -full.
+    {"FusedBoundsGetCheckLoadFails", R"(
+struct box { int *p; };
+int main() {
+  struct box *b = (struct box *)malloc(sizeof(struct box));
+  int *a = (int *)malloc(3 * sizeof(int));
+  b->p = a + 3;
+  int r = *b->p;
+  free(a);
+  free(b);
+  return r;
+}
+)"},
+    {"FusedBoundsGetCheckStoreFails", R"(
+struct box { int *p; };
+int main() {
+  struct box *b = (struct box *)malloc(sizeof(struct box));
+  int *a = (int *)malloc(3 * sizeof(int));
+  b->p = a + 3;
+  int r = 3;
+  *b->p = 3;
+  free(a);
+  free(b);
+  return r;
+}
+)"},
+    {"FusedBoundsGetCheckFails", R"(
+struct box { int **pp; };
+int g;
+int main() {
+  struct box *b = (struct box *)malloc(sizeof(struct box));
+  int **a = (int **)malloc(3 * sizeof(int *));
+  b->pp = a + 3;
+  int *t = &g;
+  *b->pp = &g;
+  free(a);
+  free(b);
+  return 0;
+}
+)"},
+    // An indexed access one past the end: bounds_check + the access
+    // fuse into BoundsCheckLoad/Store.
+    {"FusedBoundsCheckLoadFails", R"(
+int main() {
+  int *a = (int *)malloc(3 * sizeof(int));
+  int r = a[3];
+  free(a);
+  return r;
+}
+)"},
+    {"FusedBoundsCheckStoreFails", R"(
+int main() {
+  int *a = (int *)malloc(3 * sizeof(int));
+  a[3] = 7;
+  free(a);
+  return 0;
+}
+)"},
 };
+
+/// Each fused superinstruction, the Corpus program whose build under
+/// the variant contains it, and the one report its failing check makes.
+struct FusedFault {
+  const char *Mnemonic;
+  const char *Program;
+  Variant V;
+  const char *Report;
+};
+
+const FusedFault FusedFaults[] = {
+    {"TypeCheckLoad", "FusedTypeCheckLoadFails", Variant::Full,
+     "TYPE ERROR at <minic>:8:13 in main"},
+    {"TypeCheckStore", "FusedTypeCheckStoreFails", Variant::Full,
+     "TYPE ERROR at <minic>:9:5 in main"},
+    {"TypeCheckBounds", "FusedTypeCheckBoundsFails", Variant::Full,
+     "TYPE ERROR at <minic>:10:5 in main"},
+    {"BoundsGetCheckLoad", "FusedBoundsGetCheckLoadFails", Variant::Bounds,
+     "BOUNDS ERROR at <minic>:7:11 in main"},
+    {"BoundsGetCheckStore", "FusedBoundsGetCheckStoreFails", Variant::Bounds,
+     "BOUNDS ERROR at <minic>:8:9 in main"},
+    {"BoundsGetCheck", "FusedBoundsGetCheckFails", Variant::Bounds,
+     "BOUNDS ERROR at <minic>:9:10 in main"},
+    {"BoundsCheckLoad", "FusedBoundsCheckLoadFails", Variant::Full,
+     "BOUNDS ERROR at <minic>:4:12 in main"},
+    {"BoundsCheckStore", "FusedBoundsCheckStoreFails", Variant::Full,
+     "BOUNDS ERROR at <minic>:4:8 in main"},
+};
+
+const char *corpusSource(std::string_view Name) {
+  for (const CorpusProgram &P : Corpus)
+    if (Name == P.Name)
+      return P.Source;
+  return nullptr;
+}
 
 //===----------------------------------------------------------------------===//
 // Differential harness
@@ -602,6 +753,29 @@ TEST(Differential, MissingEntryFaultMatches) {
   EXPECT_FALSE(TR.Ok);
   EXPECT_FALSE(BR.Ok);
   EXPECT_EQ(TR.Fault, BR.Fault);
+}
+
+TEST(Differential, EveryFusedCheckFailsAtItsSite) {
+  for (const FusedFault &F : FusedFaults) {
+    const char *Source = corpusSource(F.Program);
+    ASSERT_TRUE(Source) << F.Program;
+    TypeContext Types;
+    DiagnosticEngine Diags;
+    InstrumentOptions Opts;
+    Opts.V = F.V;
+    CompileResult C = compileMiniC(Source, Types, Diags, Opts);
+    ASSERT_TRUE(C.BC) << F.Program;
+    std::string Text = bytecode::disassemble(*C.BC);
+    EXPECT_NE(Text.find(std::string(" ") + F.Mnemonic + " "),
+              std::string::npos)
+        << F.Program << " does not fuse into " << F.Mnemonic << "\n"
+        << Text;
+
+    EngineRun B = runEngine(Types, C, Engine::Bytecode);
+    ASSERT_EQ(B.Msgs.size(), 1u) << F.Program;
+    EXPECT_NE(B.Msgs[0].find(F.Report), std::string::npos)
+        << F.Program << ": " << B.Msgs[0];
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -251,23 +251,17 @@ TEST(TracerStormTest, ConcurrentRecordersAndCollector) {
 
 TEST(MetricsTest, FindOrCreateReturnsTheSameSeries) {
   obs::MetricsRegistry Reg;
-  obs::Counter &A = Reg.counter("requests_total", "Requests");
-  obs::Counter &B = Reg.counter("requests_total", "Requests");
+  obs::Histogram &A = Reg.histogram("latency_ticks", "Latency");
+  obs::Histogram &B = Reg.histogram("latency_ticks", "Latency");
   EXPECT_EQ(&A, &B) << "same (name, labels) -> same object";
 
-  obs::Counter &C = Reg.counter("requests_total", "Requests",
-                                "code=\"500\"");
+  obs::Histogram &C = Reg.histogram("latency_ticks", "Latency",
+                                    "path=\"slow\"");
   EXPECT_NE(&A, &C) << "different labels -> distinct series";
 
-  A.add();
-  A.add(3);
-  EXPECT_EQ(B.value(), 4u) << "aliases observe each other's bumps";
-  C.set(9);
-  EXPECT_EQ(C.value(), 9u);
-
-  obs::Gauge &G = Reg.gauge("depth", "Queue depth");
-  G.set(-5);
-  EXPECT_EQ(G.value(), -5);
+  A.observe(3);
+  EXPECT_EQ(B.count(), 1u) << "aliases observe each other's samples";
+  EXPECT_EQ(C.count(), 0u);
 }
 
 TEST(MetricsTest, HistogramBucketsByBitWidth) {
@@ -290,19 +284,44 @@ TEST(MetricsTest, HistogramBucketsByBitWidth) {
   EXPECT_EQ(H.bucket(11), 0u);
 }
 
+TEST(MetricsTest, HistogramCountsExactlyUnderConcurrentObservers) {
+  constexpr unsigned Threads = 4;
+  constexpr uint64_t PerThread = 100'000;
+  obs::Histogram H;
+  std::atomic<bool> Go{false};
+  std::vector<std::thread> Workers;
+  for (unsigned T = 0; T < Threads; ++T)
+    Workers.emplace_back([&, T] {
+      while (!Go.load(std::memory_order_acquire))
+        std::this_thread::yield();
+      // Thread T observes the value T + 1: buckets 1, 2, 2 and 3.
+      for (uint64_t I = 0; I < PerThread; ++I)
+        H.observe(T + 1);
+    });
+  Go.store(true, std::memory_order_release);
+  for (std::thread &W : Workers)
+    W.join();
+
+  EXPECT_EQ(H.count(), Threads * PerThread);
+  EXPECT_EQ(H.sum(), (1 + 2 + 3 + 4) * PerThread);
+  EXPECT_EQ(H.bucket(1), PerThread);     // 1
+  EXPECT_EQ(H.bucket(2), 2 * PerThread); // 2, 3
+  EXPECT_EQ(H.bucket(3), PerThread);     // 4
+}
+
 TEST(MetricsTest, RenderEmitsPrometheusTextExposition) {
+  std::string Out;
+  obs::PromWriter W(Out);
+  W.counter("effsan_test_checks_total", "kind=\"type\"", "Checks", 7);
+  W.counter("effsan_test_checks_total", "kind=\"bounds\"", "Checks", 2);
+  W.gauge("effsan_test_depth", "", "Depth", -3);
   obs::MetricsRegistry Reg;
-  Reg.counter("effsan_test_checks_total", "Checks", "kind=\"type\"").add(7);
-  Reg.counter("effsan_test_checks_total", "Checks", "kind=\"bounds\"")
-      .add(2);
-  Reg.gauge("effsan_test_depth", "Depth").set(-3);
   obs::Histogram &H =
       Reg.histogram("effsan_test_latency_ticks", "Latency");
   H.observe(1);
   H.observe(5); // bit_width 3 -> cumulative le="7".
-
-  std::string Out;
   Reg.render(Out);
+
   // One HELP/TYPE header per family even when labels split the series.
   EXPECT_NE(Out.find("# HELP effsan_test_checks_total Checks\n"),
             std::string::npos)
@@ -316,7 +335,12 @@ TEST(MetricsTest, RenderEmitsPrometheusTextExposition) {
   EXPECT_EQ(metricValue(Out, "effsan_test_checks_total{kind=\"type\"}"), 7u);
   EXPECT_EQ(metricValue(Out, "effsan_test_checks_total{kind=\"bounds\"}"),
             2u);
+  EXPECT_NE(Out.find("# TYPE effsan_test_depth gauge\n"), std::string::npos)
+      << Out;
   EXPECT_NE(Out.find("effsan_test_depth -3\n"), std::string::npos) << Out;
+  EXPECT_NE(Out.find("# TYPE effsan_test_latency_ticks histogram\n"),
+            std::string::npos)
+      << Out;
   // Cumulative histogram buckets, then +Inf, _sum and _count.
   EXPECT_EQ(metricValue(Out, "effsan_test_latency_ticks_bucket{le=\"1\"}"),
             1u);
@@ -447,7 +471,7 @@ TEST(ObsRuntimeTest, CacheMissesEmitCheckSlowPathTraceEvents) {
 }
 
 //===----------------------------------------------------------------------===//
-// Differential: the Prometheus mirror vs the legacy counters
+// Differential: the Prometheus text vs the legacy counters
 //===----------------------------------------------------------------------===//
 
 TEST(ObsDifferentialTest, ServiceMetricsAgreeWithLegacyStats) {
@@ -473,9 +497,9 @@ TEST(ObsDifferentialTest, ServiceMetricsAgreeWithLegacyStats) {
   }
   Sup.tick();
 
-  // metricsText() refreshes the mirror unconditionally (the obs flag
-  // only gates the per-tick refresh), so this holds with obs disarmed
-  // and under EFFSAN_OBS_OFF alike.
+  // metricsText() reads the stats records at render time (the obs flag
+  // only gates the drain tick's histograms), so this holds with obs
+  // disarmed and under EFFSAN_OBS_OFF alike.
   std::string Text = Sup.metricsText();
   ServiceStats S = Sup.stats();
   auto C = Sup.pool().shard(0).counters().snapshot();
@@ -501,6 +525,40 @@ TEST(ObsDifferentialTest, ServiceMetricsAgreeWithLegacyStats) {
   EXPECT_EQ(metricValue(Text, "effsan_heap_frees_total"),
             Sup.pool().heap().stats().NumFrees);
   EXPECT_EQ(metricValue(Text, "effsan_service_tenants_open"), 1u);
+}
+
+TEST(ObsDifferentialTest, RingOccupancyGaugeReadsTheLastTickSample) {
+  constexpr uint64_t Capacity = 64;
+  constexpr uint64_t Queued = 16;
+  ServiceOptions Options;
+  Options.Shards = 1;
+  Options.Reporter.Mode = ReportMode::Count;
+  Options.ErrorRingCapacity = Capacity;
+  Options.DrainIntervalMicros = 60'000'000; // Forced ticks only.
+  Supervisor Sup(Options);
+  TenantId T = Sup.openTenant("ring");
+  ASSERT_NE(T, NoTenant);
+  {
+    Supervisor::Lease L = Sup.lease(T);
+    ASSERT_TRUE(static_cast<bool>(L));
+    TypeContext &Ctx = L->types();
+    auto *P = static_cast<int *>(L->malloc(16 * sizeof(int), Ctx.getInt()));
+    Bounds B = L->boundsGet(P);
+    for (uint64_t I = 0; I < Queued; ++I)
+      L->boundsCheck(P + 16, sizeof(int), B); // One queued event each.
+    L->free(P);
+  }
+  ASSERT_EQ(Sup.pool().ring().capacity(), Capacity);
+  ASSERT_EQ(Sup.pool().ring().size(), Queued);
+  Sup.tick();
+
+  // The tick sampled the ring before draining it; the gauge reports
+  // that sample, not the empty ring the drain left behind.
+  EXPECT_EQ(Sup.stats().DrainedEvents, Queued);
+  EXPECT_EQ(Sup.pool().ring().size(), 0u);
+  EXPECT_EQ(metricValue(Sup.metricsText(),
+                        "effsan_service_ring_occupancy_percent"),
+            Queued * 100 / Capacity);
 }
 
 //===----------------------------------------------------------------------===//
