@@ -1061,8 +1061,10 @@ uint64_t effsan_fault_fires(uint32_t point);
 /*              batches, steals, shard recycles, drain ticks, governor     */
 /*              steps, snapshot emissions), exportable as Chrome           */
 /*              trace-event JSON (load it in Perfetto / about:tracing).    */
-/*   - metrics: a registry of named counters, gauges and log2-bucketed     */
-/*              histograms rendered in Prometheus text exposition format.  */
+/*   - metrics: a registry of log2-bucketed histograms (check latency and  */
+/*              anything the embedder registers); a service adds counters  */
+/*              and gauges read from its live records at render time. All  */
+/*              render in Prometheus text exposition format.               */
 /*   - profile: per-session hot-site accounting (hits and cache misses    */
 /*              per check site, resolved to file:line:column).             */
 /*===--------------------------------------------------------------------===*/

@@ -120,6 +120,9 @@ private:
   bool compileFunction(const Function &F, BcFunction &BF);
   bool emitOne(const Function &F, const Instr &I, BcFunction &BF);
   size_t tryFuse(const std::vector<Instr> &Ins, size_t Idx, BcFunction &BF);
+  /// Index of the instruction after \p J in a fusion window, past
+  /// copies nothing in the function reads.
+  size_t nextInWindow(const std::vector<Instr> &Ins, size_t J) const;
   void eliminateDeadCopies(BcFunction &BF);
 
   const Module &M;
@@ -130,6 +133,10 @@ private:
   /// Imm/Aux still hold block ids.
   std::vector<size_t> BrFixups;
   std::vector<uint64_t> BlockOff;
+  /// Registers and bounds registers any instruction of the function
+  /// being compiled reads (a whole-function superset, like
+  /// eliminateDeadCopies' sets).
+  std::vector<uint8_t> IrRegRead, IrBndRead;
 };
 
 bool Compiler::compileFunction(const Function &F, BcFunction &BF) {
@@ -150,6 +157,20 @@ bool Compiler::compileFunction(const Function &F, BcFunction &BF) {
 
   BrFixups.clear();
   BlockOff.assign(F.Blocks.size(), 0);
+  IrRegRead.assign(F.numRegs(), 0);
+  IrBndRead.assign(F.numBRegs(), 0);
+  for (const Block &Bb : F.Blocks) {
+    for (const Instr &I : Bb.Instrs) {
+      for (Reg R : {I.A, I.B})
+        if (R != NoReg && R < IrRegRead.size())
+          IrRegRead[R] = 1;
+      for (Reg R : I.Args)
+        if (R < IrRegRead.size())
+          IrRegRead[R] = 1;
+      if (I.BSrc != NoBReg && I.BSrc < IrBndRead.size())
+        IrBndRead[I.BSrc] = 1;
+    }
+  }
 
   for (BlockId B = 0; B < F.Blocks.size(); ++B) {
     BlockOff[B] = BF.Code.size();
@@ -344,8 +365,27 @@ void Compiler::eliminateDeadCopies(BcFunction &BF) {
   }
 }
 
+size_t Compiler::nextInWindow(const std::vector<Instr> &Ins,
+                              size_t J) const {
+  // The lowering leaves a copy for a variable read on the right of a
+  // store (`*h->p = k;` is type_check, copy, bounds_check, store). A
+  // copy whose destinations nothing reads has no effect, so the fused
+  // instruction drops it, as eliminateDeadCopies would.
+  auto Dead = [&](const Instr &I) {
+    return I.Op == Opcode::Copy && I.Dst < IrRegRead.size() &&
+           !IrRegRead[I.Dst] &&
+           (I.BDst == NoBReg ||
+            (I.BDst < IrBndRead.size() && !IrBndRead[I.BDst]));
+  };
+  ++J;
+  while (J < Ins.size() && Dead(Ins[J]))
+    ++J;
+  return J;
+}
+
 /// Looks for a fusable check+access sequence starting at \p Idx;
-/// returns the number of IR instructions consumed (0 = no fusion).
+/// returns the number of IR instructions consumed (0 = no fusion),
+/// dead copies inside the window included.
 size_t Compiler::tryFuse(const std::vector<Instr> &Ins, size_t Idx,
                          BcFunction &BF) {
   const Instr &A = Ins[Idx];
@@ -361,9 +401,10 @@ size_t Compiler::tryFuse(const std::vector<Instr> &Ins, size_t Idx,
   };
 
   if (A.Op == Opcode::BoundsCheck) {
-    if (Idx + 1 >= Ins.size() || A.BSrc == NoBReg)
+    size_t J = nextInWindow(Ins, Idx);
+    if (J >= Ins.size() || A.BSrc == NoBReg)
       return 0;
-    const Instr &Mem = Ins[Idx + 1];
+    const Instr &Mem = Ins[J];
     if (!memMatch(Mem, A.A) || A.Imm != Mem.Type->size())
       return 0;
     Inst &O = emit(BF, Mem.Op == Opcode::Load ? BcOp::BoundsCheckLoad
@@ -374,7 +415,7 @@ size_t Compiler::tryFuse(const std::vector<Instr> &Ins, size_t Idx,
     O.Type = Mem.Type;
     O.Imm = static_cast<uint32_t>(A.Site);
     O.Aux = A.Imm;
-    return 2;
+    return J + 1 - Idx;
   }
 
   // type_check / bounds_get, optionally a bounds_check of the same
@@ -384,25 +425,26 @@ size_t Compiler::tryFuse(const std::vector<Instr> &Ins, size_t Idx,
     return 0;
   const Instr *BC = nullptr;
   const Instr *Mem = nullptr;
-  size_t N = 1;
-  if (Idx + 1 < Ins.size()) {
-    const Instr &X = Ins[Idx + 1];
+  size_t End = Idx + 1;
+  if (size_t J = nextInWindow(Ins, Idx); J < Ins.size()) {
+    const Instr &X = Ins[J];
     if (X.Op == Opcode::BoundsCheck && X.A == A.A && X.BSrc == A.BDst &&
         X.Imm > 0) {
       BC = &X;
-      N = 2;
-      if (Idx + 2 < Ins.size() && memMatch(Ins[Idx + 2], A.A) &&
-          BC->Imm == Ins[Idx + 2].Type->size() &&
-          (!IsTC || Ins[Idx + 2].Type == A.Type)) {
-        Mem = &Ins[Idx + 2];
-        N = 3;
+      End = J + 1;
+      size_t K = nextInWindow(Ins, J);
+      if (K < Ins.size() && memMatch(Ins[K], A.A) &&
+          BC->Imm == Ins[K].Type->size() &&
+          (!IsTC || Ins[K].Type == A.Type)) {
+        Mem = &Ins[K];
+        End = K + 1;
       }
     } else if (memMatch(X, A.A) && (!IsTC || X.Type == A.Type)) {
       Mem = &X;
-      N = 2;
+      End = J + 1;
     }
   }
-  if (N == 1)
+  if (End == Idx + 1)
     return 0;
 
   BcOp Op;
@@ -421,7 +463,7 @@ size_t Compiler::tryFuse(const std::vector<Instr> &Ins, size_t Idx,
   O.Aux = BC ? BC->Imm : 0;
   if (Mem)
     O.C = r16(Mem->Op == Opcode::Load ? Mem->Dst : Mem->B);
-  return N;
+  return End - Idx;
 }
 
 bool Compiler::emitOne(const Function &F, const Instr &I, BcFunction &BF) {

@@ -478,13 +478,9 @@ Value VM::execute(const BcFunction &F, size_t RegBase, size_t BndBase,
     uint64_t Size = R[In->B].U;
     if (EFFSAN_UNLIKELY(Size > (uint64_t(1) << 40)))
       BC_FAULT("implausible malloc size");
-    // A failed allocation was reported RESOURCE-EXHAUSTED and surfaces
-    // as a null result, like C malloc. Never whitelist null with the
-    // guard (that would validate wild accesses at [0, Size)); null
-    // gets wide bounds, as any legacy pointer.
-    void *P = RT.allocate(Size, In->Type);
-    if (P && !RT.heap().isLowFat(P))
-      Guard.noteLegacy(P, Size);
+    // A null result (failed allocation) gets wide bounds, as any
+    // legacy pointer.
+    void *P = allocate(Size, In->Type);
     R[In->A].P = P;
     if (In->C != NoR16)
       BR[In->C] = P ? Bounds::forObject(P, Size) : Bounds::wide();

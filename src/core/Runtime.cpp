@@ -275,23 +275,6 @@ void *Runtime::globalAllocate(size_t Size, const TypeInfo *Type,
 // Dynamic checks (Figure 6 lines 9-24)
 //===----------------------------------------------------------------------===//
 
-const MetaHeader *Runtime::metaOf(const void *Ptr) const {
-  void *Base = Heap.allocationBase(Ptr);
-  return static_cast<const MetaHeader *>(Base);
-}
-
-const TypeInfo *Runtime::dynamicTypeOf(const void *Ptr) const {
-  const MetaHeader *Meta = metaOf(Ptr);
-  return Meta ? Meta->Type : nullptr;
-}
-
-Bounds Runtime::allocationBounds(const void *Ptr) const {
-  const MetaHeader *Meta = metaOf(Ptr);
-  if (!Meta)
-    return Bounds::wide();
-  return Bounds::forObject(Meta + 1, Meta->Size);
-}
-
 /// Publishes a layout resolution into \p E under its seqlock. A racing
 /// filler simply loses (the entry is monomorphic; whoever wins is as
 /// good as whoever loses), and a racing reader observes the odd version
@@ -459,33 +442,25 @@ Bounds Runtime::typeCheckUncached(const void *Ptr,
                                   const TypeInfo *StaticType) {
   CheckContext &CC = threadContext();
   ownerBump(CC.TypeChecks);
-  void *Base = Heap.allocationBase(Ptr);
-  if (!Base) {
+  const MetaHeader *Meta = metaOf(Ptr);
+  if (!Meta) {
     ownerBump(CC.LegacyTypeChecks);
     return Bounds::wide();
   }
-  return typeCheckImpl(Ptr, StaticType,
-                       static_cast<const MetaHeader *>(Base),
-                       /*Fill=*/nullptr, siteForType(StaticType));
+  return typeCheckImpl(Ptr, StaticType, Meta, /*Fill=*/nullptr,
+                       siteForType(StaticType));
 }
 
-Bounds Runtime::boundsGet(CheckContext &CC, const void *Ptr, SiteId Site) {
-  assert(CC.RT == this && "check context of another runtime");
-  ownerBump(CC.BoundsGets);
-  const MetaHeader *Meta = metaOf(Ptr);
-  if (!Meta || !Meta->Type)
-    return Bounds::wide();
-  if (EFFSAN_UNLIKELY(Meta->Type->isFree())) {
-    bool Stack = Meta->Type->isStackFree();
-    Reporter.report(ErrorInfo{Stack ? ErrorKind::StackUseAfterReturn
-                                    : ErrorKind::UseAfterFree,
-                              nullptr, Meta->Type, 0, Ptr,
-                              Stack ? "use of stack object after frame return"
-                                    : "use of freed object",
-                              Site, Sites.resolve(Site)});
-    return Bounds::wide();
-  }
-  return Bounds::forObject(Meta + 1, Meta->Size);
+Bounds Runtime::boundsGetFreed(const void *Ptr, const TypeInfo *Freed,
+                               SiteId Site) {
+  bool Stack = Freed->isStackFree();
+  Reporter.report(ErrorInfo{Stack ? ErrorKind::StackUseAfterReturn
+                                  : ErrorKind::UseAfterFree,
+                            nullptr, Freed, 0, Ptr,
+                            Stack ? "use of stack object after frame return"
+                                  : "use of freed object",
+                            Site, Sites.resolve(Site)});
+  return Bounds::wide();
 }
 
 void Runtime::boundsCheckFail(CheckContext &CC, const void *Ptr, size_t,

@@ -396,12 +396,11 @@ public:
                                             const void *Ptr,
                                             const TypeInfo *StaticType,
                                             SiteId Site) {
-    void *Base = Heap.allocationBase(Ptr);
-    if (EFFSAN_UNLIKELY(!Base)) {
+    const MetaHeader *Meta = metaOf(Ptr);
+    if (EFFSAN_UNLIKELY(!Meta)) {
       ownerBump(CC.LegacyTypeChecks);
       return Bounds::wide();
     }
-    const auto *Meta = static_cast<const MetaHeader *>(Base);
     const TypeInfo *Alloc = Meta->Type;
     if (EFFSAN_LIKELY(Cache.enabled())) {
       // 2-way set-associative probe: a polymorphic site (two types or
@@ -479,8 +478,19 @@ public:
   /// allocation bounds without verifying the type (Section 6.2).
   /// \p Site attributes any use-after-free it detects (the
   /// instrumentation-assigned id for interpreted checks, NoSite for
-  /// unsited API paths).
-  Bounds boundsGet(CheckContext &CC, const void *Ptr, SiteId Site = NoSite);
+  /// unsited API paths). Inline: the count, base(p), the META load and
+  /// the bounds; only a freed object's report leaves the line.
+  EFFSAN_ALWAYS_INLINE Bounds boundsGet(CheckContext &CC, const void *Ptr,
+                                        SiteId Site = NoSite) {
+    assert(CC.RT == this && "check context of another runtime");
+    ownerBump(CC.BoundsGets);
+    const MetaHeader *Meta = metaOf(Ptr);
+    if (!Meta || !Meta->Type)
+      return Bounds::wide();
+    if (EFFSAN_UNLIKELY(Meta->Type->isFree()))
+      return boundsGetFreed(Ptr, Meta->Type, Site);
+    return Bounds::forObject(Meta + 1, Meta->Size);
+  }
   Bounds boundsGet(const void *Ptr, SiteId Site = NoSite) {
     return boundsGet(threadContext(), Ptr, Site);
   }
@@ -528,14 +538,24 @@ public:
   /// @{
 
   /// The META header of the allocation containing \p Ptr; null for
-  /// legacy pointers.
-  const MetaHeader *metaOf(const void *Ptr) const;
+  /// legacy pointers. This is base(p): the heap's inline lookup.
+  EFFSAN_ALWAYS_INLINE const MetaHeader *metaOf(const void *Ptr) const {
+    return static_cast<const MetaHeader *>(Heap.allocationBase(Ptr));
+  }
 
   /// The dynamic (allocation) type of \p Ptr's object; null if unknown.
-  const TypeInfo *dynamicTypeOf(const void *Ptr) const;
+  const TypeInfo *dynamicTypeOf(const void *Ptr) const {
+    const MetaHeader *Meta = metaOf(Ptr);
+    return Meta ? Meta->Type : nullptr;
+  }
 
   /// The allocation bounds of \p Ptr's object; wide for legacy.
-  Bounds allocationBounds(const void *Ptr) const;
+  Bounds allocationBounds(const void *Ptr) const {
+    const MetaHeader *Meta = metaOf(Ptr);
+    if (!Meta)
+      return Bounds::wide();
+    return Bounds::forObject(Meta + 1, Meta->Size);
+  }
   /// @}
 
   /// Recycles the runtime for a fresh tenant: rewinds its heap shard
@@ -578,6 +598,12 @@ private:
   EFFSAN_NOINLINE Bounds typeCheckTimed(CheckContext &CC, const void *Ptr,
                                         const TypeInfo *StaticType,
                                         SiteId Site);
+  /// bounds_get on a freed (FREE or STACK-FREE) object: reports the
+  /// use-after-free or use-after-return at \p Site and returns wide
+  /// bounds. Out of line, so the inlined bounds_get carries only the
+  /// call.
+  EFFSAN_NOINLINE Bounds boundsGetFreed(const void *Ptr,
+                                        const TypeInfo *Freed, SiteId Site);
   /// Shared core of typeCheckSlow/typeCheckUncached; publishes the
   /// successful layout resolution into \p Fill's cache set (when
   /// non-null, the first way of the site's set); attributes any error

@@ -558,6 +558,20 @@ protected:
     return validateCold(Addr, Size, What);
   }
 
+  /// The malloc builtin after the engine's size check: allocates
+  /// through the runtime and lets the guest touch a legacy
+  /// (system-allocator) block. A failed allocation was reported
+  /// RESOURCE-EXHAUSTED by the runtime and surfaces as null, exactly
+  /// like C malloc; null is never whitelisted (that would validate wild
+  /// accesses at [0, Size)). Out of line, so the heap lookup stays out
+  /// of the dispatch loops.
+  EFFSAN_NOINLINE void *allocate(uint64_t Size, const TypeInfo *Type) {
+    void *P = RT.allocate(Size, Type);
+    if (P && !RT.heap().isLowFat(P))
+      Guard.noteLegacy(P, Size);
+    return P;
+  }
+
   /// The print_* builtins over their one argument value. print_str
   /// walks the guest string byte by byte, validating every read,
   /// capped at 4096 characters; a faulting read ends the walk.

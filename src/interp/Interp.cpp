@@ -207,15 +207,9 @@ private:
           fault("implausible malloc size");
           break;
         }
-        // A failed allocation (real OOM or an induced exhaustion
-        // fault) was reported as RESOURCE-EXHAUSTED by the runtime and
-        // surfaces to the program as a null result, exactly like C
-        // malloc. Never whitelist null with the guard — that would
-        // validate wild accesses at [0, Size) — and give it wide
-        // bounds, as any legacy pointer.
-        void *P = RT.allocate(Size, I.Type);
-        if (P && !RT.heap().isLowFat(P))
-          Guard.noteLegacy(P, Size);
+        // A null result (failed allocation) gets wide bounds, as any
+        // legacy pointer.
+        void *P = allocate(Size, I.Type);
         Regs[I.Dst].P = P;
         if (I.BDst != NoBReg)
           BRegs[I.BDst] = P ? Bounds::forObject(P, Size) : Bounds::wide();

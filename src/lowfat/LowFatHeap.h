@@ -86,6 +86,7 @@
 #define EFFECTIVE_LOWFAT_LOWFATHEAP_H
 
 #include "lowfat/SizeClass.h"
+#include "support/Compiler.h"
 #include "support/FieldTable.h"
 #include "support/ThreadBlocks.h"
 
@@ -221,8 +222,10 @@ public:
   /// out again.
   void deallocate(void *Ptr);
 
-  /// Returns true if \p Ptr points into the low-fat arena (including
-  /// one-past-the-end of an allocated block).
+  /// Returns true if \p Ptr points into the already-allocated part of
+  /// the low-fat arena (including one-past-the-end of an allocated
+  /// block that is not its slice's newest). Inline: every check starts
+  /// here.
   bool isLowFat(const void *Ptr) const;
 
   /// True if \p Ptr lies anywhere inside the reserved arena. The whole
@@ -240,7 +243,9 @@ public:
   size_t allocationSize(const void *Ptr) const;
 
   /// The paper's base(p): the start of the allocated block for low-fat
-  /// pointers, nullptr for legacy pointers.
+  /// pointers, nullptr for legacy pointers. Inline, like isLowFat(): a
+  /// few compares, one acquire load of a bump pointer and a
+  /// multiply-shift modulo, with no call.
   void *allocationBase(const void *Ptr) const;
 
   /// Size class index for a low-fat pointer. \pre isLowFat(Ptr).
@@ -447,6 +452,47 @@ private:
   /// Legacy block -> (size, allocating shard).
   std::unordered_map<void *, std::pair<size_t, unsigned>> LegacyAllocs;
 };
+
+//===----------------------------------------------------------------------===//
+// Metadata queries (the paper's O(1) arithmetic, inline at every check)
+//===----------------------------------------------------------------------===//
+
+EFFSAN_ALWAYS_INLINE bool LowFatHeap::isLowFat(const void *Ptr) const {
+  uintptr_t P = reinterpret_cast<uintptr_t>(Ptr);
+  if (P < ArenaBase || P >= ArenaEnd)
+    return false;
+  // Only the already-allocated prefix of a shard's slice contains
+  // objects; a pointer at or beyond the slice's bump pointer was never
+  // handed out and is treated as legacy (a hardening refinement over
+  // the original allocator, which cannot make this distinction). This
+  // also means a one-past-the-end pointer of a shard's newest block
+  // degrades gracefully to legacy (wide bounds) rather than resolving
+  // to an unallocated block.
+  unsigned ClassIndex = regionIndexFor(P);
+  const Region &R = Regions[ClassIndex];
+  uint64_t Off = P - R.Begin;
+  if (EFFSAN_UNLIKELY(P >= R.UsableEnd))
+    return false; // Region tail no slice covers (or unserviceable class).
+  const SubRegion &Sub = subRegion(ClassIndex, subIndexFor(R, Off));
+  return P < Sub.Bump.load(std::memory_order_acquire);
+}
+
+EFFSAN_ALWAYS_INLINE void *
+LowFatHeap::allocationBase(const void *Ptr) const {
+  uintptr_t P = reinterpret_cast<uintptr_t>(Ptr);
+  if (!isLowFat(Ptr))
+    return nullptr;
+  unsigned ClassIndex = regionIndexFor(P);
+  const Region &R = Regions[ClassIndex];
+  uint64_t Offset = P - R.Begin;
+  uint64_t Base = Offset - classModulo(ClassIndex, Offset);
+  // A pointer one-past-the-end of block N computes as the base of block
+  // N+1; that is the correct allocation for derived-pointer checks only
+  // if N+1 was allocated, which isLowFat() already established. (Shard
+  // slices are class-aligned, so N+1 is in the same slice as N whenever
+  // it was handed out.)
+  return reinterpret_cast<void *>(R.Begin + Base);
+}
 
 } // namespace lowfat
 } // namespace effective

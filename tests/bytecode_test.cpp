@@ -407,6 +407,23 @@ int main() {
   return r;
 }
 )"},
+    // The same store of a variable: the lowering's copy of `k`, which
+    // nothing reads, sits between the checks and must not stop the
+    // fusion into TypeCheckStore.
+    {"FusedTypeCheckStoreOfVariableFails", R"(
+struct box { int *p; };
+int main() {
+  struct box *b = (struct box *)malloc(sizeof(struct box));
+  double *d = (double *)malloc(sizeof(double));
+  void *v = d;
+  b->p = v;
+  int k = 3;
+  *b->p = k;
+  free(d);
+  free(b);
+  return k;
+}
+)"},
     // Storing a pointer puts its escape check between the access check
     // and the store, so only type_check + bounds_check fuse:
     // TypeCheckBounds.
@@ -501,6 +518,8 @@ const FusedFault FusedFaults[] = {
     {"TypeCheckLoad", "FusedTypeCheckLoadFails", Variant::Full,
      "TYPE ERROR at <minic>:8:13 in main"},
     {"TypeCheckStore", "FusedTypeCheckStoreFails", Variant::Full,
+     "TYPE ERROR at <minic>:9:5 in main"},
+    {"TypeCheckStore", "FusedTypeCheckStoreOfVariableFails", Variant::Full,
      "TYPE ERROR at <minic>:9:5 in main"},
     {"TypeCheckBounds", "FusedTypeCheckBoundsFails", Variant::Full,
      "TYPE ERROR at <minic>:10:5 in main"},

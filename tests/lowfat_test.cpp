@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <memory>
@@ -210,6 +211,219 @@ TEST_F(LowFatHeapTest, PointerBeyondBumpIsLegacy) {
   // One-past-the-end of the newest block was never allocated.
   EXPECT_FALSE(Heap.isLowFat(P + Class));
   Heap.deallocate(P);
+}
+
+namespace {
+
+/// The base(p) lookup as the file comment of lowfat/LowFatHeap.h states
+/// it, with true divisions and a bump map the test keeps itself: the
+/// reference the heap's inline isLowFat() and allocationBase() must
+/// match, pointer for pointer. The geometry follows the heap's
+/// constructor: one RegionSize region per class from the arena base,
+/// each carved into Shards slices of the largest class-size multiple
+/// that fits, every slice's bump pointer starting at its base.
+class ReferenceLookup {
+public:
+  ReferenceLookup(uintptr_t ArenaBase, uint64_t RegionSize, unsigned Shards)
+      : ArenaBase(ArenaBase), RegionSize(RegionSize), Shards(Shards),
+        Bump(NumSizeClasses, std::vector<uintptr_t>(Shards)) {
+    for (unsigned S = 0; S < Shards; ++S)
+      resetShard(S);
+  }
+
+  uintptr_t arenaEnd() const { return ArenaBase + NumSizeClasses * RegionSize; }
+  uintptr_t regionBegin(unsigned C) const {
+    return ArenaBase + C * RegionSize;
+  }
+  uint64_t sliceBytes(unsigned C) const {
+    return RegionSize / Shards / classSize(C) * classSize(C);
+  }
+  uintptr_t sliceBegin(unsigned C, unsigned S) const {
+    return regionBegin(C) + S * sliceBytes(C);
+  }
+  uintptr_t bump(unsigned C, unsigned S) const { return Bump[C][S]; }
+
+  /// Records a block the heap bump-allocated.
+  void noteBlock(const void *Block) {
+    uintptr_t P = reinterpret_cast<uintptr_t>(Block);
+    unsigned C = static_cast<unsigned>((P - ArenaBase) / RegionSize);
+    unsigned S = static_cast<unsigned>((P - regionBegin(C)) / sliceBytes(C));
+    Bump[C][S] = std::max(Bump[C][S], P + classSize(C));
+  }
+  /// resetShard(S): every slice of shard S is unallocated again.
+  void resetShard(unsigned S) {
+    for (unsigned C = 0; C < NumSizeClasses; ++C)
+      Bump[C][S] = sliceBegin(C, S);
+  }
+
+  bool isLowFat(uintptr_t P) const {
+    if (P < ArenaBase || P >= arenaEnd())
+      return false;
+    unsigned C = static_cast<unsigned>((P - ArenaBase) / RegionSize);
+    if (sliceBytes(C) == 0)
+      return false;
+    uint64_t S = (P - regionBegin(C)) / sliceBytes(C);
+    return S < Shards && P < Bump[C][S];
+  }
+  void *base(uintptr_t P) const {
+    if (!isLowFat(P))
+      return nullptr;
+    unsigned C = static_cast<unsigned>((P - ArenaBase) / RegionSize);
+    uint64_t Off = P - regionBegin(C);
+    return reinterpret_cast<void *>(regionBegin(C) + Off / classSize(C) *
+                                                         classSize(C));
+  }
+
+private:
+  uintptr_t ArenaBase;
+  uint64_t RegionSize;
+  unsigned Shards;
+  std::vector<std::vector<uintptr_t>> Bump;
+};
+
+void expectLookupMatches(const LowFatHeap &Heap, const ReferenceLookup &Ref,
+                         uintptr_t P) {
+  const void *Ptr = reinterpret_cast<const void *>(P);
+  EXPECT_EQ(Heap.isLowFat(Ptr), Ref.isLowFat(P)) << std::hex << "P=0x" << P;
+  EXPECT_EQ(Heap.allocationBase(Ptr), Ref.base(P)) << std::hex << "P=0x" << P;
+}
+
+/// Allocates two blocks of every class on every shard of a fresh heap
+/// with magazines off (so each allocation moves its slice's bump
+/// pointer by exactly one block), then probes block bases, interiors,
+/// last bytes, one past each block, the bump pointers and past them,
+/// slice and region edges, the arena edges and legacy pointers against
+/// the reference. Then it resets each shard and probes the stale
+/// headers past the rewound bump pointers, before and after one fresh
+/// allocation.
+void checkLookupAgainstReference(unsigned NumShards) {
+  HeapOptions Options;
+  Options.NumShards = NumShards;
+  Options.MagazineSize = 0;
+  LowFatHeap Heap(Options);
+  ASSERT_EQ(Heap.numShards(), NumShards);
+  // A fresh heap's first class-0 block on shard 0 sits at the arena
+  // base.
+  void *First = Heap.allocateOnShard(classSize(0), 0);
+  ASSERT_TRUE(Heap.isLowFat(First));
+  ReferenceLookup Ref(reinterpret_cast<uintptr_t>(First), Heap.regionSize(),
+                      NumShards);
+  Ref.noteBlock(First);
+
+  // Blocks[C][S] = the shard's first block of class C (null if the class
+  // cannot be split across the shards and fell back to legacy).
+  std::vector<std::vector<char *>> Blocks(NumSizeClasses,
+                                          std::vector<char *>(NumShards));
+  for (unsigned C = 0; C < NumSizeClasses; ++C) {
+    for (unsigned S = 0; S < NumShards; ++S) {
+      for (int K = 0; K < 2; ++K) {
+        if (C == 0 && S == 0 && K == 0) {
+          Blocks[C][S] = static_cast<char *>(First);
+          continue;
+        }
+        void *P = Heap.allocateOnShard(classSize(C), S);
+        ASSERT_NE(P, nullptr);
+        if (!Heap.isLowFat(P)) {
+          EXPECT_EQ(Ref.sliceBytes(C), 0u) << "class " << C;
+          continue;
+        }
+        Ref.noteBlock(P);
+        if (K == 0)
+          Blocks[C][S] = static_cast<char *>(P);
+      }
+    }
+  }
+
+  auto ProbeClass = [&](unsigned C) {
+    uint64_t Size = classSize(C);
+    uintptr_t Region = Ref.regionBegin(C);
+    for (uintptr_t P : {Region - 1, Region, Region + 1,
+                        Region + NumShards * Ref.sliceBytes(C) - 1,
+                        Region + NumShards * Ref.sliceBytes(C),
+                        Region + Heap.regionSize() - 1})
+      expectLookupMatches(Heap, Ref, P);
+    for (unsigned S = 0; S < NumShards; ++S) {
+      uintptr_t Slice = Ref.sliceBegin(C, S);
+      uintptr_t Bump = Ref.bump(C, S);
+      for (uintptr_t P : {Slice - 1, Slice, Slice + Size - 1, Slice + Size,
+                          Slice + 2 * Size - 1, Bump - 1, Bump, Bump + 1,
+                          Bump + Size, Bump + Size / 2,
+                          Slice + Ref.sliceBytes(C) - 1})
+        expectLookupMatches(Heap, Ref, P);
+      if (char *B = Blocks[C][S]) {
+        uintptr_t P = reinterpret_cast<uintptr_t>(B);
+        for (uint64_t Off : {uint64_t(0), uint64_t(1), Size / 2, Size - 1,
+                             Size, Size + 1, 2 * Size - 1, 2 * Size})
+          expectLookupMatches(Heap, Ref, P + Off);
+      }
+    }
+  };
+
+  for (unsigned C = 0; C < NumSizeClasses; ++C) {
+    ProbeClass(C);
+    char *B = Blocks[C][0];
+    if (!B)
+      continue;
+    // One past the older block is the newer block's base; one past the
+    // slice's newest block was never handed out: legacy (unless the
+    // slice is full and the pointer is the next slice's first block).
+    EXPECT_EQ(Heap.allocationBase(B + classSize(C)), B + classSize(C));
+    if (2 * classSize(C) < Ref.sliceBytes(C)) {
+      EXPECT_FALSE(Heap.isLowFat(B + 2 * classSize(C))) << "class " << C;
+      EXPECT_EQ(Heap.allocationBase(B + 2 * classSize(C)), nullptr);
+    }
+  }
+
+  // Arena edges and legacy pointers.
+  int Local = 0;
+  void *Oversized = Heap.allocate(MaxClassSize + 1);
+  for (uintptr_t P :
+       {Ref.regionBegin(0) - 1, Ref.regionBegin(0), Ref.arenaEnd() - 1,
+        Ref.arenaEnd(), Ref.arenaEnd() + 1, uintptr_t(0), uintptr_t(1),
+        UINTPTR_MAX, reinterpret_cast<uintptr_t>(&Local),
+        reinterpret_cast<uintptr_t>(Oversized)})
+    expectLookupMatches(Heap, Ref, P);
+  EXPECT_FALSE(Heap.isLowFat(Oversized));
+  Heap.deallocate(Oversized);
+
+  // Stale headers past a rewound bump pointer resolve to legacy, and
+  // one fresh allocation brings back exactly its own block.
+  for (unsigned S = 0; S < NumShards; ++S) {
+    Heap.resetShard(S);
+    Ref.resetShard(S);
+    for (unsigned C = 0; C < NumSizeClasses; ++C) {
+      ProbeClass(C);
+      if (char *B = Blocks[C][S]) {
+        EXPECT_EQ(Heap.allocationBase(B), nullptr) << "class " << C;
+      }
+    }
+    for (unsigned C = 0; C < NumSizeClasses; ++C) {
+      void *P = Heap.allocateOnShard(classSize(C), S);
+      if (Heap.isLowFat(P)) {
+        EXPECT_EQ(P, Blocks[C][S]) << "class " << C;
+        Ref.noteBlock(P);
+      }
+    }
+    for (unsigned C = 0; C < NumSizeClasses; ++C) {
+      ProbeClass(C);
+      char *B = Blocks[C][S];
+      if (B && 2 * classSize(C) <= Ref.sliceBytes(C)) {
+        EXPECT_EQ(Heap.allocationBase(B + classSize(C) - 1), B);
+        EXPECT_EQ(Heap.allocationBase(B + classSize(C)), nullptr)
+            << "stale second block of class " << C;
+      }
+    }
+  }
+}
+
+} // namespace
+
+TEST(InlineLookupTest, MatchesTheReferenceOnOneShard) {
+  checkLookupAgainstReference(1);
+}
+
+TEST(InlineLookupTest, MatchesTheReferenceOnThreeShards) {
+  checkLookupAgainstReference(3);
 }
 
 namespace {

@@ -21,6 +21,7 @@
 #include <cstring>
 #include <memory>
 #include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -295,6 +296,105 @@ TEST_F(RuntimeTest, ReallocOfFreedObjectReports) {
   EXPECT_NE(Q, nullptr);
   EXPECT_EQ(RT.reporter().numIssues(ErrorKind::UseAfterFree), 1u);
   RT.deallocate(Q);
+}
+
+namespace {
+
+/// One captured report: what bounds_get handed the reporter.
+struct CapturedReport {
+  ErrorKind Kind;
+  const TypeInfo *AllocType;
+  int64_t Offset;
+  const void *Pointer;
+  std::string Detail;
+  SiteId Site;
+  const SiteInfo *Where;
+};
+
+/// A counting-mode runtime that records every report's ErrorInfo.
+RuntimeOptions capturingOptions(std::vector<CapturedReport> &Out) {
+  RuntimeOptions Options;
+  Options.Reporter.Mode = ReportMode::Count;
+  Options.Reporter.Callback = [](const ErrorInfo &E, const char *,
+                                 void *User) {
+    static_cast<std::vector<CapturedReport> *>(User)->push_back(
+        {E.Kind, E.AllocType, E.Offset, E.Pointer,
+         E.Detail ? E.Detail : "", E.Site, E.Where});
+  };
+  Options.Reporter.CallbackUserData = &Out;
+  return Options;
+}
+
+/// Registers two bounds_get sites in \p RT; returns the first's id.
+SiteId registerBoundsGetSites(Runtime &RT) {
+  SiteTable Table;
+  Table.File = "uaf.c";
+  Table.Entries.push_back(
+      {CheckSiteKind::BoundsGet, SourceLoc{12, 5}, "heap_user", nullptr});
+  Table.Entries.push_back(
+      {CheckSiteKind::BoundsGet, SourceLoc{20, 9}, "stack_user", nullptr});
+  return RT.siteTables().registerTable(Table);
+}
+
+} // namespace
+
+TEST(BoundsGetTemporalTest, FreedBlockReportsUseAfterFreeAtItsSite) {
+  TypeContext Ctx;
+  std::vector<CapturedReport> Reports;
+  Runtime RT(Ctx, capturingOptions(Reports));
+  SiteId Base = registerBoundsGetSites(RT);
+  int *P = static_cast<int *>(RT.allocate(4 * sizeof(int), Ctx.getInt()));
+  RT.deallocate(P);
+
+  uint64_t GetsBefore = RT.counters().snapshot().BoundsGets;
+  Bounds B = RT.boundsGet(P + 1, Base);
+  EXPECT_TRUE(B.isWide());
+  EXPECT_EQ(RT.counters().snapshot().BoundsGets, GetsBefore + 1);
+
+  ASSERT_EQ(Reports.size(), 1u);
+  const CapturedReport &R = Reports[0];
+  EXPECT_EQ(R.Kind, ErrorKind::UseAfterFree);
+  EXPECT_EQ(R.AllocType, Ctx.getFree());
+  EXPECT_EQ(R.Offset, 0);
+  EXPECT_EQ(R.Pointer, static_cast<const void *>(P + 1));
+  EXPECT_EQ(R.Detail, "use of freed object");
+  EXPECT_EQ(R.Site, Base);
+  ASSERT_NE(R.Where, nullptr);
+  EXPECT_STREQ(R.Where->File, "uaf.c");
+  EXPECT_EQ(R.Where->Line, 12u);
+  EXPECT_STREQ(R.Where->Function, "heap_user");
+  EXPECT_EQ(RT.reporter().numEventsAtSite(Base), 1u);
+  EXPECT_EQ(RT.reporter().numIssues(ErrorKind::UseAfterFree), 1u);
+}
+
+TEST(BoundsGetTemporalTest, ReturnedFrameReportsUseAfterReturnAtItsSite) {
+  TypeContext Ctx;
+  std::vector<CapturedReport> Reports;
+  Runtime RT(Ctx, capturingOptions(Reports));
+  SiteId Base = registerBoundsGetSites(RT);
+  size_t Mark = RT.stackMark();
+  void *P = RT.stackAllocate(16, Ctx.getInt(), /*Escapes=*/true);
+  ASSERT_FALSE(RT.boundsGet(P, Base + 1).isWide());
+  RT.stackRelease(Mark);
+  ASSERT_TRUE(Reports.empty());
+
+  uint64_t GetsBefore = RT.counters().snapshot().BoundsGets;
+  Bounds B = RT.boundsGet(P, Base + 1);
+  EXPECT_TRUE(B.isWide());
+  EXPECT_EQ(RT.counters().snapshot().BoundsGets, GetsBefore + 1);
+
+  ASSERT_EQ(Reports.size(), 1u);
+  const CapturedReport &R = Reports[0];
+  EXPECT_EQ(R.Kind, ErrorKind::StackUseAfterReturn);
+  EXPECT_EQ(R.AllocType, Ctx.getStackFree());
+  EXPECT_EQ(R.Pointer, P);
+  EXPECT_EQ(R.Detail, "use of stack object after frame return");
+  EXPECT_EQ(R.Site, Base + 1);
+  ASSERT_NE(R.Where, nullptr);
+  EXPECT_EQ(R.Where->Line, 20u);
+  EXPECT_STREQ(R.Where->Function, "stack_user");
+  EXPECT_EQ(RT.reporter().numEventsAtSite(Base + 1), 1u);
+  EXPECT_EQ(RT.reporter().numIssues(ErrorKind::UseAfterFree), 0u);
 }
 
 //===----------------------------------------------------------------------===//
