@@ -30,7 +30,10 @@
 ///    resolution plus a site-cache hit) at 1 and 3 threads sharing one
 ///    runtime — the cost the per-thread static-type memo removes;
 ///  * a CheckedPtr dereference under no check, the timed Full row and
-///    the counting Full row — the cost of counting a bounds check.
+///    the counting Full row — the cost of counting a bounds check;
+///  * a typed list walk at 1 and 3 threads sharing one runtime, each
+///    thread walking 512 nodes it built while the others built theirs —
+///    where the heap places concurrent threads' objects.
 ///
 /// All other numbers here are SINGLE-THREADED: one session, one thread,
 /// no contention — the per-check floor, not the scaling story. For
@@ -48,8 +51,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 using namespace effective;
@@ -239,6 +244,70 @@ static void BM_CheckedPtrRecordInput(benchmark::State &State) {
         CheckedPtr<micro::Particle, FullPolicy>::input(Obj).bounds());
 }
 BENCHMARK(BM_CheckedPtrRecordInput)->Threads(1)->Threads(3)->UseRealTime();
+
+//===----------------------------------------------------------------------===//
+// A shared runtime's list walk: heap placement across threads
+//===----------------------------------------------------------------------===//
+
+namespace micro {
+struct ListNode {
+  uint64_t State;
+  float AmpRe;
+  float AmpIm;
+  ListNode *Next;
+};
+} // namespace micro
+
+EFFECTIVE_REFLECT(micro::ListNode, State, AmpRe, AmpIm, Next);
+
+namespace {
+/// The runtime one BM_SharedRuntimeListWalk run shares among its
+/// threads. Setup opens it and Teardown closes it, so every run builds
+/// its lists in a fresh heap.
+std::unique_ptr<Sanitizer> ListWalkSession;
+std::atomic<int> ListWalkBuilders{0};
+
+void listWalkSetup(const benchmark::State &) {
+  ListWalkSession = std::make_unique<Sanitizer>(TypeContext::global(),
+                                                bench::countingSession());
+  ListWalkBuilders = 0;
+}
+void listWalkTeardown(const benchmark::State &) { ListWalkSession.reset(); }
+} // namespace
+
+static void BM_SharedRuntimeListWalk(benchmark::State &State) {
+  // libquantum's shape under EffectiveSan-type: each thread builds a
+  // 512-node list on the shared runtime at the same time as the others,
+  // then walks it, writing every node. The walk checks as the type row
+  // does, so any cost the other threads add is placement: their nodes on
+  // this thread's cache lines and pages.
+  using NodePtr = CheckedPtr<micro::ListNode, TypePolicy>;
+  Runtime &RT = ListWalkSession->runtime();
+  RuntimeScope Scope(RT);
+  ListWalkBuilders.fetch_add(1);
+  while (ListWalkBuilders.load() < State.threads()) {
+  }
+  NodePtr Head;
+  for (uint64_t I = 0; I < 512; ++I) {
+    NodePtr Node = allocateChecked<micro::ListNode, TypePolicy>(RT);
+    Node->State = I;
+    Node->Next = Head.raw();
+    Head = Node;
+  }
+  for (auto _ : State) {
+    for (NodePtr Node = Head; Node.raw(); Node = NodePtr::input(Node->Next))
+      Node->State ^= 1;
+    benchmark::ClobberMemory();
+  }
+  benchmark::DoNotOptimize(Head->State);
+  State.SetItemsProcessed(State.iterations() * 512);
+}
+BENCHMARK(BM_SharedRuntimeListWalk)
+    ->Setup(listWalkSetup)
+    ->Teardown(listWalkTeardown)
+    ->Threads(1)
+    ->Threads(3)
+    ->UseRealTime();
 
 //===----------------------------------------------------------------------===//
 // CheckedPtr dereference: the bounds check as each Figure 8 row runs it

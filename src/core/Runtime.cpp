@@ -112,15 +112,17 @@ void *Runtime::allocate(size_t Size, const TypeInfo *Type) {
 
 void *Runtime::allocateOn(unsigned OnShard, size_t Size,
                           const TypeInfo *Type) {
+  // A size the META header would wrap past SIZE_MAX can no more be
+  // served than one an exhausted heap refuses.
   void *Block =
-      EFFSAN_FAULT(HeapExhausted)
+      Size > SIZE_MAX - sizeof(MetaHeader) || EFFSAN_FAULT(HeapExhausted)
           ? nullptr
           : Heap.allocateOnShard(Size + sizeof(MetaHeader), OnShard);
   if (EFFSAN_UNLIKELY(!Block)) {
-    // Exhaustion (real OOM or an induced fault) degrades to a
-    // diagnosable null: one resource-exhausted report per requested
-    // type, and the caller receives the same null a failed malloc
-    // hands a C program — never UB, never an abort of our own.
+    // Exhaustion (real OOM, an unservable size or an induced fault)
+    // degrades to a diagnosable null: one resource-exhausted report per
+    // requested type, and the caller receives the same null a failed
+    // malloc hands a C program — never UB, never an abort of our own.
     Reporter.report(ErrorInfo{ErrorKind::ResourceExhausted, Type, nullptr,
                               0, nullptr,
                               "allocation failed: heap resources exhausted"});
@@ -140,8 +142,9 @@ void *Runtime::allocateOn(unsigned OnShard, size_t Size,
 
 void *Runtime::allocateZeroed(size_t Count, size_t Size,
                               const TypeInfo *Type) {
-  size_t Total = Count * Size;
-  assert((Size == 0 || Total / Size == Count) && "calloc overflow");
+  size_t Total;
+  if (EFFSAN_UNLIKELY(__builtin_mul_overflow(Count, Size, &Total)))
+    Total = SIZE_MAX; // Unservable: allocate() reports it and returns null.
   void *Ptr = allocate(Total, Type);
   if (EFFSAN_UNLIKELY(!Ptr))
     return nullptr;

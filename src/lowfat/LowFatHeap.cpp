@@ -10,6 +10,7 @@
 #include "resilience/Fault.h"
 #include "support/Compiler.h"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <cstdio>
@@ -35,6 +36,15 @@ static constexpr size_t FreeLinkOffset = 16;
 
 /// Frees batched per thread before one locked quarantine-FIFO flush.
 static constexpr size_t QuarantineFlushCount = 16;
+
+/// Bytes of fresh blocks a thread carves per span (rounded down to whole
+/// blocks; one block for classes this large or larger). Several pages,
+/// because threads sharing pages cost more than sharing cache lines.
+static constexpr uint64_t SpanBytes = 16 << 10;
+
+static uint64_t spanBytesFor(uint64_t Block) {
+  return Block >= SpanBytes ? Block : SpanBytes / Block * Block;
+}
 
 static_assert(MinClassSize >= FreeLinkOffset + sizeof(void *),
               "smallest class must fit META header plus free-list link");
@@ -72,6 +82,13 @@ struct LowFatHeap::ThreadCache {
   /// Refill overflow: the rest of a popped free list, consumed by later
   /// refills without touching shared state. Owned by BoundShard.
   FreeNode *Spare[NumSizeClasses] = {};
+  /// Per class, the unissued rest [SpanNext, SpanEnd) of the span last
+  /// carved from BoundShard's bump pointer. SpanNext == SpanEnd != 0
+  /// once the class has carved since the spans were last dropped, so
+  /// its next carve takes a whole span; 0 and 0 make the next carve the
+  /// first, one block.
+  uintptr_t SpanNext[NumSizeClasses] = {};
+  uintptr_t SpanEnd[NumSizeClasses] = {};
   /// Magazine storage: NumSizeClasses x MagSize slots (null when
   /// magazines are disabled — the cache then only batches quarantine).
   std::unique_ptr<void *[]> Slots;
@@ -110,8 +127,14 @@ struct LowFatHeap::ThreadCache {
     Heap = nullptr;
     std::memset(Counts, 0, sizeof(Counts));
     std::memset(Spare, 0, sizeof(Spare));
+    dropSpans();
     Pending.clear();
     PendingBytes = 0;
+  }
+
+  void dropSpans() {
+    std::memset(SpanNext, 0, sizeof(SpanNext));
+    std::memset(SpanEnd, 0, sizeof(SpanEnd));
   }
 
   void **slots(unsigned ClassIndex) {
@@ -174,6 +197,8 @@ LowFatHeap::LowFatHeap(const HeapOptions &Options) {
   ShardEpochs = std::make_unique<std::atomic<uint64_t>[]>(Shards);
   for (unsigned S = 0; S < Shards; ++S)
     ShardEpochs[S].store(1, std::memory_order_relaxed);
+  HighWater = std::make_unique<std::atomic<uintptr_t>[]>(
+      static_cast<size_t>(NumSizeClasses) * Shards);
 
   for (unsigned I = 0; I < NumSizeClasses; ++I) {
     Region &R = Regions[I];
@@ -244,17 +269,22 @@ void LowFatHeap::noteFree(unsigned Shard, size_t Block) {
 // Lock-free sub-arena primitives
 //===----------------------------------------------------------------------===//
 
-void *LowFatHeap::bumpAlloc(SubRegion &Sub, uint64_t Block) {
+std::pair<uintptr_t, uintptr_t> LowFatHeap::carve(SubRegion &Sub,
+                                                  uint64_t Block,
+                                                  uint64_t Want,
+                                                  uintptr_t Clean) {
   uintptr_t Cur = Sub.Bump.load(std::memory_order_relaxed);
   while (Cur + Block <= Sub.End) {
+    uint64_t Bytes =
+        Cur < Clean ? Block : std::min(Want, (Sub.End - Cur) / Block * Block);
     // Release pairs with isLowFat()'s acquire: Bump never overshoots
     // End, so a reader can never see a beyond-slice bump value.
-    if (Sub.Bump.compare_exchange_weak(Cur, Cur + Block,
+    if (Sub.Bump.compare_exchange_weak(Cur, Cur + Bytes,
                                        std::memory_order_release,
                                        std::memory_order_relaxed))
-      return reinterpret_cast<void *>(Cur);
+      return {Cur, Cur + Bytes};
   }
-  return nullptr;
+  return {0, 0};
 }
 
 void LowFatHeap::pushFreeChain(SubRegion &Sub, FreeNode *First,
@@ -276,6 +306,47 @@ void LowFatHeap::pushFreeBlock(SubRegion &Sub, void *Ptr) {
   auto *Node = reinterpret_cast<FreeNode *>(static_cast<char *>(Ptr) +
                                             FreeLinkOffset);
   pushFreeChain(Sub, Node, Node);
+}
+
+//===----------------------------------------------------------------------===//
+// Spans: thread-private runs of fresh blocks
+//===----------------------------------------------------------------------===//
+
+void *LowFatHeap::spanAlloc(ThreadCache &TC, unsigned ClassIndex,
+                            unsigned Shard) {
+  uint64_t Block = classSize(ClassIndex);
+  uintptr_t &Next = TC.SpanNext[ClassIndex];
+  uintptr_t &End = TC.SpanEnd[ClassIndex];
+  if (Next == End) {
+    // A class's first carve since the spans were dropped is one block,
+    // so a class used once stays compact.
+    auto [Begin, RunEnd] =
+        carve(subRegion(ClassIndex, Shard), Block,
+              End == 0 ? Block : spanBytesFor(Block),
+              HighWater[ClassIndex * Shards + Shard].load(
+                  std::memory_order_relaxed));
+    if (!Begin)
+      return nullptr;
+    Next = Begin;
+    End = RunEnd;
+  }
+  void *Result = reinterpret_cast<void *>(Next);
+  Next += Block;
+  return Result;
+}
+
+void LowFatHeap::returnSpans(ThreadCache &TC) {
+  unsigned Bound = TC.BoundShard.load(std::memory_order_relaxed);
+  for (unsigned C = 0; C < NumSizeClasses; ++C) {
+    uintptr_t End = TC.SpanEnd[C];
+    // Bump == End means every later carve was handed back, so the tail
+    // is still the newest carved memory; otherwise it stays carved,
+    // unissued and zero until the shard is recycled.
+    if (TC.SpanNext[C] != End)
+      subRegion(C, Bound).Bump.compare_exchange_strong(
+          End, TC.SpanNext[C], std::memory_order_release,
+          std::memory_order_relaxed);
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -387,6 +458,7 @@ void LowFatHeap::retireMagazines(ThreadCache &TC) {
     C.MagazineRefills.fetch_add(TC.Refills.load(std::memory_order_relaxed),
                                 std::memory_order_relaxed);
     flushMagazines(TC);
+    returnSpans(TC);
   } else {
     // Stale: the shard was reset; the addresses belong to a new
     // tenant now (or will). Forget them, and the counts with them: the
@@ -395,6 +467,7 @@ void LowFatHeap::retireMagazines(ThreadCache &TC) {
     std::memset(TC.Counts, 0, sizeof(TC.Counts));
     std::memset(TC.Spare, 0, sizeof(TC.Spare));
   }
+  TC.dropSpans();
   TC.Hits.store(0, std::memory_order_relaxed);
   TC.Refills.store(0, std::memory_order_relaxed);
 }
@@ -431,8 +504,9 @@ void *LowFatHeap::allocateOnShard(size_t Size, unsigned Shard) {
   unsigned ClassIndex = sizeToClass(Size);
   uint64_t Block = classSize(ClassIndex);
 
+  ThreadCache *TC = nullptr;
   if (EFFSAN_LIKELY(MagSize != 0)) {
-    ThreadCache *TC = threadCache();
+    TC = threadCache();
     if (EFFSAN_UNLIKELY(
             TC->BoundShard.load(std::memory_order_relaxed) != Shard ||
             TC->ShardEpoch.load(std::memory_order_relaxed) !=
@@ -471,10 +545,13 @@ void *LowFatHeap::allocateOnShard(size_t Size, unsigned Shard) {
     }
   }
 
-  // An induced slice exhaustion skips the bump allocator and takes the
-  // same steal-then-legacy fallback a genuinely dry slice takes.
+  // Fresh memory: the thread's span, or with magazines off one block
+  // straight off the bump pointer. An induced slice exhaustion skips
+  // both and takes the same steal-then-legacy fallback a genuinely dry
+  // slice takes.
   if (EFFSAN_LIKELY(!EFFSAN_FAULT(HeapSliceExhausted)))
-    if (void *Result = bumpAlloc(subRegion(ClassIndex, Shard), Block)) {
+    if (void *Result = TC ? spanAlloc(*TC, ClassIndex, Shard)
+                          : bumpAlloc(subRegion(ClassIndex, Shard), Block)) {
       noteAlloc(Shard, Block, /*Legacy=*/false);
       return Result;
     }
@@ -715,6 +792,12 @@ void LowFatHeap::resetShard(unsigned Shard) {
     for (unsigned I = 0; I < NumSizeClasses; ++I) {
       SubRegion &Sub = subRegion(I, Shard);
       Sub.FreeList.store(nullptr, std::memory_order_relaxed);
+      // Everything below the old bump pointer may keep a stale header,
+      // so no span is carved there again.
+      std::atomic<uintptr_t> &Mark = HighWater[I * Shards + Shard];
+      uintptr_t Old = Sub.Bump.load(std::memory_order_relaxed);
+      if (Old > Mark.load(std::memory_order_relaxed))
+        Mark.store(Old, std::memory_order_relaxed);
       Sub.Bump.store(Sub.Begin, std::memory_order_release);
     }
   }

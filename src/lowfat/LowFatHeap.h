@@ -48,8 +48,21 @@
 ///     free list* (multi-producer push via CAS; consumers take the whole
 ///     list with one exchange, which also makes the stack ABA-free) and
 ///     flush back half a magazine in one chain push when they overflow.
-///   * Never-allocated memory comes from an atomic *bump pointer*
-///     (CAS loop) — one atomic op per fresh block, no lock.
+///   * Never-allocated memory comes from an atomic *bump pointer*, carved
+///     in per-thread *spans*: a magazine miss that reaches fresh memory
+///     takes a run of contiguous blocks (16 KiB worth, or one block for
+///     classes of 16 KiB and up) with one CAS and keeps it in the
+///     thread's cache, so later fresh blocks of the class cost no shared
+///     write and threads that allocate together do not interleave their
+///     objects on shared cache lines and pages. A cache's first carve of
+///     a class is a single block, so a class used once stays compact.
+///     Span blocks are not touched until they are handed out (no zeroing,
+///     no free-list links), so spans cost no resident memory.
+///   * Hardening invariant: no carved-but-unissued block carries a stale
+///     header. Fresh arena memory is zero, so such a block reads as an
+///     untyped low-fat block (wide bounds, no report, the answer a legacy
+///     pointer gets). Below a slice's pre-reset high-water mark, where
+///     resetShard() left stale headers, carving stays one block at a time.
 ///   * Frees under an active quarantine park in a per-thread buffer and
 ///     flush to the shard's FIFO in one locked operation per batch,
 ///     preserving the reuse-delay guarantee and byte accounting.
@@ -69,10 +82,13 @@
 ///
 /// TLS reclamation: a thread's cache for a heap is a block of the heap's
 /// per-thread registry (support/ThreadBlocks.h), found on the fast path
-/// by one stamp compare on a TLS word. Magazines are epoch-guarded:
-/// resetShard() advances the shard's epoch, and any thread's cached
-/// blocks for that shard are discarded (not replayed) on its next use,
-/// so a recycled arena can never serve a stale magazine block. Thread
+/// by one stamp compare on a TLS word. Magazines and spans are
+/// epoch-guarded: resetShard() advances the shard's epoch, and any
+/// thread's cached blocks and spans for that shard are discarded (not
+/// replayed) on its next use, so a recycled arena can never serve a
+/// stale magazine or span block. A span retired while its shard is
+/// current (rebind, thread exit, flushThreadCache) hands its unissued
+/// tail back to the bump pointer when no carve followed it. Thread
 /// exit flushes a cache back to its heap if, and only if, the heap is
 /// still alive; the registry's lock arbitrates, so heaps and threads
 /// may die in any order. The flushed cache is adopted by the heap's
@@ -222,10 +238,12 @@ public:
   /// out again.
   void deallocate(void *Ptr);
 
-  /// Returns true if \p Ptr points into the already-allocated part of
-  /// the low-fat arena (including one-past-the-end of an allocated
-  /// block that is not its slice's newest). Inline: every check starts
-  /// here.
+  /// Returns true if \p Ptr points into the carved part of the low-fat
+  /// arena: below its slice's bump pointer. That covers every issued
+  /// block and one past its end, and the unissued blocks of threads'
+  /// spans, whose zero headers read as untyped blocks (wide bounds).
+  /// Past the bump pointer a pointer is legacy. Inline: every check
+  /// starts here.
   bool isLowFat(const void *Ptr) const;
 
   /// True if \p Ptr lies anywhere inside the reserved arena. The whole
@@ -285,9 +303,10 @@ public:
   }
 
   /// Bytes carved from one size class's region across all shards
-  /// (bump-pointer high-water marks; freed blocks stay carved until
-  /// their shard is recycled). Feeds the per-class heap-occupancy
-  /// gauges of the observability layer.
+  /// (bump-pointer offsets, which include the unissued tails of
+  /// threads' spans; freed blocks stay carved until their shard is
+  /// recycled). Feeds the per-class heap-occupancy gauges of the
+  /// observability layer.
   uint64_t classCarvedBytes(unsigned ClassIndex) const;
 
   /// Flushes the calling thread's magazine and quarantine batches for
@@ -362,9 +381,26 @@ private:
   void noteAlloc(unsigned Shard, size_t Block, bool Legacy);
   void noteFree(unsigned Shard, size_t Block);
 
-  /// Bump-allocates one block of class \p ClassIndex from \p Sub, or
-  /// null when the slice is exhausted.
-  void *bumpAlloc(SubRegion &Sub, uint64_t Block);
+  /// Carves a run of fresh \p Block-byte blocks off \p Sub's bump
+  /// pointer with one CAS: up to \p Want bytes' worth (at least one
+  /// block), but one block while the bump pointer is below \p Clean.
+  /// Returns the run [first, second), or {0, 0} when the slice is
+  /// exhausted.
+  static std::pair<uintptr_t, uintptr_t> carve(SubRegion &Sub, uint64_t Block,
+                                               uint64_t Want, uintptr_t Clean);
+  /// Bump-allocates one block from \p Sub, or null when the slice is
+  /// exhausted.
+  static void *bumpAlloc(SubRegion &Sub, uint64_t Block) {
+    return reinterpret_cast<void *>(carve(Sub, Block, Block, 0).first);
+  }
+  /// Serves one fresh block of \p ClassIndex from the cache's span,
+  /// carving a new span from the bound shard \p Shard when it is used
+  /// up; null when the slice is exhausted.
+  void *spanAlloc(ThreadCache &TC, unsigned ClassIndex, unsigned Shard);
+  /// Hands each span's unissued tail back to the bound shard's bump
+  /// pointer where no carve followed it (\pre the bound shard's epoch
+  /// is current and its quarantine lock is held).
+  void returnSpans(ThreadCache &TC);
 
   /// Pushes the chain [First, Last] onto \p Sub's free list (one CAS).
   static void pushFreeChain(SubRegion &Sub, FreeNode *First,
@@ -387,9 +423,9 @@ private:
   /// shard (\pre its epoch is current and the shard's quarantine lock
   /// is held or the caller is actively using the shard).
   void flushMagazines(ThreadCache &TC);
-  /// Flush-or-drop the bound shard's cached blocks under the shard's
-  /// quarantine lock (serialized against resetShard), folding the
-  /// cache's hit and refill counts into the shard's counters.
+  /// Flush-or-drop the bound shard's cached blocks and spans under the
+  /// shard's quarantine lock (serialized against resetShard), folding
+  /// the cache's hit and refill counts into the shard's counters.
   void retireMagazines(ThreadCache &TC);
   /// Rebinds the cache to a new shard after retiring the old one's
   /// blocks.
@@ -444,6 +480,12 @@ private:
   /// Per-shard magazine epochs, advanced by resetShard() so stale TLS
   /// caches are discarded rather than replayed.
   std::unique_ptr<std::atomic<uint64_t>[]> ShardEpochs;
+  /// Flat [class][shard] high-water marks of the bump pointers as of
+  /// their last resetShard() (0 before any): memory below may hold
+  /// stale headers, so spans are carved only above it.
+  /// Cold (read once per carve), so it stays out of SubRegion, which
+  /// base(p) indexes.
+  std::unique_ptr<std::atomic<uintptr_t>[]> HighWater;
 
   size_t QuarantineLimit = 0;
   std::unique_ptr<ShardQuarantine[]> Quarantines;
@@ -461,13 +503,14 @@ EFFSAN_ALWAYS_INLINE bool LowFatHeap::isLowFat(const void *Ptr) const {
   uintptr_t P = reinterpret_cast<uintptr_t>(Ptr);
   if (P < ArenaBase || P >= ArenaEnd)
     return false;
-  // Only the already-allocated prefix of a shard's slice contains
-  // objects; a pointer at or beyond the slice's bump pointer was never
-  // handed out and is treated as legacy (a hardening refinement over
-  // the original allocator, which cannot make this distinction). This
-  // also means a one-past-the-end pointer of a shard's newest block
-  // degrades gracefully to legacy (wide bounds) rather than resolving
-  // to an unallocated block.
+  // Only the carved prefix of a shard's slice contains objects; a
+  // pointer at or beyond the slice's bump pointer was never handed out
+  // and is treated as legacy (a hardening refinement over the original
+  // allocator, which cannot make this distinction). Below the bump
+  // pointer, the unissued blocks of threads' spans are zero memory, so
+  // a pointer into one (say one past the end of a span's newest block)
+  // resolves to a block with a null META type: untyped, wide bounds,
+  // the same answer legacy gives.
   unsigned ClassIndex = regionIndexFor(P);
   const Region &R = Regions[ClassIndex];
   uint64_t Off = P - R.Begin;
@@ -488,9 +531,10 @@ LowFatHeap::allocationBase(const void *Ptr) const {
   uint64_t Base = Offset - classModulo(ClassIndex, Offset);
   // A pointer one-past-the-end of block N computes as the base of block
   // N+1; that is the correct allocation for derived-pointer checks only
-  // if N+1 was allocated, which isLowFat() already established. (Shard
-  // slices are class-aligned, so N+1 is in the same slice as N whenever
-  // it was handed out.)
+  // if N+1 was carved, which isLowFat() already established (an
+  // unissued span block reads as untyped). Shard slices are
+  // class-aligned, so N+1 is in the same slice as N whenever it was
+  // carved.
   return reinterpret_cast<void *>(R.Begin + Base);
 }
 

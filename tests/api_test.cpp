@@ -194,6 +194,24 @@ TEST(SessionTest, ResetRecyclesArenaCountersAndIssues) {
   S.free(Fresh);
 }
 
+TEST(SessionTest, OverflowingAllocationSizesReturnNull) {
+  // malloc, calloc and realloc sizes that wrap past SIZE_MAX (with the
+  // META header, or as Count * Size) return null with one
+  // resource-exhausted event each, as an exhausted heap does.
+  Sanitizer S(quietOptions());
+  const TypeInfo *Int = TypeOf<int>::get(S.types());
+  EXPECT_EQ(S.malloc(SIZE_MAX - 8, Int), nullptr);
+  EXPECT_EQ(S.calloc(SIZE_MAX / 2, 4, Int), nullptr);
+  int *P = static_cast<int *>(S.malloc(4 * sizeof(int), Int));
+  ASSERT_NE(P, nullptr);
+  EXPECT_EQ(S.realloc(P, SIZE_MAX - 8, Int), nullptr);
+  EXPECT_EQ(S.reporter().numEvents(), 3u);
+  EXPECT_EQ(S.reporter().numIssues(ErrorKind::ResourceExhausted),
+            S.issuesFound());
+  EXPECT_EQ(S.dynamicTypeOf(P), Int) << "a refused realloc keeps the block";
+  S.free(P);
+}
+
 TEST(SessionTest, FullPolicyFindsTheExpectedKinds) {
   Sanitizer S(quietOptions(CheckPolicy::Full));
   runBuggyProgram(S);
@@ -418,6 +436,33 @@ TEST(EffsanAbiTest, TypedAllocationAndChecks) {
   EXPECT_EQ(Kinds[0], (uint32_t)EFFSAN_ERROR_BOUNDS);
   EXPECT_EQ(Kinds[1], (uint32_t)EFFSAN_ERROR_DOUBLE_FREE);
 
+  effsan_session_destroy(S);
+}
+
+TEST(EffsanAbiTest, OverflowingAllocationSizesReturnNull) {
+  effsan_options Options;
+  effsan_options_init(&Options);
+  Options.log_errors = 0;
+  effsan_session *S = effsan_session_create(&Options);
+  ASSERT_NE(S, nullptr);
+  std::vector<uint32_t> Kinds;
+  effsan_set_error_callback(S, abiCallback, &Kinds);
+  effsan_type IntTy = effsan_type_primitive(S, EFFSAN_PRIM_INT);
+
+  EXPECT_EQ(effsan_malloc(S, SIZE_MAX - 8, IntTy), nullptr);
+  EXPECT_EQ(effsan_calloc(S, SIZE_MAX / 2, 4, IntTy), nullptr);
+  void *P = effsan_malloc(S, 16, IntTy);
+  ASSERT_NE(P, nullptr);
+  EXPECT_EQ(effsan_realloc(S, P, SIZE_MAX - 8, IntTy), nullptr);
+  EXPECT_EQ(effsan_type_of(S, P), IntTy);
+
+  effsan_counters Counters;
+  effsan_get_counters(S, &Counters);
+  EXPECT_EQ(Counters.error_events, 3u);
+  for (uint32_t Kind : Kinds)
+    EXPECT_EQ(Kind, (uint32_t)EFFSAN_ERROR_RESOURCE_EXHAUSTED);
+  EXPECT_FALSE(Kinds.empty());
+  effsan_free(S, P);
   effsan_session_destroy(S);
 }
 

@@ -816,6 +816,144 @@ TEST(MagazineTest, ParkedThreadsHitsAreExactWithoutAFlush) {
       << "thread exit folds each cache's hits into the shard once";
 }
 
+//===----------------------------------------------------------------------===//
+// Spans: thread-private runs of fresh blocks
+//===----------------------------------------------------------------------===//
+
+TEST(SpanTest, ConcurrentThreadsCarveDisjointRuns) {
+  // Three threads allocate together on one heap and one shard. After
+  // its first block (a single-block carve), each thread's blocks come
+  // from its own span: consecutive addresses, in a run no other
+  // thread's block falls into.
+  LowFatHeap Heap;
+  constexpr unsigned NumThreads = 3;
+  constexpr unsigned Blocks = 300;
+  constexpr size_t Size = 48;
+  std::vector<std::vector<char *>> Ptrs(NumThreads);
+  std::atomic<unsigned> Ready{0};
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T < NumThreads; ++T) {
+    Threads.emplace_back([&, T] {
+      Ready.fetch_add(1);
+      while (Ready.load() != NumThreads) {
+      }
+      for (unsigned I = 0; I < Blocks; ++I)
+        Ptrs[T].push_back(static_cast<char *>(Heap.allocate(Size)));
+    });
+  }
+  for (std::thread &T : Threads)
+    T.join();
+
+  ASSERT_EQ(Heap.allocationSize(Ptrs[0][0]), Size);
+  for (unsigned T = 0; T < NumThreads; ++T)
+    for (unsigned I = 2; I < Blocks; ++I)
+      ASSERT_EQ(Ptrs[T][I], Ptrs[T][I - 1] + Size)
+          << "thread " << T << " block " << I;
+  for (unsigned T = 0; T < NumThreads; ++T) {
+    char *RunBegin = Ptrs[T][1];
+    char *RunEnd = Ptrs[T].back() + Size;
+    for (unsigned U = 0; U < NumThreads; ++U) {
+      if (U == T)
+        continue;
+      for (char *P : Ptrs[U])
+        EXPECT_FALSE(P >= RunBegin && P < RunEnd)
+            << "thread " << U << "'s block inside thread " << T << "'s run";
+    }
+  }
+  HeapStats Stats = Heap.stats();
+  EXPECT_EQ(Stats.NumAllocs, uint64_t(NumThreads) * Blocks);
+  EXPECT_EQ(Stats.BlockBytesInUse, uint64_t(NumThreads) * Blocks * Size);
+}
+
+TEST(SpanTest, ResetShardCarvesOneBlockBelowTheOldHighWater) {
+  // With magazines on, a slice's second carve of a class takes a span.
+  // After resetShard, memory below the old bump pointer may hold stale
+  // headers, so carving there moves the bump pointer one block at a
+  // time; a stale block past it stays legacy. Spans resume at the old
+  // high-water mark.
+  LowFatHeap Heap;
+  ASSERT_GT(Heap.magazineSize(), 0u);
+  constexpr size_t Size = 64;
+  unsigned C = sizeToClass(Size);
+  ASSERT_EQ(classSize(C), Size);
+  std::vector<char *> Old;
+  for (int I = 0; I < 10; ++I)
+    Old.push_back(static_cast<char *>(Heap.allocate(Size)));
+  uint64_t HighWater = Heap.classCarvedBytes(C);
+  EXPECT_GT(HighWater, 10 * Size) << "the second carve takes a span";
+  std::memcpy(Old[5], "stale header", 13);
+
+  Heap.resetShard(0);
+  EXPECT_EQ(Heap.classCarvedBytes(C), 0u);
+  for (uint64_t I = 1; I <= 3; ++I) {
+    char *P = static_cast<char *>(Heap.allocate(Size));
+    EXPECT_EQ(P, Old[I - 1]);
+    EXPECT_EQ(Heap.classCarvedBytes(C), I * Size);
+    EXPECT_FALSE(Heap.isLowFat(P + Size)) << "block " << I;
+  }
+  EXPECT_FALSE(Heap.isLowFat(Old[5]));
+  EXPECT_EQ(Heap.allocationBase(Old[5] + 1), nullptr);
+
+  // Up to the old high-water mark every carve is one block; the first
+  // carve at it takes a span again.
+  while (Heap.classCarvedBytes(C) < HighWater) {
+    uint64_t Before = Heap.classCarvedBytes(C);
+    Heap.allocate(Size);
+    ASSERT_EQ(Heap.classCarvedBytes(C), Before + Size);
+  }
+  EXPECT_EQ(Heap.classCarvedBytes(C), HighWater);
+  Heap.allocate(Size);
+  EXPECT_GT(Heap.classCarvedBytes(C), HighWater + Size);
+}
+
+TEST(SpanTest, ResetShardDiscardsAWorkersStaleSpan) {
+  // A worker carved a span, then the shard was reset and a new tenant
+  // was handed the span's addresses. The worker's next allocation must
+  // not serve the rest of its (now foreign) span.
+  LowFatHeap Heap;
+  constexpr size_t Size = 64;
+  char *A = nullptr, *B = nullptr;
+  std::atomic<int> Phase{0};
+
+  std::thread Worker([&] {
+    A = static_cast<char *>(Heap.allocate(Size)); // One block.
+    B = static_cast<char *>(Heap.allocate(Size)); // A span's first.
+    Phase.store(1, std::memory_order_release);
+    while (Phase.load(std::memory_order_acquire) != 2)
+      std::this_thread::yield();
+    // A stale span would hand out B + Size, now the new tenant's C3.
+    char *D = static_cast<char *>(Heap.allocate(Size));
+    EXPECT_TRUE(Heap.isLowFat(D));
+    EXPECT_EQ(D, B + 2 * Size) << "stale span block served after reset";
+  });
+
+  while (Phase.load(std::memory_order_acquire) != 1)
+    std::this_thread::yield();
+  ASSERT_EQ(B, A + Size);
+  Heap.resetShard(0);
+  void *C1 = Heap.allocate(Size);
+  void *C2 = Heap.allocate(Size);
+  void *C3 = Heap.allocate(Size);
+  EXPECT_EQ(C1, A);
+  EXPECT_EQ(C2, B);
+  EXPECT_EQ(C3, B + Size);
+  Phase.store(2, std::memory_order_release);
+  Worker.join();
+}
+
+TEST(SpanTest, RetiredSpanHandsItsTailBack) {
+  // A cache that retires its shard while no carve followed its span
+  // returns the span's unissued tail to the bump pointer.
+  LowFatHeap Heap;
+  constexpr size_t Size = 64;
+  unsigned C = sizeToClass(Size);
+  Heap.allocate(Size);
+  Heap.allocate(Size);
+  EXPECT_GT(Heap.classCarvedBytes(C), 2 * Size);
+  Heap.flushThreadCache();
+  EXPECT_EQ(Heap.classCarvedBytes(C), 2 * Size);
+}
+
 TEST(ThreadCacheLifetime, HeapDiesWhileAThreadHoldsItsCache) {
   // The holder's cache keeps magazine blocks and a pending quarantine
   // batch of a heap that is destroyed before the holder exits. The

@@ -199,6 +199,63 @@ TEST_F(RuntimeTest, UntypedAllocationGetsWideBounds) {
   RT.deallocate(P);
 }
 
+TEST_F(RuntimeTest, UnissuedSpanBlockReadsAsUntyped) {
+  // The second object of a class starts a span: the heap has carved
+  // the blocks after it, but not handed them out. Their headers are
+  // fresh zero memory, so a pointer into one (here one past the second
+  // object's block) is a low-fat pointer to an untyped block: wide
+  // bounds and no report, the answer legacy gets.
+  void *First = RT.allocate(4 * sizeof(int), Ctx.getInt());
+  void *Second = RT.allocate(4 * sizeof(int), Ctx.getInt());
+  lowfat::LowFatHeap &Heap = RT.heap();
+  char *Base = static_cast<char *>(Heap.allocationBase(Second));
+  char *Next = Base + Heap.allocationSize(Base);
+  ASSERT_TRUE(Heap.isLowFat(Next)) << "the span's next block is carved";
+  for (char *P : {Next, Next + sizeof(MetaHeader), Next + 20}) {
+    EXPECT_TRUE(RT.typeCheck(P, Ctx.getInt()).isWide());
+    EXPECT_TRUE(RT.typeCheck(P, T).isWide());
+    EXPECT_TRUE(RT.boundsGet(P).isWide());
+  }
+  EXPECT_EQ(RT.reporter().numIssues(), 0u);
+  CheckCounters::Snapshot C = RT.counters().snapshot();
+  EXPECT_EQ(C.TypeChecks, 6u);
+  EXPECT_EQ(C.TypeCheckCacheHits + C.TypeCheckCacheMisses +
+                C.LegacyTypeChecks,
+            C.TypeChecks);
+  RT.deallocate(Second);
+  RT.deallocate(First);
+}
+
+TEST_F(RuntimeTest, OverflowingSizesReturnNullWithOneReport) {
+  // Sizes whose META-padded block or Count * Size product wraps past
+  // SIZE_MAX are refused like an exhausted heap: null, one
+  // resource-exhausted event each, never a small block with huge
+  // bounds.
+  const TypeInfo *Int = Ctx.getInt();
+  EXPECT_EQ(RT.allocate(SIZE_MAX - 8, Int), nullptr);
+  EXPECT_EQ(RT.reporter().numEvents(), 1u);
+  EXPECT_EQ(RT.reporter().numIssues(ErrorKind::ResourceExhausted), 1u);
+  EXPECT_EQ(RT.allocate(SIZE_MAX, Int), nullptr);
+  EXPECT_EQ(RT.reporter().numEvents(), 2u);
+  EXPECT_EQ(RT.allocateZeroed(SIZE_MAX / 2, 4, Int), nullptr);
+  EXPECT_EQ(RT.reporter().numEvents(), 3u);
+  EXPECT_EQ(RT.allocateZeroed(size_t(1) << 33, size_t(1) << 33, Int),
+            nullptr);
+  EXPECT_EQ(RT.reporter().numEvents(), 4u);
+
+  // A refused realloc leaves the old block live and intact.
+  int *P = static_cast<int *>(RT.allocate(4 * sizeof(int), Int));
+  ASSERT_NE(P, nullptr);
+  P[3] = 42;
+  EXPECT_EQ(RT.reallocate(P, SIZE_MAX - 8, Int), nullptr);
+  EXPECT_EQ(RT.reporter().numEvents(), 5u);
+  EXPECT_EQ(RT.dynamicTypeOf(P), Int);
+  EXPECT_EQ(P[3], 42);
+  EXPECT_EQ(RT.reporter().numIssues(),
+            RT.reporter().numIssues(ErrorKind::ResourceExhausted));
+  RT.deallocate(P);
+}
+
 //===----------------------------------------------------------------------===//
 // Coercions
 //===----------------------------------------------------------------------===//
