@@ -17,6 +17,8 @@
 #include "support/StringUtils.h"
 #include "workloads/Harness.h"
 
+#include <vector>
+
 using namespace effective;
 using namespace effective::workloads;
 
@@ -31,9 +33,21 @@ int main(int argc, char **argv) {
   std::printf("%-12s %14s %14s %10s\n", "Benchmark", "Uninstrumented",
               "EffectiveSan", "overhead");
 
+  // Every uninstrumented pass runs before any instrumented one. The
+  // baseline is what malloc hands back (malloc_usable_size), which
+  // depends on the free chunks earlier code left in malloc; instrumented
+  // sessions leave runtime structures (pooled per-thread heap caches)
+  // behind for the life of the process, so after them the baseline
+  // would move with the runtime's own allocations.
+  const std::vector<Workload> &Spec = specWorkloads();
+  std::vector<RunStats> Baselines;
+  for (const Workload &W : Spec)
+    Baselines.push_back(runWorkload(W, Variant::None, Scale));
+
   uint64_t TotalNone = 0, TotalFull = 0;
-  for (const Workload &W : specWorkloads()) {
-    RunStats None = runWorkload(W, Variant::None, Scale);
+  for (size_t I = 0; I < Spec.size(); ++I) {
+    const Workload &W = Spec[I];
+    const RunStats &None = Baselines[I];
     RunStats Full = runWorkload(W, Variant::Full, Scale);
     double Overhead =
         None.PeakHeapBytes

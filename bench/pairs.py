@@ -4,15 +4,13 @@
 Usage:
 
     python3 bench/pairs.py --parent DIR --change DIR --workload W \\
-        [--pairs N] [--seed S] [--seconds T] [--trace 0|1] [--no-aslr]
+        [--pairs N] [--seed S] [--seconds T] [--trace 0|1]
     python3 bench/pairs.py --selftest
 
 Runs `python3 perfbench/run.py` (see perfbench/README.md) in two
 checkouts for N pairs of processes. Each pair runs one process per side,
 and the side that goes first alternates from pair to pair, so drift over
-time lands on both sides alike. --no-aslr runs each benchmark process
-under `setarch -R` (address-space randomisation off for that process
-only).
+time lands on both sides alike.
 
 For every metric of BENCHMARK.json that the workload reports, it prints
 one line in the form CHANGES.md records measurements in:
@@ -99,8 +97,6 @@ def run_once(checkout, args):
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds),
            "--trace", str(args.trace)]
-    if args.no_aslr:
-        cmd = ["setarch", "-R"] + cmd
     proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE,
                           stderr=subprocess.DEVNULL, text=True)
     lines = proc.stdout.strip().splitlines()
@@ -170,7 +166,6 @@ def main():
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--seconds", type=float, default=10)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--no-aslr", action="store_true")
     args = parser.parse_args()
     if args.selftest:
         return selftest()

@@ -36,7 +36,8 @@ enum class ErrorKind : uint8_t {
   BoundsError,
   /// Access through a pointer whose object has the FREE dynamic type.
   UseAfterFree,
-  /// type_free of an already-freed object.
+  /// type_free of an already-freed object, or of a block the heap
+  /// never handed out.
   DoubleFree,
   /// Access through a dangling pointer into a stack frame that has
   /// returned (the object's dynamic type is the STACK-FREE flavor of

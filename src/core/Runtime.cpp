@@ -110,14 +110,19 @@ void *Runtime::allocate(size_t Size, const TypeInfo *Type) {
   return allocateOn(Shard, Size, Type);
 }
 
+/// Stores in \p Total the bytes a typed object of \p Size needs with its
+/// META header. False when that wraps past SIZE_MAX: a size no arena can
+/// serve, which the typed allocators refuse like an exhausted heap.
+static bool blockSizeFor(size_t Size, size_t &Total) {
+  return !__builtin_add_overflow(Size, sizeof(MetaHeader), &Total);
+}
+
 void *Runtime::allocateOn(unsigned OnShard, size_t Size,
                           const TypeInfo *Type) {
-  // A size the META header would wrap past SIZE_MAX can no more be
-  // served than one an exhausted heap refuses.
-  void *Block =
-      Size > SIZE_MAX - sizeof(MetaHeader) || EFFSAN_FAULT(HeapExhausted)
-          ? nullptr
-          : Heap.allocateOnShard(Size + sizeof(MetaHeader), OnShard);
+  size_t Total;
+  void *Block = !blockSizeFor(Size, Total) || EFFSAN_FAULT(HeapExhausted)
+                    ? nullptr
+                    : Heap.allocateOnShard(Total, OnShard);
   if (EFFSAN_UNLIKELY(!Block)) {
     // Exhaustion (real OOM, an unservable size or an induced fault)
     // degrades to a diagnosable null: one resource-exhausted report per
@@ -136,7 +141,9 @@ void *Runtime::allocateOn(unsigned OnShard, size_t Size,
   }
   auto *Meta = static_cast<MetaHeader *>(Block);
   Meta->Type = Type;
-  Meta->Size = Size;
+  // META {null, 0} is left to blocks never handed out, which
+  // deallocate() refuses; an untyped zero-byte object records one byte.
+  Meta->Size = EFFSAN_UNLIKELY(!Type && !Size) ? 1 : Size;
   return Meta + 1;
 }
 
@@ -193,6 +200,14 @@ void Runtime::deallocate(void *Ptr) {
                               0, Ptr, "double free"});
     return;
   }
+  if (EFFSAN_UNLIKELY(!Meta->Type && Meta->Size == 0)) {
+    // A zero META header: the heap carved the block (into a thread's
+    // span, or a span tail on a free list) but never handed it out.
+    // Freeing it would let the heap issue the address twice.
+    Reporter.report(ErrorInfo{ErrorKind::DoubleFree, nullptr, nullptr, 0,
+                              Ptr, "free of a block never allocated"});
+    return;
+  }
   assert(Ptr == Meta + 1 && "free of an interior pointer");
   // Rebind to the FREE type (Section 3); the allocator preserves the
   // header until the block is reallocated.
@@ -224,7 +239,10 @@ void Runtime::reset() {
 
 void *Runtime::stackAllocate(CheckContext &CC, size_t Size,
                              const TypeInfo *Type, bool Escapes) {
-  void *Block = threadStack(CC).allocate(Size + sizeof(MetaHeader), Escapes);
+  size_t Total;
+  void *Block = blockSizeFor(Size, Total)
+                    ? threadStack(CC).allocate(Total, Escapes)
+                    : nullptr;
   if (EFFSAN_UNLIKELY(!Block)) {
     Reporter.report(ErrorInfo{ErrorKind::ResourceExhausted, Type, nullptr,
                               0, nullptr,
@@ -257,7 +275,9 @@ void Runtime::stackRelease(CheckContext &CC, size_t Mark) {
 
 void *Runtime::globalAllocate(size_t Size, const TypeInfo *Type,
                               std::string_view Name) {
-  void *Block = Globals.allocate(Size + sizeof(MetaHeader), Name);
+  size_t Total;
+  void *Block = blockSizeFor(Size, Total) ? Globals.allocate(Total, Name)
+                                          : nullptr;
   if (EFFSAN_UNLIKELY(!Block)) {
     Reporter.report(ErrorInfo{ErrorKind::ResourceExhausted, Type, nullptr,
                               0, nullptr,

@@ -171,6 +171,7 @@ LowFatHeap::LowFatHeap(const HeapOptions &Options) {
   if (Shards > 1 && TryRegion > (1ull << 31))
     TryRegion = 1ull << 31;
   void *Arena = MAP_FAILED;
+  size_t ArenaBytes = 0;
   while (TryRegion >= (1ull << 26)) {
     ArenaBytes = TryRegion * NumSizeClasses;
     Arena = ::mmap(nullptr, ArenaBytes, PROT_READ | PROT_WRITE,
@@ -197,8 +198,6 @@ LowFatHeap::LowFatHeap(const HeapOptions &Options) {
   ShardEpochs = std::make_unique<std::atomic<uint64_t>[]>(Shards);
   for (unsigned S = 0; S < Shards; ++S)
     ShardEpochs[S].store(1, std::memory_order_relaxed);
-  HighWater = std::make_unique<std::atomic<uintptr_t>[]>(
-      static_cast<size_t>(NumSizeClasses) * Shards);
 
   for (unsigned I = 0; I < NumSizeClasses; ++I) {
     Region &R = Regions[I];
@@ -224,9 +223,10 @@ LowFatHeap::~LowFatHeap() {
   // thread-exit flush touches the heap (exits flush under the same lock,
   // and only caches that still carry their thread's token).
   Caches.retireAll();
-  ::munmap(reinterpret_cast<void *>(ArenaBase), ArenaBytes);
+  ::munmap(reinterpret_cast<void *>(ArenaBase), ArenaEnd - ArenaBase);
   for (auto &Entry : LegacyAllocs)
     std::free(Entry.first);
+  delete[] HighWater.load(std::memory_order_relaxed);
 }
 
 LowFatHeap &LowFatHeap::global() {
@@ -320,11 +320,15 @@ void *LowFatHeap::spanAlloc(ThreadCache &TC, unsigned ClassIndex,
   if (Next == End) {
     // A class's first carve since the spans were dropped is one block,
     // so a class used once stays compact.
+    const std::atomic<uintptr_t> *Marks =
+        HighWater.load(std::memory_order_acquire);
+    uintptr_t Clean =
+        Marks ? Marks[ClassIndex * Shards + Shard].load(
+                    std::memory_order_relaxed)
+              : 0;
     auto [Begin, RunEnd] =
         carve(subRegion(ClassIndex, Shard), Block,
-              End == 0 ? Block : spanBytesFor(Block),
-              HighWater[ClassIndex * Shards + Shard].load(
-                  std::memory_order_relaxed));
+              End == 0 ? Block : spanBytesFor(Block), Clean);
     if (!Begin)
       return nullptr;
     Next = Begin;
@@ -335,17 +339,51 @@ void *LowFatHeap::spanAlloc(ThreadCache &TC, unsigned ClassIndex,
   return Result;
 }
 
+std::atomic<uintptr_t> *LowFatHeap::highWaterMarks() {
+  std::atomic<uintptr_t> *Marks = HighWater.load(std::memory_order_acquire);
+  if (Marks)
+    return Marks;
+  // Shards reset concurrently under their own locks: one allocation
+  // wins, the others free theirs.
+  auto *Fresh =
+      new std::atomic<uintptr_t>[static_cast<size_t>(NumSizeClasses) *
+                                 Shards]();
+  if (HighWater.compare_exchange_strong(Marks, Fresh,
+                                        std::memory_order_acq_rel,
+                                        std::memory_order_acquire))
+    return Fresh;
+  delete[] Fresh;
+  return Marks;
+}
+
 void LowFatHeap::returnSpans(ThreadCache &TC) {
   unsigned Bound = TC.BoundShard.load(std::memory_order_relaxed);
   for (unsigned C = 0; C < NumSizeClasses; ++C) {
-    uintptr_t End = TC.SpanEnd[C];
-    // Bump == End means every later carve was handed back, so the tail
-    // is still the newest carved memory; otherwise it stays carved,
-    // unissued and zero until the shard is recycled.
-    if (TC.SpanNext[C] != End)
-      subRegion(C, Bound).Bump.compare_exchange_strong(
-          End, TC.SpanNext[C], std::memory_order_release,
-          std::memory_order_relaxed);
+    uintptr_t Next = TC.SpanNext[C], End = TC.SpanEnd[C];
+    if (Next == End)
+      continue;
+    SubRegion &Sub = subRegion(C, Bound);
+    // Bump == End means no carve followed the span, so the tail is
+    // still the newest carved memory and goes back to the bump pointer
+    // untouched.
+    uintptr_t Expected = End;
+    if (Sub.Bump.compare_exchange_strong(Expected, Next,
+                                         std::memory_order_release,
+                                         std::memory_order_relaxed))
+      continue;
+    // Otherwise the tail joins the free list as one chain, so the
+    // class's next refill on this shard takes it before carving more.
+    // The links sit past the META header, which stays zero.
+    uint64_t Block = classSize(C);
+    auto NodeAt = [](uintptr_t B) {
+      return reinterpret_cast<FreeNode *>(B + FreeLinkOffset);
+    };
+    FreeNode *First = NodeAt(Next), *Last = First;
+    for (uintptr_t B = Next + Block; B < End; B += Block) {
+      Last->Next = NodeAt(B);
+      Last = Last->Next;
+    }
+    pushFreeChain(Sub, First, Last);
   }
 }
 
@@ -789,12 +827,13 @@ void LowFatHeap::resetShard(unsigned Shard) {
     // Drop the shard's quarantine; its entries point into the
     // sub-arenas that are about to be rewound.
     Q.Blocks.clear();
+    std::atomic<uintptr_t> *Marks = highWaterMarks();
     for (unsigned I = 0; I < NumSizeClasses; ++I) {
       SubRegion &Sub = subRegion(I, Shard);
       Sub.FreeList.store(nullptr, std::memory_order_relaxed);
       // Everything below the old bump pointer may keep a stale header,
       // so no span is carved there again.
-      std::atomic<uintptr_t> &Mark = HighWater[I * Shards + Shard];
+      std::atomic<uintptr_t> &Mark = Marks[I * Shards + Shard];
       uintptr_t Old = Sub.Bump.load(std::memory_order_relaxed);
       if (Old > Mark.load(std::memory_order_relaxed))
         Mark.store(Old, std::memory_order_relaxed);

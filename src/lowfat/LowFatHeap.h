@@ -58,6 +58,8 @@
 ///     a class is a single block, so a class used once stays compact.
 ///     Span blocks are not touched until they are handed out (no zeroing,
 ///     no free-list links), so spans cost no resident memory.
+///     Runtime::deallocate refuses a block whose META header is still
+///     zero, so a wild free of an unissued block cannot issue it twice.
 ///   * Hardening invariant: no carved-but-unissued block carries a stale
 ///     header. Fresh arena memory is zero, so such a block reads as an
 ///     untyped low-fat block (wide bounds, no report, the answer a legacy
@@ -88,7 +90,10 @@
 /// replayed) on its next use, so a recycled arena can never serve a
 /// stale magazine or span block. A span retired while its shard is
 /// current (rebind, thread exit, flushThreadCache) hands its unissued
-/// tail back to the bump pointer when no carve followed it. Thread
+/// tail back to the bump pointer when no carve followed it, and pushes
+/// it onto the shard's free list as one chain otherwise (links past
+/// the META header, which stays zero), so carving stays bounded by
+/// the blocks handed out however often threads rebind. Thread
 /// exit flushes a cache back to its heap if, and only if, the heap is
 /// still alive; the registry's lock arbitrates, so heaps and threads
 /// may die in any order. The flushed cache is adopted by the heap's
@@ -397,9 +402,10 @@ private:
   /// carving a new span from the bound shard \p Shard when it is used
   /// up; null when the slice is exhausted.
   void *spanAlloc(ThreadCache &TC, unsigned ClassIndex, unsigned Shard);
-  /// Hands each span's unissued tail back to the bound shard's bump
-  /// pointer where no carve followed it (\pre the bound shard's epoch
-  /// is current and its quarantine lock is held).
+  /// Hands each span's unissued tail back to the bound shard: to the
+  /// bump pointer where no carve followed it, else onto the free list
+  /// as one chain (\pre the bound shard's epoch is current and its
+  /// quarantine lock is held).
   void returnSpans(ThreadCache &TC);
 
   /// Pushes the chain [First, Last] onto \p Sub's free list (one CAS).
@@ -472,7 +478,6 @@ private:
   ThreadBlocks<ThreadCache> Caches;
   uintptr_t ArenaBase = 0;
   uintptr_t ArenaEnd = 0;
-  size_t ArenaBytes = 0;
   Region Regions[NumSizeClasses];
   /// Flat [class][shard] sub-arena table.
   std::unique_ptr<SubRegion[]> Subs;
@@ -484,8 +489,12 @@ private:
   /// their last resetShard() (0 before any): memory below may hold
   /// stale headers, so spans are carved only above it.
   /// Cold (read once per carve), so it stays out of SubRegion, which
-  /// base(p) indexes.
-  std::unique_ptr<std::atomic<uintptr_t>[]> HighWater;
+  /// base(p) indexes. Allocated by the first resetShard() (null until
+  /// then: no slice has stale headers), so a heap that is never
+  /// recycled allocates nothing for it.
+  std::atomic<std::atomic<uintptr_t> *> HighWater{nullptr};
+  /// HighWater, allocating it on first use.
+  std::atomic<uintptr_t> *highWaterMarks();
 
   size_t QuarantineLimit = 0;
   std::unique_ptr<ShardQuarantine[]> Quarantines;

@@ -455,10 +455,18 @@ TEST(EffsanAbiTest, OverflowingAllocationSizesReturnNull) {
   ASSERT_NE(P, nullptr);
   EXPECT_EQ(effsan_realloc(S, P, SIZE_MAX - 8, IntTy), nullptr);
   EXPECT_EQ(effsan_type_of(S, P), IntTy);
+  // The typed stack and globals refuse such sizes the same way.
+  effsan_stack_mark Mark = effsan_stack_enter(S);
+  EXPECT_EQ(effsan_stack_alloc_typed(S, SIZE_MAX - 8, IntTy, 0), nullptr);
+  effsan_stack_leave(S, Mark);
+  effsan_global_def Huge = {"huge", UINT64_MAX - 8, IntTy};
+  void *Address = &Huge;
+  EXPECT_EQ(effsan_globals_register(S, &Huge, 1, &Address), 1u);
+  EXPECT_EQ(Address, nullptr);
 
   effsan_counters Counters;
   effsan_get_counters(S, &Counters);
-  EXPECT_EQ(Counters.error_events, 3u);
+  EXPECT_EQ(Counters.error_events, 5u);
   for (uint32_t Kind : Kinds)
     EXPECT_EQ(Kind, (uint32_t)EFFSAN_ERROR_RESOURCE_EXHAUSTED);
   EXPECT_FALSE(Kinds.empty());

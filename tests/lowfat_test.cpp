@@ -824,13 +824,15 @@ TEST(SpanTest, ConcurrentThreadsCarveDisjointRuns) {
   // Three threads allocate together on one heap and one shard. After
   // its first block (a single-block carve), each thread's blocks come
   // from its own span: consecutive addresses, in a run no other
-  // thread's block falls into.
+  // thread's block falls into. No thread exits before all are done: an
+  // exit retires the thread's span, and its tail would feed the others'
+  // refills.
   LowFatHeap Heap;
   constexpr unsigned NumThreads = 3;
   constexpr unsigned Blocks = 300;
   constexpr size_t Size = 48;
   std::vector<std::vector<char *>> Ptrs(NumThreads);
-  std::atomic<unsigned> Ready{0};
+  std::atomic<unsigned> Ready{0}, Done{0};
   std::vector<std::thread> Threads;
   for (unsigned T = 0; T < NumThreads; ++T) {
     Threads.emplace_back([&, T] {
@@ -839,6 +841,9 @@ TEST(SpanTest, ConcurrentThreadsCarveDisjointRuns) {
       }
       for (unsigned I = 0; I < Blocks; ++I)
         Ptrs[T].push_back(static_cast<char *>(Heap.allocate(Size)));
+      Done.fetch_add(1);
+      while (Done.load() != NumThreads)
+        std::this_thread::yield();
     });
   }
   for (std::thread &T : Threads)
@@ -952,6 +957,41 @@ TEST(SpanTest, RetiredSpanHandsItsTailBack) {
   EXPECT_GT(Heap.classCarvedBytes(C), 2 * Size);
   Heap.flushThreadCache();
   EXPECT_EQ(Heap.classCarvedBytes(C), 2 * Size);
+}
+
+TEST(SpanTest, RetiredTailsBehindOtherCarvesAreReused) {
+  // Two threads allocate one class in turns and switch shards every
+  // round, as leased workers do. A thread's span is retired after the
+  // other thread carved behind it, so its tail cannot go back to the
+  // bump pointer; it joins the free list, and later refills on that
+  // shard take it. Carving stays near the live bytes instead of
+  // growing by a span per switch.
+  HeapOptions Options;
+  Options.NumShards = 2;
+  LowFatHeap Heap(Options);
+  ASSERT_GT(Heap.magazineSize(), 0u);
+  constexpr size_t Size = 64;
+  constexpr unsigned Rounds = 200, PerRound = 3;
+  unsigned C = sizeToClass(Size);
+  std::atomic<unsigned> Turn{0};
+  auto Worker = [&](unsigned Me) {
+    for (unsigned R = 0; R < Rounds; ++R) {
+      while (Turn.load(std::memory_order_acquire) != 2 * R + Me)
+        std::this_thread::yield();
+      for (unsigned I = 0; I < PerRound; ++I)
+        EXPECT_TRUE(Heap.isLowFat(Heap.allocateOnShard(Size, R % 2)));
+      Turn.store(2 * R + Me + 1, std::memory_order_release);
+    }
+  };
+  std::thread A(Worker, 0), B(Worker, 1);
+  A.join();
+  B.join();
+
+  uint64_t Live = uint64_t(2) * Rounds * PerRound * Size;
+  ASSERT_EQ(Heap.stats().BlockBytesInUse, Live);
+  // At most one unissued span per (thread, shard) on top of the live
+  // blocks; a leaked tail per switch would add 16 KiB a round.
+  EXPECT_LE(Heap.classCarvedBytes(C), Live + 4 * (16 << 10));
 }
 
 TEST(ThreadCacheLifetime, HeapDiesWhileAThreadHoldsItsCache) {

@@ -21,6 +21,7 @@
 #include <cstring>
 #include <memory>
 #include <random>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -226,11 +227,46 @@ TEST_F(RuntimeTest, UnissuedSpanBlockReadsAsUntyped) {
   RT.deallocate(First);
 }
 
+TEST_F(RuntimeTest, FreeOfAnUnissuedSpanBlockIsRefused) {
+  // A wild free of the block one past a span's newest block (carved,
+  // never handed out, META still zero) reports and leaves the block
+  // alone: pushed into a magazine it would be issued twice, once from
+  // there and once from the span.
+  void *First = RT.allocate(4 * sizeof(int), Ctx.getInt());
+  void *Second = RT.allocate(4 * sizeof(int), Ctx.getInt());
+  lowfat::LowFatHeap &Heap = RT.heap();
+  char *Base = static_cast<char *>(Heap.allocationBase(Second));
+  char *Next = Base + Heap.allocationSize(Base);
+  ASSERT_TRUE(Heap.isLowFat(Next));
+  uint64_t Frees = Heap.stats().NumFrees;
+  RT.deallocate(Next + sizeof(MetaHeader));
+  EXPECT_EQ(RT.reporter().numIssues(ErrorKind::DoubleFree), 1u);
+  EXPECT_EQ(Heap.stats().NumFrees, Frees);
+
+  std::set<void *> Issued{First, Second};
+  std::vector<void *> More;
+  for (int I = 0; I < 8; ++I) {
+    More.push_back(RT.allocate(4 * sizeof(int), Ctx.getInt()));
+    EXPECT_TRUE(Issued.insert(More.back()).second) << "block " << I;
+  }
+  EXPECT_EQ(More[0], Next + sizeof(MetaHeader));
+
+  // An untyped zero-byte object is not mistaken for one: it frees.
+  void *Empty = RT.allocate(0, nullptr);
+  ASSERT_NE(Empty, nullptr);
+  RT.deallocate(Empty);
+  EXPECT_EQ(RT.reporter().numIssues(), 1u);
+  for (void *P : More)
+    RT.deallocate(P);
+  RT.deallocate(Second);
+  RT.deallocate(First);
+}
+
 TEST_F(RuntimeTest, OverflowingSizesReturnNullWithOneReport) {
   // Sizes whose META-padded block or Count * Size product wraps past
-  // SIZE_MAX are refused like an exhausted heap: null, one
-  // resource-exhausted event each, never a small block with huge
-  // bounds.
+  // SIZE_MAX are refused like an exhausted heap, by the heap, the typed
+  // stack and the globals alike: null, one resource-exhausted event
+  // each, never a small block with huge bounds.
   const TypeInfo *Int = Ctx.getInt();
   EXPECT_EQ(RT.allocate(SIZE_MAX - 8, Int), nullptr);
   EXPECT_EQ(RT.reporter().numEvents(), 1u);
@@ -242,13 +278,18 @@ TEST_F(RuntimeTest, OverflowingSizesReturnNullWithOneReport) {
   EXPECT_EQ(RT.allocateZeroed(size_t(1) << 33, size_t(1) << 33, Int),
             nullptr);
   EXPECT_EQ(RT.reporter().numEvents(), 4u);
+  size_t Mark = RT.stackMark();
+  EXPECT_EQ(RT.stackAllocate(SIZE_MAX - 8, Int, /*Escapes=*/false), nullptr);
+  RT.stackRelease(Mark);
+  EXPECT_EQ(RT.globalAllocate(SIZE_MAX - 8, Int, "huge"), nullptr);
+  EXPECT_EQ(RT.reporter().numEvents(), 6u);
 
   // A refused realloc leaves the old block live and intact.
   int *P = static_cast<int *>(RT.allocate(4 * sizeof(int), Int));
   ASSERT_NE(P, nullptr);
   P[3] = 42;
   EXPECT_EQ(RT.reallocate(P, SIZE_MAX - 8, Int), nullptr);
-  EXPECT_EQ(RT.reporter().numEvents(), 5u);
+  EXPECT_EQ(RT.reporter().numEvents(), 7u);
   EXPECT_EQ(RT.dynamicTypeOf(P), Int);
   EXPECT_EQ(P[3], 42);
   EXPECT_EQ(RT.reporter().numIssues(),
