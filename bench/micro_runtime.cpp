@@ -481,6 +481,36 @@ static void BM_PlainMallocFree(benchmark::State &State) {
 }
 BENCHMARK(BM_PlainMallocFree);
 
+/// The allocator gate: each iteration times a batch of typed alloc+free
+/// pairs and then a batch of plain malloc+free pairs back to back, so
+/// runner drift cancels out of the ratio (the pairing of
+/// BM_MiniCSpecMix_EngineSpeedup). typed_over_malloc_x = typed time /
+/// plain time; CI gates it.
+static void BM_TypedAllocOverMalloc(benchmark::State &State) {
+  constexpr int Batch = 1024;
+  MicroState &M = MicroState::get();
+  double TypedSec = 0, PlainSec = 0;
+  for (auto _ : State) {
+    TypedSec += bench::timeSeconds([&] {
+      for (int I = 0; I < Batch; ++I) {
+        void *P = M.RT.allocate(64, M.Ctx.getInt());
+        benchmark::DoNotOptimize(P);
+        M.RT.deallocate(P);
+      }
+    });
+    PlainSec += bench::timeSeconds([&] {
+      for (int I = 0; I < Batch; ++I) {
+        void *P = std::malloc(64);
+        benchmark::DoNotOptimize(P);
+        std::free(P);
+      }
+    });
+  }
+  State.counters["typed_over_malloc_x"] =
+      PlainSec ? TypedSec / PlainSec : 0.0;
+}
+BENCHMARK(BM_TypedAllocOverMalloc);
+
 //===----------------------------------------------------------------------===//
 // Execution engines: bytecode VM vs. tree-walking reference
 //===----------------------------------------------------------------------===//

@@ -432,10 +432,3 @@ effective::baselines::evaluateModel(ModelKind Kind,
   }
   return Row;
 }
-
-std::vector<MatrixRow> effective::baselines::evaluateAllModels() {
-  std::vector<MatrixRow> Rows;
-  for (ModelKind Kind : AllModelKinds)
-    Rows.push_back(evaluateModel(Kind));
-  return Rows;
-}

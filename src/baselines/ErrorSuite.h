@@ -114,9 +114,6 @@ struct ScenarioOutcome {
 MatrixRow evaluateModel(ModelKind Kind,
                         std::vector<ScenarioOutcome> *Details = nullptr);
 
-/// Runs the whole suite for all models (the Figure 1 reproduction).
-std::vector<MatrixRow> evaluateAllModels();
-
 } // namespace baselines
 } // namespace effective
 

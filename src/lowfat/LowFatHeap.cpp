@@ -65,12 +65,21 @@ struct LowFatHeap::ThreadCache {
   /// epoch means resetShard() recycled the arena slice and every cached
   /// block must be discarded, never replayed.
   std::atomic<uint64_t> ShardEpoch{0};
-  /// Magazine hits and refills on the bound shard since binding
-  /// (ownerBump). Folded into the shard's counters when the cache
-  /// retires the shard; dropped with the cached blocks when the epoch
-  /// went stale, since they belonged to the pre-reset tenant.
+  /// The bound shard's statistics the cache counted since binding, all
+  /// owner-written: magazine hits and refills, allocations and frees
+  /// (ownerBump), the net block bytes they moved that are not yet
+  /// folded into the shard's byte counter (modular: freeing another
+  /// thread's block can take it below zero), and the peak of the
+  /// shard's counter plus those bytes as the owner saw it. Folded into
+  /// the shard's counters when the cache retires the shard; dropped
+  /// with the cached blocks when the epoch went stale, since they
+  /// belonged to the pre-reset tenant.
   std::atomic<uint64_t> Hits{0};
   std::atomic<uint64_t> Refills{0};
+  std::atomic<uint64_t> Allocs{0};
+  std::atomic<uint64_t> Frees{0};
+  std::atomic<uint64_t> Bytes{0};
+  std::atomic<uint64_t> Peak{0};
   /// The owning thread's token (ThreadBlocks), 0 while free.
   std::atomic<uint64_t> Owner{0};
   ThreadCache *Next = nullptr;
@@ -122,8 +131,7 @@ struct LowFatHeap::ThreadCache {
   void recycle() {
     BoundShard.store(~0u, std::memory_order_relaxed);
     ShardEpoch.store(0, std::memory_order_relaxed);
-    Hits.store(0, std::memory_order_relaxed);
-    Refills.store(0, std::memory_order_relaxed);
+    clearCounts();
     Heap = nullptr;
     std::memset(Counts, 0, sizeof(Counts));
     std::memset(Spare, 0, sizeof(Spare));
@@ -135,6 +143,12 @@ struct LowFatHeap::ThreadCache {
   void dropSpans() {
     std::memset(SpanNext, 0, sizeof(SpanNext));
     std::memset(SpanEnd, 0, sizeof(SpanEnd));
+  }
+
+  void clearCounts() {
+    for (std::atomic<uint64_t> *C : {&Hits, &Refills, &Allocs, &Frees,
+                                     &Bytes, &Peak})
+      C->store(0, std::memory_order_relaxed);
   }
 
   void **slots(unsigned ClassIndex) {
@@ -238,6 +252,45 @@ LowFatHeap &LowFatHeap::global() {
 // Statistics plumbing
 //===----------------------------------------------------------------------===//
 
+/// Raises \p Peak to \p Now; signed, so a sum below zero is no peak.
+/// Load and store, not a CAS loop: exact when one thread writes the
+/// peak, a statistical maximum otherwise.
+static void raisePeak(std::atomic<uint64_t> &Peak, uint64_t Now) {
+  if (static_cast<int64_t>(Now) >
+      static_cast<int64_t>(Peak.load(std::memory_order_relaxed)))
+    Peak.store(Now, std::memory_order_relaxed);
+}
+
+EFFSAN_ALWAYS_INLINE void LowFatHeap::countAlloc(ThreadCache &TC,
+                                                 unsigned Shard,
+                                                 uint64_t Block, bool Fold) {
+  ownerBump(TC.Allocs);
+  uint64_t Bytes = TC.Bytes.load(std::memory_order_relaxed) + Block;
+  std::atomic<uint64_t> &Shared = Counters[Shard].BlockBytesInUse;
+  uint64_t Now;
+  if (Fold) {
+    Now = Shared.fetch_add(Bytes, std::memory_order_relaxed) + Bytes;
+    Bytes = 0;
+  } else {
+    Now = Shared.load(std::memory_order_relaxed) + Bytes;
+  }
+  TC.Bytes.store(Bytes, std::memory_order_relaxed);
+  raisePeak(TC.Peak, Now);
+}
+
+EFFSAN_ALWAYS_INLINE void LowFatHeap::countFree(ThreadCache &TC,
+                                                unsigned Shard,
+                                                uint64_t Block, bool Fold) {
+  ownerBump(TC.Frees);
+  uint64_t Bytes = TC.Bytes.load(std::memory_order_relaxed) - Block;
+  if (Fold) {
+    Counters[Shard].BlockBytesInUse.fetch_add(Bytes,
+                                              std::memory_order_relaxed);
+    Bytes = 0;
+  }
+  TC.Bytes.store(Bytes, std::memory_order_relaxed);
+}
+
 void LowFatHeap::noteAlloc(unsigned Shard, size_t Block, bool Legacy) {
   ShardCounters &C = Counters[Shard];
   uint64_t Now = C.BlockBytesInUse.fetch_add(Block,
@@ -246,22 +299,21 @@ void LowFatHeap::noteAlloc(unsigned Shard, size_t Block, bool Legacy) {
   C.NumAllocs.fetch_add(1, std::memory_order_relaxed);
   if (Legacy)
     C.NumLegacyAllocs.fetch_add(1, std::memory_order_relaxed);
-  // Statistical peak tracking (exact single-threaded): a CAS loop here
-  // would put a second contended RMW on every allocation.
-  if (Now > C.PeakBlockBytesInUse.load(std::memory_order_relaxed))
-    C.PeakBlockBytesInUse.store(Now, std::memory_order_relaxed);
+  // The calling thread's unfolded bytes on the shard belong to the
+  // peak, which keeps it exact single-threaded.
+  if (MagSize != 0) {
+    ThreadCache *TC = threadCache();
+    if (TC->BoundShard.load(std::memory_order_relaxed) == Shard &&
+        TC->ShardEpoch.load(std::memory_order_relaxed) ==
+            ShardEpochs[Shard].load(std::memory_order_relaxed))
+      Now += TC->Bytes.load(std::memory_order_relaxed);
+  }
+  raisePeak(C.PeakBlockBytesInUse, Now);
 }
 
 void LowFatHeap::noteFree(unsigned Shard, size_t Block) {
   ShardCounters &C = Counters[Shard];
-  // Saturating subtraction: resetShard() zeroes the counters while
-  // legacy blocks attributed to the shard may still be live, so a
-  // later legacy free must clamp at zero rather than wrap (and then
-  // poison the peak tracking forever).
-  uint64_t Cur = C.BlockBytesInUse.load(std::memory_order_relaxed);
-  while (!C.BlockBytesInUse.compare_exchange_weak(
-      Cur, Cur >= Block ? Cur - Block : 0, std::memory_order_relaxed)) {
-  }
+  C.BlockBytesInUse.fetch_sub(Block, std::memory_order_relaxed);
   C.NumFrees.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -317,7 +369,8 @@ void *LowFatHeap::spanAlloc(ThreadCache &TC, unsigned ClassIndex,
   uint64_t Block = classSize(ClassIndex);
   uintptr_t &Next = TC.SpanNext[ClassIndex];
   uintptr_t &End = TC.SpanEnd[ClassIndex];
-  if (Next == End) {
+  bool Carve = Next == End;
+  if (Carve) {
     // A class's first carve since the spans were dropped is one block,
     // so a class used once stays compact.
     const std::atomic<uintptr_t> *Marks =
@@ -336,6 +389,7 @@ void *LowFatHeap::spanAlloc(ThreadCache &TC, unsigned ClassIndex,
   }
   void *Result = reinterpret_cast<void *>(Next);
   Next += Block;
+  countAlloc(TC, Shard, Block, /*Fold=*/Carve);
   return Result;
 }
 
@@ -491,10 +545,16 @@ void LowFatHeap::retireMagazines(ThreadCache &TC) {
   if (TC.ShardEpoch.load(std::memory_order_relaxed) ==
       ShardEpochs[Bound].load(std::memory_order_relaxed)) {
     ShardCounters &C = Counters[Bound];
-    C.MagazineHits.fetch_add(TC.Hits.load(std::memory_order_relaxed),
-                             std::memory_order_relaxed);
-    C.MagazineRefills.fetch_add(TC.Refills.load(std::memory_order_relaxed),
-                                std::memory_order_relaxed);
+    auto Fold = [](std::atomic<uint64_t> &To, std::atomic<uint64_t> &From) {
+      To.fetch_add(From.load(std::memory_order_relaxed),
+                   std::memory_order_relaxed);
+    };
+    Fold(C.MagazineHits, TC.Hits);
+    Fold(C.MagazineRefills, TC.Refills);
+    Fold(C.NumAllocs, TC.Allocs);
+    Fold(C.NumFrees, TC.Frees);
+    Fold(C.BlockBytesInUse, TC.Bytes);
+    raisePeak(C.PeakBlockBytesInUse, TC.Peak.load(std::memory_order_relaxed));
     flushMagazines(TC);
     returnSpans(TC);
   } else {
@@ -506,8 +566,7 @@ void LowFatHeap::retireMagazines(ThreadCache &TC) {
     std::memset(TC.Spare, 0, sizeof(TC.Spare));
   }
   TC.dropSpans();
-  TC.Hits.store(0, std::memory_order_relaxed);
-  TC.Refills.store(0, std::memory_order_relaxed);
+  TC.clearCounts();
 }
 
 /// Rebinds the cache to \p Shard after retiring the old shard's blocks.
@@ -553,15 +612,16 @@ void *LowFatHeap::allocateOnShard(size_t Size, unsigned Shard) {
     uint16_t &N = TC->Counts[ClassIndex];
     if (EFFSAN_LIKELY(N > 0)) {
       // The steady state: a TLS array pop. No lock, no RMW atomic —
-      // the hit counts in the cache, written only by this thread.
+      // the hit and the allocation count in the cache, written only by
+      // this thread.
       void *Result = TC->slots(ClassIndex)[--N];
       ownerBump(TC->Hits);
-      noteAlloc(Shard, Block, /*Legacy=*/false);
+      countAlloc(*TC, Shard, Block, /*Fold=*/false);
       return Result;
     }
     if (refillMagazine(*TC, ClassIndex, Shard)) {
       void *Result = TC->slots(ClassIndex)[--TC->Counts[ClassIndex]];
-      noteAlloc(Shard, Block, /*Legacy=*/false);
+      countAlloc(*TC, Shard, Block, /*Fold=*/true);
       return Result;
     }
   } else {
@@ -587,12 +647,15 @@ void *LowFatHeap::allocateOnShard(size_t Size, unsigned Shard) {
   // straight off the bump pointer. An induced slice exhaustion skips
   // both and takes the same steal-then-legacy fallback a genuinely dry
   // slice takes.
-  if (EFFSAN_LIKELY(!EFFSAN_FAULT(HeapSliceExhausted)))
-    if (void *Result = TC ? spanAlloc(*TC, ClassIndex, Shard)
-                          : bumpAlloc(subRegion(ClassIndex, Shard), Block)) {
+  if (EFFSAN_LIKELY(!EFFSAN_FAULT(HeapSliceExhausted))) {
+    if (TC) {
+      if (void *Result = spanAlloc(*TC, ClassIndex, Shard))
+        return Result;
+    } else if (void *Result = bumpAlloc(subRegion(ClassIndex, Shard), Block)) {
       noteAlloc(Shard, Block, /*Legacy=*/false);
       return Result;
     }
+  }
   return allocateExhausted(Size, ClassIndex, Shard);
 }
 
@@ -656,26 +719,30 @@ void *LowFatHeap::allocateLegacy(size_t Size, unsigned Shard) {
     return nullptr;
   {
     std::lock_guard<std::mutex> Guard(LegacyLock);
-    LegacyAllocs.emplace(Ptr, std::make_pair(Size, Shard));
+    LegacyAllocs.emplace(
+        Ptr, LegacyBlock{Size, Shard,
+                         ShardEpochs[Shard].load(std::memory_order_relaxed)});
   }
   noteAlloc(Shard, Size, /*Legacy=*/true);
   return Ptr;
 }
 
 bool LowFatHeap::deallocateLegacy(void *Ptr) {
-  size_t Size;
-  unsigned Shard;
+  LegacyBlock Block;
   {
     std::lock_guard<std::mutex> Guard(LegacyLock);
     auto It = LegacyAllocs.find(Ptr);
     if (It == LegacyAllocs.end())
       return false;
-    Size = It->second.first;
-    Shard = It->second.second;
+    Block = It->second;
     LegacyAllocs.erase(It);
   }
   std::free(Ptr);
-  noteFree(Shard, Size);
+  // resetShard() zeroed the statistics this block was counted in, so
+  // the free of a block that outlived a reset counts nowhere.
+  if (Block.Epoch ==
+      ShardEpochs[Block.Shard].load(std::memory_order_relaxed))
+    noteFree(Block.Shard, Block.Size);
   return true;
 }
 
@@ -697,9 +764,9 @@ void LowFatHeap::deallocate(void *Ptr) {
   unsigned ClassIndex = allocationClass(Ptr);
   unsigned Shard = shardOf(Ptr);
   uint64_t Block = classSize(ClassIndex);
-  noteFree(Shard, Block);
 
   if (EFFSAN_UNLIKELY(QuarantineLimit != 0)) {
+    noteFree(Shard, Block);
     quarantineBlock(Ptr, ClassIndex, Shard);
     return;
   }
@@ -711,15 +778,20 @@ void LowFatHeap::deallocate(void *Ptr) {
             TC->ShardEpoch.load(std::memory_order_relaxed) ==
                 ShardEpochs[Shard].load(std::memory_order_relaxed))) {
       // The steady state: a TLS array push (the block's memory is not
-      // even touched, so the META header trivially survives).
-      if (EFFSAN_UNLIKELY(TC->Counts[ClassIndex] == MagSize))
+      // even touched, so the META header trivially survives), counted
+      // in the cache. A full magazine flushes half to the shard, and
+      // the byte count folds in with it.
+      bool Full = TC->Counts[ClassIndex] == MagSize;
+      if (EFFSAN_UNLIKELY(Full))
         flushMagazineHalf(*TC, ClassIndex);
       TC->slots(ClassIndex)[TC->Counts[ClassIndex]++] = Ptr;
+      countFree(*TC, Shard, Block, /*Fold=*/Full);
       return;
     }
     // Cross-shard (or unbound) free: hand the block straight back to
     // its owning shard's lock-free list.
   }
+  noteFree(Shard, Block);
   pushFreeBlock(subRegion(ClassIndex, Shard), Ptr);
 }
 
@@ -852,14 +924,22 @@ HeapStats LowFatHeap::shardStats(unsigned Shard) const {
   HeapStats Out;
   EFFSAN_HEAP_STATS(EFFSAN_FIELD_LOAD)
   // Add the counts of the caches bound to the shard's current epoch;
-  // the rest were folded in above or belong to a recycled tenant.
+  // the rest were folded in above or belong to a recycled tenant. The
+  // peak is the highest any of them saw.
   uint64_t Epoch = ShardEpochs[Shard].load(std::memory_order_relaxed);
+  uint64_t Peak = Out.PeakBlockBytesInUse;
   for (const ThreadCache *TC = Caches.first(); TC; TC = TC->Next)
     if (TC->BoundShard.load(std::memory_order_relaxed) == Shard &&
         TC->ShardEpoch.load(std::memory_order_relaxed) == Epoch) {
       Out.MagazineHits += TC->Hits.load(std::memory_order_relaxed);
       Out.MagazineRefills += TC->Refills.load(std::memory_order_relaxed);
+      Out.NumAllocs += TC->Allocs.load(std::memory_order_relaxed);
+      Out.NumFrees += TC->Frees.load(std::memory_order_relaxed);
+      Out.BlockBytesInUse += TC->Bytes.load(std::memory_order_relaxed);
+      Peak = std::max(Peak, TC->Peak.load(std::memory_order_relaxed));
     }
+  Out.BlockBytesInUse = clampBytes(Out.BlockBytesInUse);
+  Out.PeakBlockBytesInUse = std::max(Peak, Out.BlockBytesInUse);
   return Out;
 }
 

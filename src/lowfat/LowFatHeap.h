@@ -97,9 +97,24 @@
 /// exit flushes a cache back to its heap if, and only if, the heap is
 /// still alive; the registry's lock arbitrates, so heaps and threads
 /// may die in any order. The flushed cache is adopted by the heap's
-/// next new thread. Magazine hits and refills are owner-written
-/// counters in each cache, which stats() adds to the shard totals, so
-/// the counts are exact whenever no thread is mid-allocation.
+/// next new thread.
+///
+/// Statistics: every allocation and free that goes through a thread's
+/// cache (a magazine hit, a refill, a span block, a free to the bound
+/// shard) counts in that cache, in owner-written counters (ownerBump),
+/// so the steady-state alloc/free pair writes no shared cache line.
+/// stats() and shardStats() add the counts of the caches bound to each
+/// shard's current epoch to the shard's shared counters, so the counts
+/// are exact whenever no thread is mid-allocation. A cache folds its
+/// counts into the shard when it retires the shard and drops them when
+/// the shard was reset under it. Legacy blocks, cross-shard frees, the
+/// quarantine and MagazineSize = 0 count in the shared counters.
+/// Byte counts are modular (a free of another thread's block can take
+/// one cache's count below zero) and read as 0 below zero. The shared
+/// byte counter alone, which shardBytesInUse() reads with one load,
+/// trails the exact count: each cache folds its bytes into it at the
+/// operations that write shared state anyway (a refill, a half-magazine
+/// flush, a span carve).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -204,9 +219,18 @@ inline constexpr unsigned MaxMagazineSize = 512;
 /// Point-in-time allocator statistics. The heap tracks block (size-class
 /// rounded) bytes — the real memory footprint; requested-byte accounting
 /// lives in the typed runtime, which knows each object's META header.
-/// For sharded heaps stats() sums over the shards; PeakBlockBytesInUse
-/// is the sum of per-shard peaks (an upper bound on the true combined
-/// peak, exact for a single shard).
+/// For sharded heaps stats() sums over the shards.
+///
+/// A shard's PeakBlockBytesInUse is the highest of its shared peak and
+/// the peaks its bound caches saw, each cache tracking the shard's
+/// shared byte counter plus its own unfolded bytes. That is exact while
+/// one thread allocates on the shard (a single-threaded program, or one
+/// worker per shard). With several threads on a shard a cache's peak
+/// misses the other threads' unfolded bytes, at most a magazine of
+/// blocks plus one span per size class and thread each, so the peak may
+/// read low by that much (never below the current BlockBytesInUse).
+/// stats() sums the per-shard peaks, an upper bound on the combined
+/// peak of a sharded heap.
 struct HeapStats {
   EFFSAN_HEAP_STATS(EFFSAN_FIELD_U64)
 };
@@ -301,10 +325,15 @@ public:
   /// Snapshot of one shard's statistics.
   HeapStats shardStats(unsigned Shard) const;
 
-  /// One shard's BlockBytesInUse, without the walk over the threads'
-  /// caches that shardStats() makes for the magazine counts.
+  /// One shard's BlockBytesInUse as its shared counter holds it: one
+  /// load, without the walk over the threads' caches that shardStats()
+  /// makes. Each cache folds its byte count into the counter when it
+  /// refills a magazine, flushes half of one or carves a span, so the
+  /// reading trails the exact one by at most, per thread bound to the
+  /// shard and size class, a magazine of blocks and one span.
   uint64_t shardBytesInUse(unsigned Shard) const {
-    return Counters[Shard].BlockBytesInUse.load(std::memory_order_relaxed);
+    return clampBytes(
+        Counters[Shard].BlockBytesInUse.load(std::memory_order_relaxed));
   }
 
   /// Bytes carved from one size class's region across all shards
@@ -381,10 +410,25 @@ private:
     std::deque<std::pair<void *, unsigned>> Blocks;
   };
 
+  /// Byte counts are modular: a sum that ran below zero (a free counted
+  /// before the allocation it undoes was folded in) reads as 0.
+  static uint64_t clampBytes(uint64_t Bytes) {
+    return static_cast<int64_t>(Bytes) < 0 ? 0 : Bytes;
+  }
+
   void *allocateLegacy(size_t Size, unsigned Shard);
   bool deallocateLegacy(void *Ptr);
+  /// Counts an allocation or a free in the shard's shared counters: the
+  /// paths that bypass the thread's cache.
   void noteAlloc(unsigned Shard, size_t Block, bool Legacy);
   void noteFree(unsigned Shard, size_t Block);
+  /// Counts an allocation or a free of a block of the cache's bound
+  /// shard in the cache, owner-written; with \p Fold, at an operation
+  /// that writes shared state anyway, the cache's byte count moves into
+  /// the shard's counter.
+  void countAlloc(ThreadCache &TC, unsigned Shard, uint64_t Block,
+                  bool Fold);
+  void countFree(ThreadCache &TC, unsigned Shard, uint64_t Block, bool Fold);
 
   /// Carves a run of fresh \p Block-byte blocks off \p Sub's bump
   /// pointer with one CAS: up to \p Want bytes' worth (at least one
@@ -499,9 +543,15 @@ private:
   size_t QuarantineLimit = 0;
   std::unique_ptr<ShardQuarantine[]> Quarantines;
 
+  /// A live legacy block: its size, the shard it is counted on and that
+  /// shard's epoch at allocation.
+  struct LegacyBlock {
+    size_t Size;
+    unsigned Shard;
+    uint64_t Epoch;
+  };
   mutable std::mutex LegacyLock;
-  /// Legacy block -> (size, allocating shard).
-  std::unordered_map<void *, std::pair<size_t, unsigned>> LegacyAllocs;
+  std::unordered_map<void *, LegacyBlock> LegacyAllocs;
 };
 
 //===----------------------------------------------------------------------===//

@@ -6,9 +6,6 @@
 
 #include "lowfat/SizeClass.h"
 
-#include <bit>
-#include <cassert>
-
 using namespace effective;
 using namespace effective::lowfat;
 
@@ -32,17 +29,3 @@ static constexpr std::array<SizeClass, NumSizeClasses> buildTable() {
 
 constexpr std::array<SizeClass, NumSizeClasses>
     effective::lowfat::SizeClasses = buildTable();
-
-unsigned effective::lowfat::sizeToClass(size_t Bytes) {
-  assert(Bytes <= MaxClassSize && "request exceeds largest size class");
-  if (Bytes <= MinClassSize)
-    return 0;
-  // Smallest E with 2^E >= Bytes.
-  unsigned E = 64 - std::countl_zero(static_cast<uint64_t>(Bytes - 1));
-  // The midpoint class 3*2^(E-2) lies between 2^(E-1) and 2^E; prefer it
-  // when it is large enough (it belongs to exponent pair E-1).
-  uint64_t Midpoint = 3ull << (E - 2);
-  if (Bytes <= Midpoint)
-    return 2 * (E - 1 - 5) + 1;
-  return 2 * (E - 5);
-}

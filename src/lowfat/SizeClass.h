@@ -23,6 +23,8 @@
 #define EFFECTIVE_LOWFAT_SIZECLASS_H
 
 #include <array>
+#include <bit>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 
@@ -51,8 +53,20 @@ struct SizeClass {
 extern const std::array<SizeClass, NumSizeClasses> SizeClasses;
 
 /// Returns the index of the smallest class with Size >= \p Bytes.
-/// \pre Bytes <= MaxClassSize.
-unsigned sizeToClass(size_t Bytes);
+/// \pre Bytes <= MaxClassSize. Inline: every allocation starts here.
+inline unsigned sizeToClass(size_t Bytes) {
+  assert(Bytes <= MaxClassSize && "request exceeds largest size class");
+  if (Bytes <= MinClassSize)
+    return 0;
+  // Smallest E with 2^E >= Bytes.
+  unsigned E = 64 - std::countl_zero(static_cast<uint64_t>(Bytes - 1));
+  // The midpoint class 3*2^(E-2) lies between 2^(E-1) and 2^E; prefer it
+  // when it is large enough (it belongs to exponent pair E-1).
+  uint64_t Midpoint = 3ull << (E - 2);
+  if (Bytes <= Midpoint)
+    return 2 * (E - 1 - 5) + 1;
+  return 2 * (E - 5);
+}
 
 /// Returns the block size of class \p Index.
 inline uint64_t classSize(unsigned Index) { return SizeClasses[Index].Size; }

@@ -817,6 +817,190 @@ TEST(MagazineTest, ParkedThreadsHitsAreExactWithoutAFlush) {
 }
 
 //===----------------------------------------------------------------------===//
+// Heap statistics counted in the thread caches
+//===----------------------------------------------------------------------===//
+
+TEST(CacheStatsTest, ParkedThreadsAllocsFreesAndBytesAreExact) {
+  // Each thread churns, then keeps Kept blocks live and parks without a
+  // flush. Its allocations, frees and bytes sit in its cache, unfolded,
+  // yet another thread's stats() reads them exactly.
+  LowFatHeap Heap;
+  constexpr unsigned NumThreads = 4, Iters = 100, Kept = 7;
+  constexpr size_t Size = 96;
+  std::atomic<unsigned> Parked{0};
+  std::atomic<bool> Release{false};
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T < NumThreads; ++T) {
+    Threads.emplace_back([&] {
+      for (unsigned I = 0; I < Iters; ++I)
+        Heap.deallocate(Heap.allocate(Size));
+      std::vector<void *> Live;
+      for (unsigned I = 0; I < Kept; ++I)
+        Live.push_back(Heap.allocate(Size));
+      Parked.fetch_add(1, std::memory_order_release);
+      while (!Release.load(std::memory_order_acquire))
+        std::this_thread::yield();
+      for (void *P : Live)
+        Heap.deallocate(P);
+    });
+  }
+  while (Parked.load(std::memory_order_acquire) != NumThreads)
+    std::this_thread::yield();
+  HeapStats Stats = Heap.stats();
+  EXPECT_EQ(Stats.NumAllocs, uint64_t(NumThreads) * (Iters + Kept));
+  EXPECT_EQ(Stats.NumFrees, uint64_t(NumThreads) * Iters);
+  EXPECT_EQ(Stats.BlockBytesInUse, uint64_t(NumThreads) * Kept * Size);
+  Release.store(true, std::memory_order_release);
+  for (std::thread &T : Threads)
+    T.join();
+  Stats = Heap.stats();
+  EXPECT_EQ(Stats.NumAllocs, uint64_t(NumThreads) * (Iters + Kept));
+  EXPECT_EQ(Stats.NumFrees, uint64_t(NumThreads) * (Iters + Kept));
+  EXPECT_EQ(Stats.BlockBytesInUse, 0u) << "thread exit folds each cache once";
+}
+
+TEST(CacheStatsTest, BlockFreedOnAnotherThreadSumsToZero) {
+  // A's cache counts the allocation, B's the free (B is bound to the
+  // same shard), so B's byte count runs below zero; the sum is exact.
+  LowFatHeap Heap;
+  constexpr size_t Size = 64;
+  void *Shared = nullptr;
+  std::atomic<int> Phase{0};
+  auto Park = [&](int Until) {
+    while (Phase.load(std::memory_order_acquire) < Until)
+      std::this_thread::yield();
+  };
+  std::thread A([&] {
+    Shared = Heap.allocate(Size);
+    Phase.store(1, std::memory_order_release);
+    Park(3);
+  });
+  std::thread B([&] {
+    Park(1);
+    Heap.deallocate(Heap.allocate(Size)); // Binds B's cache to shard 0.
+    Heap.deallocate(Shared);
+    Phase.store(2, std::memory_order_release);
+    Park(3);
+  });
+  Park(2);
+  HeapStats Stats = Heap.stats();
+  EXPECT_EQ(Stats.NumAllocs, 2u);
+  EXPECT_EQ(Stats.NumFrees, 2u);
+  EXPECT_EQ(Stats.BlockBytesInUse, 0u);
+  EXPECT_EQ(Stats.PeakBlockBytesInUse, 2 * Size);
+  Phase.store(3, std::memory_order_release);
+  A.join();
+  B.join();
+  EXPECT_EQ(Heap.stats().BlockBytesInUse, 0u);
+  EXPECT_EQ(Heap.shardBytesInUse(0), 0u);
+}
+
+TEST(CacheStatsTest, SingleThreadedPeakIsExact) {
+  // Magazine hits, span blocks and a legacy block between them: one
+  // thread's peak is the exact high-water mark of its live bytes.
+  LowFatHeap Heap;
+  auto Block = [](size_t Size) { return classSize(sizeToClass(Size)); };
+  std::vector<void *> Ptrs;
+  for (int I = 0; I < 40; ++I)
+    Ptrs.push_back(Heap.allocate(64));
+  uint64_t First = 40 * Block(64);
+  EXPECT_EQ(Heap.stats().PeakBlockBytesInUse, First);
+  for (void *P : Ptrs)
+    Heap.deallocate(P);
+  Ptrs.clear();
+  for (int I = 0; I < 30; ++I)
+    Ptrs.push_back(Heap.allocate(64)); // Magazine hits, then a span.
+  EXPECT_EQ(Heap.stats().PeakBlockBytesInUse, First) << "below the peak";
+  // One block, then a span whose second block is counted in the cache
+  // and not yet folded into the shard.
+  for (int I = 0; I < 3; ++I)
+    Ptrs.push_back(Heap.allocate(3000));
+  uint64_t Second = 30 * Block(64) + 3 * Block(3000);
+  ASSERT_GT(Second, First);
+  EXPECT_EQ(Heap.stats().PeakBlockBytesInUse, Second);
+  // A legacy block while a span block is unfolded: the shared counter
+  // alone would miss it.
+  constexpr size_t Oversized = MaxClassSize + 1;
+  void *Big = Heap.allocate(Oversized);
+  ASSERT_FALSE(Heap.isLowFat(Big));
+  Heap.deallocate(Big);
+  HeapStats Stats = Heap.stats();
+  EXPECT_EQ(Stats.PeakBlockBytesInUse, Second + Oversized);
+  EXPECT_EQ(Stats.BlockBytesInUse, Second);
+  for (void *P : Ptrs)
+    Heap.deallocate(P);
+  EXPECT_EQ(Heap.stats().BlockBytesInUse, 0u);
+  EXPECT_EQ(Heap.stats().PeakBlockBytesInUse, Second + Oversized);
+}
+
+TEST(CacheStatsTest, LegacyFreeAfterResetShardReadsZero) {
+  // resetShard() zeroes the statistics while a legacy block stays live;
+  // its later free reads 0, never a wrapped count, and the shard's
+  // next allocations count from there exactly.
+  LowFatHeap Heap;
+  constexpr size_t Oversized = MaxClassSize + 1;
+  void *Big = Heap.allocate(Oversized);
+  ASSERT_FALSE(Heap.isLowFat(Big));
+  Heap.resetShard(0);
+  Heap.deallocate(Big);
+  EXPECT_EQ(Heap.shardStats(0).BlockBytesInUse, 0u);
+  EXPECT_EQ(Heap.shardBytesInUse(0), 0u);
+  void *P = Heap.allocate(64);
+  EXPECT_EQ(Heap.shardStats(0).BlockBytesInUse, 64u);
+  EXPECT_EQ(Heap.shardBytesInUse(0), 64u) << "a first carve folds";
+  Heap.deallocate(P);
+  EXPECT_EQ(Heap.shardStats(0).BlockBytesInUse, 0u);
+}
+
+TEST(CacheStatsTest, ShardBytesInUseTrailsWithinTheFoldSlack) {
+  // shardBytesInUse() is one load of the shared counter, which each
+  // cache updates only at a refill, a half-magazine flush or a span
+  // carve. While threads churn it trails the exact live bytes by at
+  // most a magazine of blocks plus one span per thread (one class).
+  LowFatHeap Heap;
+  constexpr unsigned NumThreads = 3, Base = 1000, Churn = 40, Rounds = 2000;
+  constexpr uint64_t Size = 64;
+  const uint64_t Slack = Heap.magazineSize() * Size + (16 << 10);
+  std::atomic<unsigned> Ready{0};
+  std::atomic<bool> Done{false};
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T < NumThreads; ++T) {
+    Threads.emplace_back([&] {
+      std::vector<void *> Kept, Batch;
+      for (unsigned I = 0; I < Base; ++I)
+        Kept.push_back(Heap.allocate(Size));
+      Ready.fetch_add(1, std::memory_order_release);
+      for (unsigned R = 0; R < Rounds; ++R) {
+        for (unsigned I = 0; I < Churn; ++I)
+          Batch.push_back(Heap.allocate(Size));
+        for (void *P : Batch)
+          Heap.deallocate(P);
+        Batch.clear();
+      }
+      while (!Done.load(std::memory_order_acquire))
+        std::this_thread::yield();
+      for (void *P : Kept)
+        Heap.deallocate(P);
+    });
+  }
+  while (Ready.load(std::memory_order_acquire) != NumThreads)
+    std::this_thread::yield();
+  // Every thread holds Base blocks and at most Churn more.
+  const uint64_t Low = NumThreads * Base * Size;
+  const uint64_t High = NumThreads * (Base + Churn) * Size;
+  for (int Sample = 0; Sample < 2000; ++Sample) {
+    uint64_t Read = Heap.shardBytesInUse(0);
+    ASSERT_GE(Read + NumThreads * Slack, Low) << "sample " << Sample;
+    ASSERT_LE(Read, High + NumThreads * Slack) << "sample " << Sample;
+  }
+  Done.store(true, std::memory_order_release);
+  for (std::thread &T : Threads)
+    T.join();
+  EXPECT_EQ(Heap.shardBytesInUse(0), 0u) << "exits fold every cache";
+  EXPECT_EQ(Heap.stats().BlockBytesInUse, 0u);
+}
+
+//===----------------------------------------------------------------------===//
 // Spans: thread-private runs of fresh blocks
 //===----------------------------------------------------------------------===//
 

@@ -809,6 +809,68 @@ TEST(ServiceAbiTest, TenantLifecycleRoundTrip) {
   effsan_service_destroy(Svc);
 }
 
+TEST(ServiceAbiTest, QuotaSetMetersLiveBytesAtMagazineGranularity) {
+  effsan_service_options Opts;
+  effsan_service_options_init(&Opts);
+  Opts.shards = 1;
+  Opts.log_errors = 0;
+  Opts.drain_interval_usec = 60'000'000;
+  effsan_service *Svc = effsan_service_create(&Opts);
+  ASSERT_NE(Svc, nullptr);
+  effsan_tenant T = effsan_service_tenant_open(Svc, "grows", nullptr);
+  ASSERT_NE(T, EFFSAN_NO_TENANT);
+
+  // Unlimited at open: build a live footprint of many small objects,
+  // most of them served from the thread's magazines and spans.
+  constexpr unsigned Objects = 1000;
+  constexpr uint64_t Block = 64; // 48-byte payload + 16-byte META.
+  constexpr uint64_t Live = Objects * Block;
+  effsan_session *S = effsan_service_checkout(Svc, T);
+  ASSERT_NE(S, nullptr);
+  effsan_type CharTy = effsan_type_primitive(S, EFFSAN_PRIM_CHAR);
+  for (unsigned I = 0; I < Objects; ++I)
+    ASSERT_NE(effsan_malloc(S, Block - 16, CharTy), nullptr);
+  ASSERT_NE(effsan_service_release(Svc, T), 0);
+
+  // A budget above the footprint keeps serving.
+  effsan_tenant_quota Quota;
+  effsan_tenant_quota_init(&Quota);
+  Quota.max_alloc_bytes = 2 * Live;
+  ASSERT_NE(effsan_service_quota_set(Svc, T, &Quota), 0);
+  effsan_tenant_quota Read;
+  ASSERT_NE(effsan_service_quota_get(Svc, T, &Read), 0);
+  EXPECT_EQ(Read.max_alloc_bytes, 2 * Live);
+  ASSERT_NE(effsan_service_checkout(Svc, T), nullptr);
+  ASSERT_NE(effsan_service_release(Svc, T), 0);
+
+  // The meter trails the live bytes by at most what the allocating
+  // thread has not folded into the shard: a magazine of blocks (16)
+  // plus one 16 KiB span of the class. So a budget under that floor
+  // trips on the next checkout.
+  constexpr uint64_t Slack = 16 * Block + (16 << 10);
+  Quota.max_alloc_bytes = Live - Slack - 1;
+  ASSERT_NE(effsan_service_quota_set(Svc, T, &Quota), 0);
+  EXPECT_EQ(effsan_service_checkout(Svc, T), nullptr);
+
+  effsan_tenant_stats TS;
+  std::memset(&TS, 0, sizeof(TS));
+  TS.struct_size = sizeof(TS);
+  ASSERT_NE(effsan_service_tenant_stats(Svc, T, &TS), 0);
+  EXPECT_EQ(TS.status, uint32_t(EFFSAN_TENANT_EVICTED));
+  EXPECT_EQ(TS.evict_reason, uint32_t(EFFSAN_EVICT_ALLOC_BYTES));
+  EXPECT_LE(TS.alloc_bytes, Live);
+  EXPECT_GE(TS.alloc_bytes, Live - Slack);
+  EXPECT_EQ(TS.checkouts_granted, 2u);
+  EXPECT_EQ(TS.checkouts_refused, 1u);
+
+  // The eviction recycles the shard; the handle goes stale, and so
+  // does quota_set on it.
+  effsan_service_tick(Svc);
+  EXPECT_EQ(effsan_service_tenant_stats(Svc, T, &TS), 0);
+  EXPECT_EQ(effsan_service_quota_set(Svc, T, &Quota), 0);
+  effsan_service_destroy(Svc);
+}
+
 TEST(ServiceAbiTest, StatsPrefixContractOldAndNewCallers) {
   effsan_service_options Opts;
   effsan_service_options_init(&Opts);
